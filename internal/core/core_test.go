@@ -10,6 +10,18 @@ import (
 	"pado/internal/workloads"
 )
 
+// placePaper runs Algorithm 1 (the PaperRule policy) over g and annotates
+// every vertex with the resulting placement, for tests that hand-place
+// graphs instead of going through Compile.
+func placePaper(g *dag.Graph) error {
+	pl, err := PaperRule{}.Place(g, PolicyEnv{})
+	if err != nil {
+		return err
+	}
+	pl.Apply(g)
+	return nil
+}
+
 // placementByName compiles the graph and returns operator placements
 // keyed by vertex name.
 func placementByName(t *testing.T, g *dag.Graph) map[string]dag.Placement {
@@ -17,7 +29,7 @@ func placementByName(t *testing.T, g *dag.Graph) map[string]dag.Placement {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Place(g); err != nil {
+	if err := placePaper(g); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string]dag.Placement)
@@ -116,7 +128,7 @@ func TestPartitioningMLRStages(t *testing.T) {
 	cfg := workloads.MLRConfig{Partitions: 4, SamplesPerPart: 4, Features: 8,
 		Classes: 2, NonZeros: 2, Iterations: 2, LearningRate: 0.1, Seed: 1}
 	g := workloads.MLR(cfg).Graph()
-	if err := Place(g); err != nil {
+	if err := placePaper(g); err != nil {
 		t.Fatal(err)
 	}
 	if err := ResolveParallelism(g, PlanConfig{ReduceParallelism: 3}); err != nil {
@@ -242,7 +254,7 @@ func TestCompileMLRPlan(t *testing.T) {
 func TestResolveParallelismRules(t *testing.T) {
 	cfg := workloads.MRConfig{Partitions: 7, LinesPerPart: 1, Docs: 5, Seed: 1}
 	g := workloads.MR(cfg).Graph()
-	if err := Place(g); err != nil {
+	if err := placePaper(g); err != nil {
 		t.Fatal(err)
 	}
 	if err := ResolveParallelism(g, PlanConfig{ReduceParallelism: 9}); err != nil {

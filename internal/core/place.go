@@ -12,19 +12,6 @@ import (
 	"pado/internal/dataflow"
 )
 
-// Place runs Algorithm 1 (the PaperRule policy) over the logical DAG and
-// annotates every vertex with the resulting placement. It is a
-// compatibility wrapper kept for callers that hand-place graphs; Compile
-// goes through the PlacementPolicy interface instead.
-func Place(g *dag.Graph) error {
-	pl, err := PaperRule{}.Place(g, PolicyEnv{})
-	if err != nil {
-		return err
-	}
-	pl.Apply(g)
-	return nil
-}
-
 func anyMatch(edges []dag.Edge, pred func(dag.Edge) bool) bool {
 	for _, e := range edges {
 		if pred(e) {

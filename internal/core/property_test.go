@@ -63,7 +63,7 @@ func TestPlacementInvariants(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid pipeline: %v", trial, err)
 		}
-		if err := Place(g); err != nil {
+		if err := placePaper(g); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, v := range g.Vertices() {
@@ -110,7 +110,7 @@ func TestPartitioningInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		g := randomPipeline(rng).Graph()
-		if err := Place(g); err != nil {
+		if err := placePaper(g); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		stages, err := PartitionStages(g, PlacementsFromGraph(g))

@@ -41,25 +41,14 @@ type Config struct {
 	// output locations go stale silently.
 	FetchRetries   int
 	FetchRetryWait time.Duration
-	// DisableCache turns off RDD-style caching of Read sources.
-	DisableCache  bool
-	CacheCapacity int64
-	EventQueue    int
 }
 
-func (c Config) cacheCapacity() int64 {
-	if c.CacheCapacity <= 0 {
-		return 64 << 20
-	}
-	return c.CacheCapacity
-}
-
-func (c Config) eventQueue() int {
-	if c.EventQueue <= 0 {
-		return 8192
-	}
-	return c.EventQueue
-}
+const (
+	// cacheCapacity is the per-executor RDD cache budget in bytes.
+	cacheCapacity = 64 << 20
+	// eventQueue sizes the master's event channel.
+	eventQueue = 8192
+)
 
 // Result mirrors the Pado runtime's result shape.
 type Result struct {
@@ -154,9 +143,10 @@ type master struct {
 
 	stages []*sStageRun
 
-	driverStore *storage.LocalStore
-	driverCk    *storage.Client
-	ckSvc       *storage.Service
+	// driver is where parallelism-1 stages run and results are collected:
+	// the master process, like Spark's driver. It is never evicted.
+	driver taskEnv
+	ckSvc  *storage.Service
 
 	collecting bool
 	finished   bool
@@ -178,13 +168,20 @@ func Run(ctx context.Context, cl *cluster.Cluster, g *dag.Graph, cfg Config) (*R
 	m := &master{
 		cfg: cfg, plan: plan, cl: cl, net: cl.Net(), met: met,
 		tr:          cfg.Tracer.Buf(),
-		events:      make(chan event, cfg.eventQueue()),
+		events:      make(chan event, eventQueue),
 		execs:       make(map[string]*executor),
 		slotsFree:   make(map[string]int),
 		assignments: make(map[taskRef]string),
 		cacheIndex:  make(map[recache.Key]map[string]bool),
-		driverStore: storage.NewLocalStore(),
 	}
+	m.driver = taskEnv{
+		execID: driverLoc, plan: plan, cfg: cfg, met: met, tr: m.tr,
+		store:   storage.NewLocalStore(),
+		pool:    storage.NewPoolTransport(m.net, driverLoc).Counting(met),
+		send:    func(ev event) { m.events <- ev },
+		stopped: func() bool { return false },
+	}
+	defer m.driver.pool.Close()
 	m.stages = make([]*sStageRun, len(plan.Stages))
 	for i, ps := range plan.Stages {
 		s := &sStageRun{ps: ps, tasks: make([]*sTask, ps.Parallelism)}
@@ -203,7 +200,7 @@ func Run(ctx context.Context, cl *cluster.Cluster, g *dag.Graph, cfg Config) (*R
 	}
 	stopServe := make(chan struct{})
 	defer close(stopServe)
-	go serveStore(l, m.driverStore, stopServe)
+	go storage.ServeBlocks(l, m.driver.store, nil, stopServe, nil)
 
 	if err := cl.Start(m); err != nil {
 		return nil, err
@@ -224,11 +221,7 @@ func Run(ctx context.Context, cl *cluster.Cluster, g *dag.Graph, cfg Config) (*R
 		if err := m.ckSvc.Start(); err != nil {
 			return nil, err
 		}
-		// Pooled transport: checkpoint traffic reuses one stream per
-		// storage node instead of dialing per block.
-		ckt := storage.NewPoolTransport(m.net, "master")
-		defer ckt.Close()
-		m.driverCk = storage.NewClientTransport(ckt, m.ckSvc)
+		m.driver.ck = storage.NewClientTransport(m.driver.pool, m.ckSvc)
 	}
 
 	start := time.Now()
@@ -299,13 +292,7 @@ func (m *master) onLaunched(c *cluster.Container) {
 	if m.cfg.Checkpoint && c.Kind == cluster.Reserved {
 		return
 	}
-	var ck *storage.Client
-	if m.ckSvc != nil {
-		// Per-executor pooled transport; its streams die with the
-		// container's node, so eviction cleans up naturally.
-		ck = storage.NewClientTransport(storage.NewPoolTransport(m.net, c.ID), m.ckSvc)
-	}
-	ex, err := newExecutor(c.ID, c.Node, m.net, m.plan, m.cfg, m.met, m.events, ck, c.CPU)
+	ex, err := newExecutor(c.ID, c.Node, m.net, m.plan, m.cfg, m.met, m.events, m.ckSvc, c.CPU)
 	if err != nil {
 		return
 	}
@@ -697,14 +684,12 @@ func (m *master) schedule() {
 }
 
 func (m *master) pickExecutor(ps *SStage, taskIdx int) string {
-	if !m.cfg.DisableCache {
-		for _, opID := range ps.Ops {
-			if rd, ok := m.plan.Graph.Vertex(opID).Op.(*dataflow.ReadOp); ok && rd.Cached {
-				key := recache.Key{Vertex: opID, Partition: taskIdx}
-				for exID := range m.cacheIndex[key] {
-					if m.slotsFree[exID] > 0 {
-						return exID
-					}
+	for _, opID := range ps.Ops {
+		if rd, ok := m.plan.Graph.Vertex(opID).Op.(*dataflow.ReadOp); ok && rd.Cached {
+			key := recache.Key{Vertex: opID, Partition: taskIdx}
+			for exID := range m.cacheIndex[key] {
+				if m.slotsFree[exID] > 0 {
+					return exID
 				}
 			}
 		}
@@ -722,16 +707,9 @@ func (m *master) pickExecutor(ps *SStage, taskIdx int) string {
 // runDriverTask executes a parallelism-1 stage on the master process,
 // like Spark's driver-side aggregation; the driver is never evicted.
 func (m *master) runDriverTask(spec sTaskSpec) {
-	env := taskEnv{
-		execID: driverLoc, net: m.net, plan: m.plan, cfg: m.cfg, met: m.met, tr: m.tr,
-		store: m.driverStore, cache: nil, ck: m.driverCk,
-		send:      func(ev event) { m.events <- ev },
-		stopped:   func() bool { return false },
-		cacheable: false,
-	}
 	go func() {
-		if err := runTask(env, spec); err != nil {
-			reportTaskError(env.send, spec, driverLoc, err)
+		if err := runTask(m.driver, spec); err != nil {
+			reportTaskError(m.driver.send, spec, driverLoc, err)
 		}
 	}()
 }
@@ -776,8 +754,7 @@ func (m *master) checkDone() {
 	}
 
 	m.collecting = true
-	driverStore, driverCk := m.driverStore, m.driverCk
-	net, plan, met := m.net, m.plan, m.met
+	driver, plan, met := m.driver, m.plan, m.met
 	go func() {
 		outputs := make(map[dag.VertexID][]data.Record)
 		var failed []evFetchFailed
@@ -789,18 +766,14 @@ func (m *master) checkDone() {
 			}
 			var recs []data.Record
 			for p, owner := range f.locs {
+				id := wholeID(f.stage, p)
 				var payload []byte
-				var ok bool
-				switch owner {
-				case driverLoc:
-					payload, ok = driverStore.Get(wholeID(f.stage, p))
-					if !ok {
-						err = errBlockNotFound
-					}
-				case storageLoc:
-					payload, err = driverCk.Get(wholeID(f.stage, p))
-				default:
-					payload, err = fetchFrom(net, "master", owner, wholeID(f.stage, p))
+				if owner != driverLoc {
+					payload, err = driver.fetchBlock(owner, id)
+				} else if b, ok := driver.store.Get(id); ok {
+					payload = b // driver-resident output: already in this process
+				} else {
+					err = storage.ErrNotFound{Key: id}
 				}
 				if err != nil {
 					// Stage -1 marks a collection fetch: there is no

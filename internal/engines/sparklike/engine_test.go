@@ -8,8 +8,12 @@ import (
 	"time"
 
 	"pado/internal/cluster"
+	"pado/internal/dag"
 	"pado/internal/data"
 	"pado/internal/dataflow"
+	"pado/internal/metrics"
+	"pado/internal/simnet"
+	"pado/internal/storage/blocktest"
 	"pado/internal/trace"
 	"pado/internal/vtime"
 )
@@ -124,4 +128,64 @@ func TestWordCountCheckpointEvictions(t *testing.T) {
 		t.Fatal("timed out")
 	}
 	checkWordCount(t, res, expect)
+}
+
+// TestShuffleFetchesArePooled: every shuffle, broadcast and collect fetch
+// (and, in checkpoint mode, every stable put/get) rides the executors'
+// and the driver's pools, so a run reuses streams and dials far fewer
+// times than it moves blocks.
+func TestShuffleFetchesArePooled(t *testing.T) {
+	for _, ck := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", ck), func(t *testing.T) {
+			// Many map partitions on few executors: each (reader, owner)
+			// pair moves dozens of blocks over a handful of streams.
+			p, expect := buildWordCount(128, 25)
+			cl := newTestCluster(t, 2, 1, trace.RateNone)
+			res, err := Run(context.Background(), cl, p.Graph(), Config{Checkpoint: ck})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			checkWordCount(t, res, expect)
+			// Each reduce task pulls one bucket per map task.
+			var blocks int64
+			for _, s := range res.Plan.Stages {
+				for _, in := range s.Inputs {
+					if in.Dep == dag.ManyToMany {
+						blocks += int64(s.Parallelism * res.Plan.Stages[in.FromStage].Parallelism)
+					}
+				}
+			}
+			dials := res.Metrics.Named[metrics.NameConnDials]
+			reuses := res.Metrics.Named[metrics.NameConnReuses]
+			t.Logf("blocks=%d dials=%d reuses=%d", blocks, dials, reuses)
+			if blocks < 1024 {
+				t.Fatalf("plan shuffles only %d blocks; the test needs a real shuffle", blocks)
+			}
+			if reuses == 0 {
+				t.Error("conn_reuses = 0: fetches are dialing per block")
+			}
+			if dials*4 > blocks {
+				t.Errorf("conn_dials = %d for %d shuffle blocks (reuses %d): want far fewer dials than blocks", dials, blocks, reuses)
+			}
+		})
+	}
+}
+
+// TestExecutorServesBlockProtocol runs the shared conformance table
+// against a Spark-like executor's store server.
+func TestExecutorServesBlockProtocol(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	node, err := net.AddNode("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := newExecutor("t1", node, net, nil, Config{}, &metrics.Job{}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.shutdown()
+	blocktest.Drive(t, net, "t1")
+	if got, ok := ex.store.Get("k"); !ok || string(got) != "v2" {
+		t.Errorf("executor store holds %q, %v after the table", got, ok)
+	}
 }

@@ -3,8 +3,8 @@ package sparklike
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pado/internal/dag"
@@ -18,16 +18,6 @@ import (
 	"pado/internal/storage"
 )
 
-// Block fetch wire protocol (the engine's only data-plane RPC; shuffles
-// are pull-based).
-const (
-	frameFetch = 'F'
-	respOK     = 'K'
-	respNo     = 'N'
-)
-
-var errBlockNotFound = errors.New("sparklike: block not found")
-
 // storageLoc is the location sentinel for checkpointed blocks.
 const storageLoc = "@storage"
 
@@ -37,69 +27,6 @@ const driverLoc = "master"
 func wholeID(stage, part int) string { return fmt.Sprintf("sw/%d/%d", stage, part) }
 func bucketID(stage, part int, consumer dag.VertexID, bucket int) string {
 	return fmt.Sprintf("sb/%d/%d/%d/%d", stage, part, consumer, bucket)
-}
-
-// serveStore answers block-fetch requests from a local store until stop.
-func serveStore(l *simnet.Listener, store *storage.LocalStore, stop <-chan struct{}) {
-	for {
-		conn, err := l.Accept(stop)
-		if err != nil {
-			return
-		}
-		go func(conn *simnet.Conn) {
-			defer conn.Close()
-			d := data.NewDecoder(conn)
-			e := data.NewEncoder(conn)
-			for {
-				op, err := d.Byte()
-				if err != nil || op != frameFetch {
-					return
-				}
-				id, err := d.String()
-				if err != nil {
-					return
-				}
-				payload, ok := store.Get(id)
-				if !ok {
-					if e.Byte(respNo) != nil || e.Flush() != nil {
-						return
-					}
-					continue
-				}
-				if e.Byte(respOK) != nil || e.Bytes(payload) != nil || e.Flush() != nil {
-					return
-				}
-			}
-		}(conn)
-	}
-}
-
-// fetchFrom pulls a block from a peer's local store.
-func fetchFrom(net *simnet.Network, from, owner, id string) ([]byte, error) {
-	conn, err := net.Dial(from, owner)
-	if err != nil {
-		return nil, fmt.Errorf("fetch %q from %s: %w", id, owner, err)
-	}
-	defer conn.Close()
-	e := data.NewEncoder(conn)
-	if err := e.Byte(frameFetch); err != nil {
-		return nil, err
-	}
-	if err := e.String(id); err != nil {
-		return nil, err
-	}
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
-	d := data.NewDecoder(conn)
-	resp, err := d.Byte()
-	if err != nil {
-		return nil, fmt.Errorf("fetch %q from %s: %w", id, owner, err)
-	}
-	if resp != respOK {
-		return nil, fmt.Errorf("fetch %q from %s: %w", id, owner, errBlockNotFound)
-	}
-	return d.Bytes(0)
 }
 
 // sTaskSpec describes one task attempt handed to an executor (or run on
@@ -120,48 +47,64 @@ type taskRef struct {
 
 func (s sTaskSpec) ref() taskRef { return taskRef{Stage: s.Stage, Index: s.Index, Attempt: s.Attempt} }
 
+// taskEnv is where a task runs — a regular executor or the driver — and
+// everything it runs with.
+type taskEnv struct {
+	execID string
+	plan   *SPlan
+	cfg    Config
+	met    *metrics.Job
+	tr     *obs.Buf // trace buffer (nil = tracing off)
+	store  *storage.LocalStore
+	cache  *recache.Cache // nil on the driver, which does not cache
+	flight *recache.Flight
+	cpu    *simnet.Limiter // nil = unlimited compute capacity
+	// pool carries every fetch and checkpoint put/get the node issues. It
+	// is the bare pool, with no RPC policy on top: Spark discovers a stale
+	// location by burning FetchRetries × FetchRetryWait against it, and
+	// that behaviour is what the baseline models.
+	pool    *storage.PoolTransport
+	ck      *storage.Client // non-nil in checkpoint mode; rides pool
+	stop    <-chan struct{}
+	send    func(event)
+	stopped func() bool
+}
+
 // executor runs stage tasks: it fetches inputs (shuffle pulls,
 // broadcasts, aligned partitions), interprets the fused operator chain,
 // and materializes the output blocks in its local store — where they
 // remain until pulled, and die with the container on eviction.
 type executor struct {
-	id     string
-	node   *simnet.Node
-	net    *simnet.Network
-	plan   *SPlan
-	cfg    Config
-	met    *metrics.Job
-	tr     *obs.Buf // per-executor trace buffer (nil = tracing off)
-	events chan<- event
-	store  *storage.LocalStore
-	cache  *recache.Cache
-	flight *recache.Flight
-	cpu    *simnet.Limiter // nil = unlimited compute capacity
-	ck     *storage.Client // non-nil in checkpoint mode
-
-	stop     chan struct{}
+	taskEnv
+	events   chan<- event
+	stopCh   chan struct{}
 	stopOnce sync.Once
 }
 
+// newExecutor starts an executor on node. svc is the stable-storage
+// service in checkpoint mode, nil otherwise.
 func newExecutor(id string, node *simnet.Node, net *simnet.Network, plan *SPlan, cfg Config,
-	met *metrics.Job, events chan<- event, ck *storage.Client, cpu *simnet.Limiter) (*executor, error) {
+	met *metrics.Job, events chan<- event, svc *storage.Service, cpu *simnet.Limiter) (*executor, error) {
 
-	ex := &executor{
-		id: id, node: node, net: net, plan: plan, cfg: cfg, met: met,
+	ex := &executor{events: events, stopCh: make(chan struct{})}
+	ex.taskEnv = taskEnv{
+		execID: id, plan: plan, cfg: cfg, met: met,
 		tr:     cfg.Tracer.Buf(),
-		events: events,
 		store:  storage.NewLocalStore(),
-		cache:  recache.New(cfg.cacheCapacity()),
+		cache:  recache.New(cacheCapacity),
 		flight: recache.NewFlight(),
 		cpu:    cpu,
-		ck:     ck,
-		stop:   make(chan struct{}),
+		pool:   storage.NewPoolTransport(net, id).Counting(met),
+		stop:   ex.stopCh, send: ex.sendEvent, stopped: ex.isStopped,
+	}
+	if svc != nil {
+		ex.ck = storage.NewClientTransport(ex.pool, svc)
 	}
 	l, err := node.Listen()
 	if err != nil {
 		return nil, err
 	}
-	go serveStore(l, ex.store, ex.stop)
+	go storage.ServeBlocks(l, ex.store, nil, ex.stop, nil)
 	go func() {
 		<-node.Down()
 		ex.shutdown()
@@ -170,55 +113,35 @@ func newExecutor(id string, node *simnet.Node, net *simnet.Network, plan *SPlan,
 }
 
 func (ex *executor) shutdown() {
-	ex.stopOnce.Do(func() { close(ex.stop) })
+	ex.stopOnce.Do(func() {
+		close(ex.stopCh)
+		ex.pool.Close()
+	})
 }
 
-func (ex *executor) stopped() bool {
+func (ex *executor) isStopped() bool {
 	select {
-	case <-ex.stop:
+	case <-ex.stopCh:
 		return true
 	default:
 		return false
 	}
 }
 
-func (ex *executor) send(ev event) {
+func (ex *executor) sendEvent(ev event) {
 	select {
 	case ex.events <- ev:
-	case <-ex.stop:
+	case <-ex.stopCh:
 	}
 }
 
 // Launch runs a task attempt on its own goroutine.
 func (ex *executor) Launch(spec sTaskSpec) {
 	go func() {
-		if err := runTask(taskEnv{
-			execID: ex.id, net: ex.net, plan: ex.plan, cfg: ex.cfg, met: ex.met, tr: ex.tr,
-			store: ex.store, cache: ex.cache, flight: ex.flight, cpu: ex.cpu, ck: ex.ck,
-			stop: ex.stop, send: ex.send, stopped: ex.stopped, cacheable: true,
-		}, spec); err != nil && !ex.stopped() {
-			reportTaskError(ex.send, spec, ex.id, err)
+		if err := runTask(ex.taskEnv, spec); err != nil && !ex.isStopped() {
+			reportTaskError(ex.send, spec, ex.execID, err)
 		}
 	}()
-}
-
-// taskEnv abstracts where a task runs: a regular executor or the driver.
-type taskEnv struct {
-	execID    string
-	net       *simnet.Network
-	plan      *SPlan
-	cfg       Config
-	met       *metrics.Job
-	tr        *obs.Buf
-	store     *storage.LocalStore
-	cache     *recache.Cache
-	flight    *recache.Flight
-	cpu       *simnet.Limiter
-	ck        *storage.Client
-	stop      <-chan struct{}
-	send      func(event)
-	stopped   func() bool
-	cacheable bool
 }
 
 // fetchFailure marks a failed pull so the master can resubmit the lost
@@ -242,17 +165,7 @@ func reportTaskError(send func(event), spec sTaskSpec, exec string, err error) {
 		send(evFetchFailed{ref: spec.ref(), Exec: exec, FromStage: ff.FromStage, Part: ff.Part, Owner: ff.Owner})
 		return
 	}
-	send(evTaskFailed{ref: spec.ref(), Exec: exec, Err: err, Fatal: isFatal(err)})
-}
-
-func isFatal(err error) bool {
-	for _, t := range []error{simnet.ErrNodeDown, simnet.ErrNoSuchNode, simnet.ErrConnClosed,
-		simnet.ErrNotListening, simnet.ErrLimiterClosed, simnet.ErrInjected, errBlockNotFound} {
-		if errors.Is(err, t) {
-			return false
-		}
-	}
-	return true
+	send(evTaskFailed{ref: spec.ref(), Exec: exec, Err: err, Fatal: !storage.IsTransient(err)})
 }
 
 // runTask executes one stage task end to end.
@@ -344,7 +257,7 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 }
 
 func (env taskEnv) openRead(stage int, opID dag.VertexID, rd *dataflow.ReadOp, part int) (dataflow.Iterator, error) {
-	useCache := rd.Cached && !env.cfg.DisableCache && env.cacheable
+	useCache := rd.Cached && env.cache != nil
 	key := recache.Key{Vertex: opID, Partition: part}
 	if useCache {
 		if recs, ok := env.cache.Get(key); ok {
@@ -430,7 +343,7 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 	}
 
 	fetchAllWhole := func() ([]data.Record, error) {
-		return fetchParallel(len(locs), func(p int) ([]data.Record, error) {
+		return fetchAll(len(locs), func(p int) ([]data.Record, error) {
 			return fetchOne(p, wholeID(si.FromStage, p))
 		})
 	}
@@ -442,7 +355,7 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 	case dag.OneToMany:
 		// Broadcasts are cached per executor, like Spark's broadcast
 		// variables: concurrent slots share one fetch.
-		if env.cacheable && !env.cfg.DisableCache && env.flight != nil {
+		if env.cache != nil {
 			key := recache.Key{Vertex: si.FromVertex, Partition: -1}
 			if cached, ok := env.cache.Get(key); ok {
 				env.met.CacheHits.Add(1)
@@ -470,7 +383,7 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 	case dag.ManyToMany:
 		// Shuffle reads pull buckets from every map location with
 		// bounded parallelism, like Spark's shuffle fetcher.
-		recs, err = fetchParallel(len(locs), func(p int) ([]data.Record, error) {
+		recs, err = fetchAll(len(locs), func(p int) ([]data.Record, error) {
 			return fetchOne(p, bucketID(si.FromStage, p, si.ToOp, spec.Index))
 		})
 	}
@@ -497,45 +410,32 @@ func (env taskEnv) fetchBlock(owner, id string) ([]byte, error) {
 	if owner == storageLoc {
 		return env.ck.Get(id)
 	}
-	return fetchFrom(env.net, env.execID, owner, id)
+	return storage.FetchBlock(env.pool, "fetch", owner, id)
 }
 
-// fetchParallel pulls n partitions with bounded concurrency, preserving
-// partition order in the concatenated result.
-func fetchParallel(n int, fetch func(p int) ([]data.Record, error)) ([]data.Record, error) {
-	const maxInFlight = 8
-	type res struct {
-		p    int
-		recs []data.Record
-	}
-	sem := make(chan struct{}, maxInFlight)
-	results := make(chan res, n)
-	errs := make(chan error, n)
-	for p := 0; p < n; p++ {
-		sem <- struct{}{}
-		go func(p int) {
-			defer func() { <-sem }()
-			recs, err := fetch(p)
-			if err != nil {
-				errs <- err
-				return
-			}
-			results <- res{p: p, recs: recs}
-		}(p)
-	}
-	parts := make([]res, 0, n)
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-errs:
-			return nil, err
-		case r := <-results:
-			parts = append(parts, r)
+// fetchAll pulls n partitions over the shared bounded fan-out and
+// concatenates them in partition order. Like Spark's shuffle fetcher it
+// gives up at the first failed block: a FetchFailed fails the whole stage
+// attempt, so partitions not yet started are skipped rather than each
+// burning its own retries.
+func fetchAll(n int, fetch func(p int) ([]data.Record, error)) ([]data.Record, error) {
+	parts := make([][]data.Record, n)
+	var failed atomic.Bool
+	err := storage.Fanout(n, storage.MaxFetchWorkers, func(p int) (err error) {
+		if failed.Load() {
+			return nil
 		}
+		if parts[p], err = fetch(p); err != nil {
+			failed.Store(true)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].p < parts[j].p })
 	var out []data.Record
-	for _, r := range parts {
-		out = append(out, r.recs...)
+	for _, recs := range parts {
+		out = append(out, recs...)
 	}
 	return out, nil
 }

@@ -5,64 +5,13 @@ import (
 	"testing"
 
 	"pado/internal/data"
-	"pado/internal/metrics"
 	"pado/internal/simnet"
+	"pado/internal/storage"
 )
 
-// serveAck runs a data-plane server on nd that acknowledges every push
-// and answers fetches from blocks (for benchmarks; unlike serveBlocks it
-// accepts pushes).
-func serveAck(b *testing.B, nd *simnet.Node, blocks map[string][]byte) {
-	b.Helper()
-	l, err := nd.Listen()
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := l.Accept(nil)
-			if err != nil {
-				return
-			}
-			go func(conn *simnet.Conn) {
-				defer conn.Close()
-				d := data.NewDecoder(connReader{conn})
-				e := data.NewEncoder(conn)
-				for {
-					op, err := d.Byte()
-					if err != nil {
-						return
-					}
-					switch op {
-					case framePush:
-						if _, err := readPushFrame(d); err != nil {
-							return
-						}
-						e.Byte(respOK)
-					case frameFetch:
-						id, err := d.String()
-						if err != nil {
-							return
-						}
-						if blk, ok := blocks[id]; ok {
-							e.Byte(respOK)
-							e.Bytes(blk)
-						} else {
-							e.Byte(respNo)
-						}
-					default:
-						return
-					}
-					if e.Flush() != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-}
-
-func benchNet(b *testing.B, blocks map[string][]byte) *simnet.Network {
+// benchNet is a client and a server node; the server acknowledges every
+// push.
+func benchNet(b *testing.B) *simnet.Network {
 	b.Helper()
 	net := simnet.New(simnet.Config{})
 	if _, err := net.AddNode("client"); err != nil {
@@ -72,7 +21,22 @@ func benchNet(b *testing.B, blocks map[string][]byte) *simnet.Network {
 	if err != nil {
 		b.Fatal(err)
 	}
-	serveAck(b, srv, blocks)
+	l, err := srv.Listen()
+	if err != nil {
+		b.Fatal(err)
+	}
+	go storage.ServeBlocks(l, storage.NewLocalStore(), nil, nil, func(op byte, e *data.Encoder, d *data.Decoder) error {
+		if op != framePush {
+			return fmt.Errorf("unexpected frame %q", op)
+		}
+		if _, err := readPushFrame(d); err != nil {
+			return err
+		}
+		if err := e.Byte(respOK); err != nil {
+			return err
+		}
+		return e.Flush()
+	})
 	return net
 }
 
@@ -91,9 +55,8 @@ func benchFrame(payloadLen int) *pushFrame {
 // BenchmarkPushRoundTrip measures one acknowledged push over a pooled
 // connection — the steady-state cost of the boundary escape path.
 func BenchmarkPushRoundTrip(b *testing.B) {
-	net := benchNet(b, nil)
-	pool := newConnPool(net, "client", &metrics.Job{})
-	defer pool.closeAll()
+	pool := storage.NewPoolTransport(benchNet(b), "client")
+	defer pool.Close()
 	f := benchFrame(16 << 10)
 	b.ReportAllocs()
 	b.SetBytes(16 << 10)
@@ -102,57 +65,6 @@ func BenchmarkPushRoundTrip(b *testing.B) {
 		if err := sendPush(pool, "server", f); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFetchPooled and BenchmarkFetchFreshDial compare a pooled fetch
-// against the pre-pool behavior of dialing (and building codec state) per
-// operation.
-func BenchmarkFetchPooled(b *testing.B) {
-	blk := make([]byte, 16<<10)
-	net := benchNet(b, map[string][]byte{"blk": blk})
-	pool := newConnPool(net, "client", &metrics.Job{})
-	defer pool.closeAll()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(blk)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fetchBlock(pool, "server", "blk"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFetchFreshDial(b *testing.B) {
-	blk := make([]byte, 16<<10)
-	net := benchNet(b, map[string][]byte{"blk": blk})
-	b.ReportAllocs()
-	b.SetBytes(int64(len(blk)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conn, err := net.Dial("client", "server")
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := data.NewEncoder(conn)
-		d := data.NewDecoder(conn)
-		if err := e.Byte(frameFetch); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.String("blk"); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		resp, err := d.Byte()
-		if err != nil || resp != respOK {
-			b.Fatalf("resp %v %v", resp, err)
-		}
-		if _, err := d.Bytes(0); err != nil {
-			b.Fatal(err)
-		}
-		conn.Close()
 	}
 }
 
@@ -181,20 +93,5 @@ func BenchmarkFrameDecode(b *testing.B) {
 		if _, err := decodeFrameBlock(blob); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFanout measures the fan-out scheduler's overhead against the
-// serial loop it replaces, at varying widths.
-func BenchmarkFanout(b *testing.B) {
-	for _, n := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := fanout(n, maxFetchWorkers, func(int) error { return nil }); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

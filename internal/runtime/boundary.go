@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 
 	"pado/internal/core"
@@ -10,9 +9,8 @@ import (
 	"pado/internal/dataflow"
 	"pado/internal/exec"
 	"pado/internal/obs"
+	"pado/internal/storage"
 )
-
-func errorsIs(err, target error) bool { return errors.Is(err, target) }
 
 // dispatchBoundaries moves a finished fragment task's boundary outputs to
 // the stage's reserved tasks. Depending on configuration the data takes
@@ -179,12 +177,12 @@ func (ex *Executor) pushFrames(spec taskSpec, frames []*pushFrame) {
 	}
 	ex.tr.Emit(obs.Event{Kind: obs.PushStarted, Stage: spec.Stage, Frag: spec.Frag,
 		Task: spec.Index, Attempt: spec.Attempt, Exec: ex.id, Bytes: total})
-	err := fanout(len(frames), len(frames), func(i int) error {
+	err := storage.Fanout(len(frames), len(frames), func(i int) error {
 		var n int64
 		for _, s := range frames[i].Sections {
 			n += int64(len(s.Payload))
 		}
-		if err := sendPush(ex.pool, spec.Receivers[i], frames[i]); err != nil {
+		if err := sendPush(ex.dp, spec.Receivers[i], frames[i]); err != nil {
 			return err
 		}
 		ex.met.BytesPushed.Add(n)

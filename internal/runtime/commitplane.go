@@ -45,7 +45,7 @@ type commitPlane struct {
 	svc   *storage.CommitService
 	nodes []string
 	// client is the master-side client, routed through the manager's
-	// pooled, policy-wrapped transport.
+	// data plane.
 	client *storage.CommitClient
 	net    *simnet.Network
 }
@@ -59,7 +59,7 @@ const casNodeCount = 2
 // (or sequential managers whose nodes were not yet removed).
 var casPlaneSeq atomic.Int64
 
-func newCommitPlane(net *simnet.Network, store *storage.CommitStore, pool *connPool) (*commitPlane, error) {
+func newCommitPlane(net *simnet.Network, store *storage.CommitStore, t storage.Transport) (*commitPlane, error) {
 	seq := casPlaneSeq.Add(1)
 	nodes := make([]*simnet.Node, 0, casNodeCount)
 	ids := make([]string, 0, casNodeCount)
@@ -86,7 +86,7 @@ func newCommitPlane(net *simnet.Network, store *storage.CommitStore, pool *connP
 		store:  store,
 		svc:    svc,
 		nodes:  ids,
-		client: storage.NewCommitClient(pool, ids),
+		client: storage.NewCommitClient(t, ids),
 		net:    net,
 	}, nil
 }
@@ -166,7 +166,7 @@ func (jm *JobManager) probeCommits(j *jobRun) {
 		return
 	}
 	found := make([]*storage.Manifest, len(cacheable))
-	_ = fanout(len(cacheable), casProbeFanout, func(i int) error {
+	_ = storage.Fanout(len(cacheable), casProbeFanout, func(i int) error {
 		m, err := cp.client.Resolve(stageCommitKey(cacheable[i].ps.CacheKey), true)
 		if err == nil {
 			found[i] = m
@@ -217,7 +217,7 @@ func (jm *JobManager) probeTaskCommits(j *jobRun, stages []*stageRun, probes, hi
 	if len(work) == 0 {
 		return
 	}
-	_ = fanout(len(work), casProbeFanout, func(i int) error {
+	_ = storage.Fanout(len(work), casProbeFanout, func(i int) error {
 		m, err := cp.client.Resolve(taskCommitKey(work[i].key), true)
 		if err == nil {
 			work[i].m = m
@@ -384,7 +384,7 @@ func (ex *Executor) commitTaskChunks(spec taskSpec, frames []*pushFrame) {
 	// One put per receiver section, issued concurrently: the puts are
 	// independent and the manifest below is only committed if every one
 	// landed, so a partial write can never be resolved by a later run.
-	err := fanout(len(frames), len(frames), func(i int) error {
+	err := storage.Fanout(len(frames), len(frames), func(i int) error {
 		payload, err := encodeSections(frames[i].Sections)
 		if err != nil {
 			return err

@@ -60,9 +60,6 @@ type Config struct {
 	// DisableCache turns off task input caching and cache-aware
 	// scheduling (§3.2.7).
 	DisableCache bool
-	// CacheCapacity is the per-executor input cache budget in bytes.
-	// Default 64 MiB.
-	CacheCapacity int64
 
 	// PullBoundaries replaces the push path with pull-based boundary
 	// transfers (ablation only: receivers fetch transient task outputs
@@ -70,16 +67,10 @@ type Config struct {
 	// evictions the way Spark's shuffle files are).
 	PullBoundaries bool
 
-	// EventQueue sizes the master's event channel. Default 8192.
-	EventQueue int
-
 	// MaxTaskFailures aborts the job once a single task has failed this
 	// many times (default 50). Chaos tests tighten it to prove the abort
 	// path; pathological schedules loosen it.
 	MaxTaskFailures int
-	// MaxStageRestarts aborts the job once a single stage has been reset
-	// this many times (default 100).
-	MaxStageRestarts int
 
 	// Failure parameterizes the failure-handling plane: the heartbeat
 	// failure detector on the master and the unified RPC policy
@@ -131,6 +122,15 @@ type ChaosHook interface {
 	CommitRelay(job, stage, frag, task, attempt, recvIdx int) (delay time.Duration, duplicates int)
 }
 
+// Fixed limits.
+const (
+	// cacheCapacity is the per-executor input cache budget in bytes.
+	cacheCapacity = 64 << 20
+	// maxStageRestarts aborts the job once a single stage has been reset
+	// this many times.
+	maxStageRestarts = 100
+)
+
 func (c Config) aggMaxTasks() int {
 	if c.AggMaxTasks <= 0 {
 		return 4
@@ -145,30 +145,9 @@ func (c Config) aggMaxDelay() time.Duration {
 	return c.AggMaxDelay
 }
 
-func (c Config) cacheCapacity() int64 {
-	if c.CacheCapacity <= 0 {
-		return 64 << 20
-	}
-	return c.CacheCapacity
-}
-
-func (c Config) eventQueue() int {
-	if c.EventQueue <= 0 {
-		return 8192
-	}
-	return c.EventQueue
-}
-
 func (c Config) maxTaskFailures() int {
 	if c.MaxTaskFailures <= 0 {
 		return 50
 	}
 	return c.MaxTaskFailures
-}
-
-func (c Config) maxStageRestarts() int {
-	if c.MaxStageRestarts <= 0 {
-		return 100
-	}
-	return c.MaxStageRestarts
 }

@@ -2,12 +2,18 @@ package runtime
 
 import (
 	"context"
+	"io"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pado/internal/cluster"
+	"pado/internal/data"
 	"pado/internal/obs"
 	"pado/internal/simnet"
+	"pado/internal/storage"
 	"pado/internal/trace"
 )
 
@@ -87,4 +93,113 @@ func TestAttributeBytes(t *testing.T) {
 			t.Errorf("attributeBytes(%d, %d) sums to %d", tc.total, tc.n, sum)
 		}
 	}
+}
+
+// misroute is a launcher that sends the first task it launches to push
+// its first boundary frame at `to` instead of the real receiver.
+type misroute struct {
+	taskLauncher
+	once *sync.Once
+	to   string
+}
+
+func (m misroute) Launch(spec taskSpec) {
+	m.once.Do(func() {
+		spec.Receivers = append([]string(nil), spec.Receivers...)
+		spec.Receivers[0] = m.to
+	})
+	m.taskLauncher.Launch(spec)
+}
+
+// TestPushEOFRelaunchesTask is the regression for "task … failed: EOF":
+// a peer that reads a push and closes the stream without answering makes
+// the sender read io.EOF. That is a transport failure — the task is
+// relaunched and the job completes — not a job bug that aborts the run.
+// Everything is real (cluster, hosts, executors, master logic); the test
+// only plays the manager's event loop so it can reroute one push to the
+// closing peer without racing the loop.
+func TestPushEOFRelaunchesTask(t *testing.T) {
+	p, expect := buildWordCount(8, 300)
+	cl := newTestCluster(t, 4, 2, trace.RateNone)
+
+	closer, err := cl.Net().AddNode("closer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := closer.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped atomic.Int64
+	go storage.Serve(l, nil, func(_ byte, _ *data.Encoder, d *data.Decoder) error {
+		if _, err := readPushFrame(d); err != nil {
+			return err
+		}
+		dropped.Add(1)
+		return io.EOF // closes the stream under the sender
+	})
+
+	tr := obs.New()
+	jm := newManager(cl, ManagerConfig{Tracer: tr, Failure: FailureConfig{DisableDetector: true}})
+	if jm.stopCollector, err = jm.startCollector(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(jm); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(jm.loopDone) // this test was the loop
+		jm.Close()
+	}()
+	h, err := jm.Submit(p.Graph(), Config{DisablePartialAggregation: true}, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var res *Result
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, runErr = h.Wait(ctx)
+	}()
+	var once sync.Once
+loop:
+	for {
+		select {
+		case <-done:
+			break loop
+		case ev := <-jm.events:
+			jm.handle(ev)
+			for id, ex := range h.j.execs {
+				if _, wrapped := ex.(misroute); !wrapped && jm.kinds[id] == cluster.Transient {
+					h.j.execs[id] = misroute{taskLauncher: ex, once: &once, to: "closer"}
+				}
+			}
+		}
+	}
+	if runErr != nil {
+		t.Fatalf("run: %v", runErr)
+	}
+	if res.Metrics.TimedOut {
+		t.Fatal("timed out")
+	}
+	if dropped.Load() == 0 {
+		t.Fatal("no push reached the closing peer; the EOF path was not exercised")
+	}
+	sawEOF := false
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.TaskFailed && strings.Contains(ev.Note, "EOF") {
+			sawEOF = true
+		}
+	}
+	if !sawEOF {
+		t.Error("no task failed with EOF")
+	}
+	if res.Metrics.RelaunchedTasks == 0 {
+		t.Error("the task hit by EOF was not relaunched")
+	}
+	checkWordCount(t, res, expect)
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"pado/internal/cluster"
+	"pado/internal/recache"
 )
 
 // taskRef identifies one fragment task attempt within one stage
@@ -63,7 +64,7 @@ type evReceiverFailed struct {
 type evTaskComputed struct {
 	ref    taskRef
 	Exec   string
-	Cached []cacheKey
+	Cached []recache.Key
 }
 
 // evOutputCommitted reports that every receiver acknowledged the task's
@@ -80,7 +81,7 @@ type evOutputCommitted struct{ ref taskRef }
 var taskComputedPool = sync.Pool{New: func() any { return new(evTaskComputed) }}
 var outputCommittedPool = sync.Pool{New: func() any { return new(evOutputCommitted) }}
 
-func newTaskComputed(ref taskRef, exec string, cached []cacheKey) *evTaskComputed {
+func newTaskComputed(ref taskRef, exec string, cached []recache.Key) *evTaskComputed {
 	e := taskComputedPool.Get().(*evTaskComputed)
 	e.ref, e.Exec, e.Cached = ref, exec, cached
 	return e

@@ -55,7 +55,9 @@ func newNodeHost(c *cluster.Container) (*nodeHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	go h.serve(l)
+	// Inbound data plane: block get/put against the shared store, plus
+	// boundary pushes routed to the target job's executor.
+	go storage.ServeBlocks(l, h.store, nil, h.stop, h.handlePush)
 	go func() {
 		select {
 		case <-c.Node.Down():
@@ -133,7 +135,7 @@ func (h *nodeHost) openDests() []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, ex := range h.jobs {
-		for _, d := range ex.pool.pol.openDests() {
+		for _, d := range ex.dp.pol.openDests() {
 			if !seen[d] {
 				seen[d] = true
 				out = append(out, d)
@@ -187,75 +189,24 @@ func (h *nodeHost) startHeartbeats(net *simnet.Network, masterID string, every t
 	}()
 }
 
-// serve handles inbound data-plane connections: boundary pushes (routed
-// to the target job's executor) and block store/fetch against the shared
-// store.
-func (h *nodeHost) serve(l *simnet.Listener) {
-	for {
-		conn, err := l.Accept(h.stop)
-		if err != nil {
-			return
-		}
-		go h.handleConn(conn)
+// handlePush serves the one inbound frame the block protocol does not
+// cover: a boundary push, routed to the target job's executor.
+func (h *nodeHost) handlePush(op byte, e *data.Encoder, d *data.Decoder) error {
+	if op != framePush {
+		return fmt.Errorf("runtime: unknown frame %q", op)
 	}
-}
-
-func (h *nodeHost) handleConn(conn *simnet.Conn) {
-	defer conn.Close()
-	d := data.NewDecoder(conn)
-	e := data.NewEncoder(conn)
-	for {
-		op, err := d.Byte()
-		if err != nil {
-			return
-		}
-		switch op {
-		case framePush:
-			f, err := readPushFrame(d)
-			if err != nil {
-				return
-			}
-			ex := h.executor(f.Job)
-			ok := ex != nil && ex.deliverPush(f)
-			resp := byte(respOK)
-			if !ok {
-				resp = respNo
-			}
-			if e.Byte(resp) != nil || e.Flush() != nil {
-				return
-			}
-		case frameStore:
-			id, err := d.String()
-			if err != nil {
-				return
-			}
-			payload, err := d.Bytes(0)
-			if err != nil {
-				return
-			}
-			h.store.Put(id, payload)
-			if e.Byte(respOK) != nil || e.Flush() != nil {
-				return
-			}
-		case frameFetch:
-			id, err := d.String()
-			if err != nil {
-				return
-			}
-			payload, ok := h.store.Get(id)
-			if !ok {
-				if e.Byte(respNo) != nil || e.Flush() != nil {
-					return
-				}
-				continue
-			}
-			if e.Byte(respOK) != nil || e.Bytes(payload) != nil || e.Flush() != nil {
-				return
-			}
-		default:
-			return
-		}
+	f, err := readPushFrame(d)
+	if err != nil {
+		return err
 	}
+	resp := byte(respNo)
+	if ex := h.executor(f.Job); ex != nil && ex.deliverPush(f) {
+		resp = respOK
+	}
+	if err := e.Byte(resp); err != nil {
+		return err
+	}
+	return e.Flush()
 }
 
 // Executor runs one job's tasks on one container (§3.2.4). Transient
@@ -279,12 +230,12 @@ type Executor struct {
 	masterID string
 
 	store  *storage.LocalStore // the host's shared store
-	cache  *inputCache
+	cache  *recache.Cache
 	flight *recache.Flight
 	cpu    *simnet.Limiter // the host's limiter; nil = unlimited
-	pool   *connPool       // outbound data-plane connection reuse
+	dp     *dataPlane      // outbound data plane: pooled streams + RPC policy
 	// cas is the executor's commit-store client (nil when the manager has
-	// no commit plane), sharing the pooled transport above: receivers put
+	// no commit plane), sharing the transport above: receivers put
 	// finalized partitions and pull skipped-task sections through it,
 	// senders put raw-path task chunks (commitplane.go).
 	cas *storage.CommitClient
@@ -304,13 +255,10 @@ func newExecutor(job int, h *nodeHost, net *simnet.Network, plan *core.Plan, cfg
 	met *metrics.Job, events chan<- event, masterID string, fcfg FailureConfig,
 	casNodes []string) *Executor {
 
-	pool := newConnPool(net, h.id, met)
-	if !fcfg.DisableRPCPolicy {
-		pool.pol = newRPCPolicy(fcfg, h.id, met, cfg.Tracer.JobBuf(job))
-	}
+	dp := newDataPlane(net, h.id, met, fcfg, cfg.Tracer.JobBuf(job))
 	var cas *storage.CommitClient
 	if len(casNodes) > 0 {
-		cas = storage.NewCommitClient(pool, casNodes)
+		cas = storage.NewCommitClient(dp, casNodes)
 	}
 	return &Executor{
 		job:       job,
@@ -324,9 +272,9 @@ func newExecutor(job int, h *nodeHost, net *simnet.Network, plan *core.Plan, cfg
 		events:    events,
 		masterID:  masterID,
 		store:     h.store,
-		cache:     newInputCache(cfg.cacheCapacity()),
+		cache:     recache.New(cacheCapacity),
 		flight:    recache.NewFlight(),
-		pool:      pool,
+		dp:        dp,
 		cas:       cas,
 		cpu:       h.cpu,
 		stop:      make(chan struct{}),
@@ -350,7 +298,7 @@ func (ex *Executor) shutdown() {
 		for _, r := range recvs {
 			r.cancel()
 		}
-		ex.pool.closeAll()
+		ex.dp.pool.Close()
 	})
 }
 
@@ -508,14 +456,14 @@ type inputFetch struct {
 
 // computeFragment resolves the task's external inputs and interprets the
 // fused operator chain.
-func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spec taskSpec) (map[dag.VertexID][]data.Record, []cacheKey, error) {
+func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spec taskSpec) (map[dag.VertexID][]data.Record, []recache.Key, error) {
 	g := ex.plan.Graph
 	in := exec.Inputs{
 		Ext:   make(map[dag.VertexID]map[string][]data.Record),
 		Sides: make(map[dag.VertexID]map[string][]data.Record),
 		Read:  make(map[dag.VertexID]func() (dataflow.Iterator, error)),
 	}
-	var cached []cacheKey
+	var cached []recache.Key
 	var fetches []*inputFetch
 
 	for _, opID := range frag.Ops {
@@ -524,7 +472,7 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 			opID, rd, vtx := opID, rd, v
 			in.Read[opID] = func() (dataflow.Iterator, error) {
 				if rd.Cached && !ex.cfg.DisableCache {
-					key := cacheKey{Vertex: opID, Partition: spec.Index}
+					key := recache.Key{Vertex: opID, Partition: spec.Index}
 					if recs, ok := ex.cache.Get(key); ok {
 						ex.met.CacheHits.Add(1)
 						ex.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: spec.Stage, Frag: spec.Frag,
@@ -545,7 +493,7 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 					return nil, err
 				}
 				if rd.Cached && !ex.cfg.DisableCache {
-					key := cacheKey{Vertex: opID, Partition: spec.Index}
+					key := recache.Key{Vertex: opID, Partition: spec.Index}
 					if ex.cache.Put(key, recs) {
 						cached = append(cached, key)
 					}
@@ -568,7 +516,7 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 	// Issue the independent cross-stage fetches concurrently; each targets
 	// a different parent edge, so serializing them just sums their network
 	// round trips onto the task's critical path.
-	err := fanout(len(fetches), maxFetchWorkers, func(i int) error {
+	err := storage.Fanout(len(fetches), storage.MaxFetchWorkers, func(i int) error {
 		f := fetches[i]
 		loc := spec.InputLocs[f.si.FromStage]
 		coder, err := dataflow.OutputCoder(g.Vertex(f.si.FromVertex))
@@ -590,12 +538,12 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 	for _, f := range fetches {
 		if f.si.Dep == dag.OneToOne {
 			if f.cached {
-				cached = append(cached, cacheKey{Vertex: f.si.FromVertex, Partition: spec.Index})
+				cached = append(cached, recache.Key{Vertex: f.si.FromVertex, Partition: spec.Index})
 			}
 			addTagged(in.Ext, f.op, f.si.Tag, f.recs)
 		} else {
 			if f.cached {
-				cached = append(cached, cacheKey{Vertex: f.si.FromVertex, Partition: -1})
+				cached = append(cached, recache.Key{Vertex: f.si.FromVertex, Partition: -1})
 			}
 			addTagged(in.Sides, f.op, f.si.Tag, f.recs)
 		}
@@ -648,7 +596,7 @@ func materialize(src dataflow.Source, part int) ([]data.Record, error) {
 // breaker is open is routed around without waiting for it, and a primary
 // that fails with a transient error still gets one replica fallback
 // before the caller sees the failure.
-func fetchStagePart(pool *connPool, cas *storage.CommitClient, met *metrics.Job,
+func fetchStagePart(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job,
 	job, stage int, loc stageLoc, part int, replicated bool) ([]byte, error) {
 	if loc.Chunks != nil {
 		if cas == nil {
@@ -664,17 +612,17 @@ func fetchStagePart(pool *connPool, cas *storage.CommitClient, met *metrics.Job,
 	id := stageBlockID(job, stage, loc.Gen, part)
 	primary := loc.Execs[part]
 	if !replicated || len(loc.Execs) < 2 {
-		return fetchBlock(pool, primary, id)
+		return storage.FetchBlock(dp, "fetch", primary, id)
 	}
 	peer := loc.Execs[(part+1)%len(loc.Execs)]
-	if pool.pol.quarantined(primary) {
-		if payload, err := fetchBlock(pool, peer, id); err == nil {
+	if dp.pol.quarantined(primary) {
+		if payload, err := storage.FetchBlock(dp, "fetch", peer, id); err == nil {
 			return payload, nil
 		}
 	}
-	payload, err := fetchBlock(pool, primary, id)
-	if err != nil && isTransientErr(err) {
-		if fallback, ferr := fetchBlock(pool, peer, id); ferr == nil {
+	payload, err := storage.FetchBlock(dp, "fetch", primary, id)
+	if err != nil && storage.IsTransient(err) {
+		if fallback, ferr := storage.FetchBlock(dp, "fetch", peer, id); ferr == nil {
 			return fallback, nil
 		}
 	}
@@ -694,7 +642,7 @@ func (ex *Executor) fetchPartition(si core.StageInput, loc stageLoc, part int, c
 	fetch := func() ([]data.Record, error) {
 		ex.tr.Emit(obs.Event{Kind: obs.FetchStarted, Stage: si.FromStage, Frag: part,
 			Task: part, Exec: ex.id})
-		payload, err := fetchStagePart(ex.pool, ex.cas, ex.met, ex.job, si.FromStage, loc, part, ex.cfg.ReplicateStageOutputs)
+		payload, err := fetchStagePart(ex.dp, ex.cas, ex.met, ex.job, si.FromStage, loc, part, ex.cfg.ReplicateStageOutputs)
 		if err != nil {
 			return nil, err
 		}
@@ -707,7 +655,7 @@ func (ex *Executor) fetchPartition(si core.StageInput, loc stageLoc, part int, c
 		recs, err := fetch()
 		return recs, false, err
 	}
-	key := cacheKey{Vertex: si.FromVertex, Partition: part}
+	key := recache.Key{Vertex: si.FromVertex, Partition: part}
 	if recs, ok := ex.cache.Get(key); ok {
 		ex.met.CacheHits.Add(1)
 		ex.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: si.FromStage, Frag: part,
@@ -746,8 +694,8 @@ func (ex *Executor) fetchBroadcast(si core.StageInput, loc stageLoc, coder data.
 			Task: -1, Exec: ex.id, Note: "broadcast"})
 		parts := make([][]data.Record, loc.nParts())
 		var total int64
-		err := fanout(loc.nParts(), maxFetchWorkers, func(part int) error {
-			payload, err := fetchStagePart(ex.pool, ex.cas, ex.met, ex.job, si.FromStage, loc, part, ex.cfg.ReplicateStageOutputs)
+		err := storage.Fanout(loc.nParts(), storage.MaxFetchWorkers, func(part int) error {
+			payload, err := fetchStagePart(ex.dp, ex.cas, ex.met, ex.job, si.FromStage, loc, part, ex.cfg.ReplicateStageOutputs)
 			if err != nil {
 				return err
 			}
@@ -772,7 +720,7 @@ func (ex *Executor) fetchBroadcast(si core.StageInput, loc stageLoc, coder data.
 		recs, err := fetch()
 		return recs, false, err
 	}
-	key := cacheKey{Vertex: si.FromVertex, Partition: -1}
+	key := recache.Key{Vertex: si.FromVertex, Partition: -1}
 	if recs, ok := ex.cache.Get(key); ok {
 		ex.met.CacheHits.Add(1)
 		ex.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: si.FromStage, Frag: -1,
@@ -810,7 +758,7 @@ func (ex *Executor) sendTerminal(ps *core.PhysStage, frag *core.Fragment, spec t
 		Task: spec.Index, Attempt: spec.Attempt, Exec: ex.id, Bytes: int64(len(payload)),
 		Note: "result"})
 	f := &resultFrame{Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index, Attempt: spec.Attempt, Payload: payload}
-	if err := sendResult(ex.pool, ex.masterID, f); err != nil {
+	if err := sendResult(ex.dp, ex.masterID, f); err != nil {
 		if !ex.stopped() {
 			ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err})
 		}
@@ -819,23 +767,10 @@ func (ex *Executor) sendTerminal(ps *core.PhysStage, frag *core.Fragment, spec t
 	ex.met.BytesPushed.Add(int64(len(payload)))
 }
 
-func isFatal(err error) bool {
-	// Fetch and network errors are retryable (caused by evictions,
-	// failures, or races with recovery); anything else — user function
-	// errors, coder mismatches — is a job bug and aborts the run.
-	return !isTransientErr(err)
-}
-
-func isTransientErr(err error) bool {
-	for _, t := range []error{simnet.ErrNodeDown, simnet.ErrNoSuchNode, simnet.ErrConnClosed,
-		simnet.ErrNotListening, simnet.ErrLimiterClosed, simnet.ErrInjected,
-		errBlockNotFound, errPushRejected, errBreakerOpen, errRPCDeadline} {
-		if errorsIs(err, t) {
-			return true
-		}
-	}
-	return false
-}
+// isFatal: fetch and network errors are retryable (caused by evictions,
+// failures, or races with recovery); anything else — user function
+// errors, coder mismatches — is a job bug and aborts the run.
+func isFatal(err error) bool { return !storage.IsTransient(err) }
 
 // aggBuffer merges the boundary outputs of several tasks running on the
 // same executor before pushing (§3.2.7 partial aggregation). Data escapes
@@ -978,7 +913,7 @@ func (b *aggBuffer) push(tables []*exec.AccTable, cover []senderRef) {
 		wg.Add(1)
 		go func(i int, f *pushFrame, n int) {
 			defer wg.Done()
-			if err := sendPush(ex.pool, b.receiver[i], f); err != nil {
+			if err := sendPush(ex.dp, b.receiver[i], f); err != nil {
 				errs[i] = err
 				return
 			}

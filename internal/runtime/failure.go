@@ -42,13 +42,6 @@ type FailureConfig struct {
 	// heartbeat payloads) must persist before the implicated node is
 	// declared dead. Default 5x the heartbeat period.
 	GrayAfter time.Duration
-	// GrayMinDests is the minimum number of distinct live nodes a gray
-	// signal must span: a reporter whose breakers are open toward at
-	// least this many live destinations is itself declared gray-dead,
-	// and a destination reported open by at least this many distinct
-	// live reporters is declared gray-dead. One flaky link never
-	// quarantines anyone. Default 2.
-	GrayMinDests int
 
 	// DisableRPCPolicy turns off the retry/backoff/budget/breaker layer
 	// on connection pools, restoring the bare retry-once pool.
@@ -67,15 +60,9 @@ type FailureConfig struct {
 	// backoff between retries. Defaults 2ms and 20ms.
 	RPCBackoffBase time.Duration
 	RPCBackoffMax  time.Duration
-	// RPCRetryBudget caps retry tokens banked per destination, and
-	// RPCBudgetRefill is how long one token takes to refill; together
-	// they stop retry storms against a struggling peer. Defaults 16
-	// and 25ms.
-	RPCRetryBudget  int
-	RPCBudgetRefill time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// destination's circuit breaker; while open, operations fail fast
-	// with errBreakerOpen and the destination is reported gray in
+	// with storage.ErrQuarantined and the destination is reported gray in
 	// heartbeats. Default 5.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker waits before letting
@@ -111,12 +98,12 @@ func (c FailureConfig) grayAfter() time.Duration {
 	return c.GrayAfter
 }
 
-func (c FailureConfig) grayMinDests() int {
-	if c.GrayMinDests <= 0 {
-		return 2
-	}
-	return c.GrayMinDests
-}
+// grayMinDests is the minimum number of distinct live nodes a gray signal
+// must span: a reporter whose breakers are open toward at least this many
+// live destinations is itself declared gray-dead, and a destination
+// reported open by at least this many distinct live reporters is declared
+// gray-dead. One flaky link never quarantines anyone.
+const grayMinDests = 2
 
 func (c FailureConfig) rpcMaxRetries() int {
 	if c.RPCMaxRetries < 0 {
@@ -140,20 +127,6 @@ func (c FailureConfig) rpcBackoffMax() time.Duration {
 		return 20 * time.Millisecond
 	}
 	return c.RPCBackoffMax
-}
-
-func (c FailureConfig) rpcRetryBudget() int {
-	if c.RPCRetryBudget <= 0 {
-		return 16
-	}
-	return c.RPCRetryBudget
-}
-
-func (c FailureConfig) rpcBudgetRefill() time.Duration {
-	if c.RPCBudgetRefill <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.RPCBudgetRefill
 }
 
 func (c FailureConfig) breakerThreshold() int {
@@ -300,11 +273,10 @@ func (fd *failureDetector) tick(now time.Time, live func(string) bool) []fdTrans
 	}
 
 	// Gray passes. A reporter with persistent open breakers toward >=
-	// GrayMinDests live destinations cannot move data — quarantine it.
-	// A destination persistently reported open by >= GrayMinDests
+	// grayMinDests live destinations cannot move data — quarantine it.
+	// A destination persistently reported open by >= grayMinDests
 	// distinct live reporters is refusing data while heartbeating —
 	// quarantine it too.
-	min := fd.cfg.grayMinDests()
 	reportedBy := make(map[string]int)
 	for _, id := range fd.sortedIDs() {
 		n := fd.nodes[id]
@@ -319,12 +291,12 @@ func (fd *failureDetector) tick(now time.Time, live func(string) bool) []fdTrans
 				reportedBy[dest]++
 			}
 		}
-		if persistent >= min && dead[id] == "" {
+		if persistent >= grayMinDests && dead[id] == "" {
 			dead[id] = "gray"
 		}
 	}
 	for dest, cnt := range reportedBy {
-		if cnt >= min && live(dest) && dead[dest] == "" {
+		if cnt >= grayMinDests && live(dest) && dead[dest] == "" {
 			dead[dest] = "gray"
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"pado/internal/metrics"
 	"pado/internal/obs"
 	"pado/internal/simnet"
+	"pado/internal/storage"
 	"pado/internal/testutil"
 	"pado/internal/trace"
 )
@@ -159,10 +160,25 @@ func TestDetectorDeadThenLateBeat(t *testing.T) {
 // TestBreakerLifecycleConcurrent drives one destination through closed →
 // open → half-open → closed under concurrent traffic: a dropped link
 // fails every fetch until the breaker opens (later callers fail fast
-// with errBreakerOpen), then the link heals and post-cooldown probes
+// with storage.ErrQuarantined), then the link heals and post-cooldown probes
 // close it again.
 func TestBreakerLifecycleConcurrent(t *testing.T) {
-	_, pool, met := newPoolFixture(t, map[string][]byte{"b": []byte("payload")})
+	net := simnet.New(simnet.Config{})
+	if _, err := net.AddNode("client"); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := net.AddNode("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := srv.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := storage.NewLocalStore()
+	store.Put("b", []byte("payload"))
+	go storage.ServeBlocks(l, store, nil, nil, nil)
+	met := &metrics.Job{}
 	cfg := FailureConfig{
 		RPCMaxRetries:    1,
 		RPCBackoffBase:   time.Millisecond,
@@ -170,9 +186,10 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 		BreakerThreshold: 3,
 		BreakerCooldown:  20 * time.Millisecond,
 	}
-	pool.pol = newRPCPolicy(cfg, "client", met, nil)
+	dp := newDataPlane(net, "client", met, cfg, nil)
+	defer dp.pool.Close()
 
-	remove := pool.net.InjectFault(simnet.LinkFault{From: "client", To: "server", DropEvery: 1})
+	remove := net.InjectFault(simnet.LinkFault{From: "client", To: "server", DropEvery: 1})
 
 	var fastFails atomic.Int64
 	var wg sync.WaitGroup
@@ -181,12 +198,12 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_, err := fetchBlock(pool, "server", "b")
+				_, err := storage.FetchBlock(dp, "fetch", "server", "b")
 				if err == nil {
 					t.Error("fetch succeeded through a fully dropped link")
 					return
 				}
-				if errors.Is(err, errBreakerOpen) {
+				if errors.Is(err, storage.ErrQuarantined) {
 					fastFails.Add(1)
 				}
 			}
@@ -200,10 +217,10 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 	if met.Counter(metrics.NameBreakerOpens).Load() == 0 {
 		t.Error("breaker_opens counter is zero")
 	}
-	if !pool.pol.quarantined("server") {
+	if !dp.pol.quarantined("server") {
 		t.Fatal("destination not quarantined after sustained failures")
 	}
-	if open := pool.pol.openDests(); len(open) != 1 || open[0] != "server" {
+	if open := dp.pol.openDests(); len(open) != 1 || open[0] != "server" {
 		t.Fatalf("openDests = %v, want [server]", open)
 	}
 
@@ -215,15 +232,15 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never closed after the link healed")
 		}
-		if _, err := fetchBlock(pool, "server", "b"); err == nil {
+		if _, err := storage.FetchBlock(dp, "fetch", "server", "b"); err == nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if pool.pol.quarantined("server") {
+	if dp.pol.quarantined("server") {
 		t.Error("destination still quarantined after successful traffic")
 	}
-	if open := pool.pol.openDests(); len(open) != 0 {
+	if open := dp.pol.openDests(); len(open) != 0 {
 		t.Errorf("openDests = %v after recovery, want none", open)
 	}
 }

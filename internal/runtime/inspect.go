@@ -260,8 +260,8 @@ func (jm *JobManager) buildState() *ManagerState {
 		st.Nodes = append(st.Nodes, n)
 	}
 
-	if jm.pool.pol != nil {
-		for _, b := range jm.pool.pol.inspect() {
+	if jm.dp.pol != nil {
+		for _, b := range jm.dp.pol.inspect() {
 			st.Breakers = append(st.Breakers, b)
 		}
 	}
@@ -497,5 +497,5 @@ func (jm *JobManager) updateGauges() {
 	if jm.fd != nil {
 		jm.g.nodesSuspect.Set(int64(jm.fd.suspectCount()))
 	}
-	jm.g.breakersOpen.Set(int64(jm.pool.pol.openCount()))
+	jm.g.breakersOpen.Set(int64(jm.dp.pol.openCount()))
 }

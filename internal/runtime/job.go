@@ -49,11 +49,10 @@ func RunPlan(ctx context.Context, cl *cluster.Cluster, plan *core.Plan, cfg Conf
 	met := &metrics.Job{}
 	cfg.Tracer.FeedCounters(met)
 	jm, err := NewJobManager(cl, ManagerConfig{
-		Tracer:     cfg.Tracer,
-		Metrics:    met,
-		EventQueue: cfg.EventQueue,
-		Failure:    cfg.Failure,
-		Commits:    cfg.Commits,
+		Tracer:  cfg.Tracer,
+		Metrics: met,
+		Failure: cfg.Failure,
+		Commits: cfg.Commits,
 	})
 	if err != nil {
 		return nil, err
@@ -91,7 +90,7 @@ func (jm *JobManager) collectOutputs(j *jobRun) (map[dag.VertexID][]data.Record,
 			// come straight from the commit store.
 			loc := stageLoc{Gen: s.gen, Execs: s.outputExecs, Chunks: s.skipChunks}
 			for part := 0; part < loc.nParts(); part++ {
-				payload, err := fetchStagePart(jm.pool, jm.casClient(), j.met, j.id, s.ps.ID, loc, part, j.cfg.ReplicateStageOutputs)
+				payload, err := fetchStagePart(jm.dp, jm.casClient(), j.met, j.id, s.ps.ID, loc, part, j.cfg.ReplicateStageOutputs)
 				if err != nil {
 					return nil, err
 				}

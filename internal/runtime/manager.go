@@ -14,6 +14,7 @@ import (
 	"pado/internal/data"
 	"pado/internal/metrics"
 	"pado/internal/obs"
+	"pado/internal/recache"
 	"pado/internal/simnet"
 	"pado/internal/storage"
 )
@@ -157,7 +158,7 @@ type jobRun struct {
 	histCommit  *metrics.Histogram
 
 	stages     []*stageRun
-	cacheIndex map[cacheKey]map[string]bool
+	cacheIndex map[recache.Key]map[string]bool
 	execs      map[string]taskLauncher
 	recvActive int
 	recvPeak   int
@@ -202,9 +203,9 @@ type JobManager struct {
 	net *simnet.Network
 	met *metrics.Job // fleet registry
 	tr  *obs.Buf     // fleet trace buffer (events carry Job 0)
-	// pool reuses manager-originated data-plane connections (progress
-	// replication, output collection).
-	pool *connPool
+	// dp carries manager-originated data-plane operations (progress
+	// replication, output collection, commit-store probes).
+	dp *dataPlane
 	// fd is the heartbeat failure detector (nil when disabled). beat()
 	// is fed by collector goroutines; register/forget/tick run on the
 	// event loop.
@@ -295,15 +296,12 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 		quit:        make(chan struct{}),
 		loopDone:    make(chan struct{}),
 	}
-	jm.pool = newConnPool(jm.net, "master", met)
-	if !mcfg.Failure.DisableRPCPolicy {
-		jm.pool.pol = newRPCPolicy(mcfg.Failure, "master", met, jm.tr)
-	}
+	jm.dp = newDataPlane(jm.net, "master", met, mcfg.Failure, jm.tr)
 	if mcfg.Commits != nil {
 		// Plane setup only fails on simnet exhaustion; the ids are
 		// process-unique, so degrade to non-incremental rather than
 		// refusing the whole manager.
-		if cp, err := newCommitPlane(jm.net, mcfg.Commits, jm.pool); err == nil {
+		if cp, err := newCommitPlane(jm.net, mcfg.Commits, jm.dp); err == nil {
 			jm.commits = cp
 		}
 	}
@@ -432,7 +430,7 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 		met:        met,
 		tr:         cfg.Tracer.JobBuf(id),
 		stages:     make([]*stageRun, len(plan.Stages)),
-		cacheIndex: make(map[cacheKey]map[string]bool),
+		cacheIndex: make(map[recache.Key]map[string]bool),
 		execs:      make(map[string]taskLauncher),
 		t0:         time.Now(),
 		done:       make(chan struct{}),
@@ -775,7 +773,7 @@ func (jm *JobManager) Close() {
 		for _, h := range jm.hosts {
 			h.shutdown()
 		}
-		jm.pool.closeAll()
+		jm.dp.pool.Close()
 		if jm.commits != nil {
 			jm.commits.close()
 		}
@@ -809,55 +807,41 @@ func (jm *JobManager) startCollector() (func(), error) {
 		return nil, err
 	}
 	stop := make(chan struct{})
-	go func() {
-		for {
-			conn, err := l.Accept(stop)
-			if err != nil {
-				return
-			}
-			go jm.handleCollectorConn(conn, stop)
-		}
-	}()
+	go storage.Serve(l, stop, func(op byte, e *data.Encoder, d *data.Decoder) error {
+		return jm.handleCollectorOp(op, e, d, stop)
+	})
 	var once sync.Once
 	return func() { once.Do(func() { close(stop) }) }, nil
 }
 
-func (jm *JobManager) handleCollectorConn(conn *simnet.Conn, stop <-chan struct{}) {
-	defer conn.Close()
-	d := data.NewDecoder(conn)
-	e := data.NewEncoder(conn)
-	for {
-		op, err := d.Byte()
+func (jm *JobManager) handleCollectorOp(op byte, e *data.Encoder, d *data.Decoder, stop <-chan struct{}) error {
+	switch op {
+	case frameHeartbeat:
+		// Fire-and-forget liveness beat: feed the detector (off the
+		// event loop; declarations happen on ticks) and keep reading.
+		hb, err := readHeartbeat(d)
 		if err != nil {
-			return
+			return err
 		}
-		switch op {
-		case frameHeartbeat:
-			// Fire-and-forget liveness beat: feed the detector (off the
-			// event loop; declarations happen on ticks) and keep reading.
-			hb, err := readHeartbeat(d)
-			if err != nil {
-				return
-			}
-			if jm.fd != nil {
-				jm.fd.beat(hb.ID, hb.Open, time.Now())
-			}
-			continue
-		case frameResult:
-		default:
-			return
+		if jm.fd != nil {
+			jm.fd.beat(hb.ID, hb.Open, time.Now())
 		}
+		return nil
+	case frameResult:
 		f, err := readResultFrame(d)
 		if err != nil {
-			return
+			return err
 		}
 		select {
 		case jm.events <- evResult{Job: f.Job, Stage: f.Stage, Gen: f.Gen, Index: f.Index, Attempt: f.Attempt, Payload: f.Payload}:
 		case <-stop:
-			return
+			return errManagerClosed
 		}
-		if e.Byte(respOK) != nil || e.Flush() != nil {
-			return
+		if err := e.Byte(respOK); err != nil {
+			return err
 		}
+		return e.Flush()
+	default:
+		return fmt.Errorf("runtime: unknown collector frame %q", op)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"pado/internal/dataflow"
 	"pado/internal/metrics"
 	"pado/internal/obs"
+	"pado/internal/recache"
 )
 
 // This file holds the per-job half of the JobManager (manager.go holds
@@ -108,9 +109,7 @@ type stageRun struct {
 	outChunks  []string
 }
 
-// relaunchableState: states below this are relaunched on eviction. The
-// failure thresholds (formerly consts here) live in Config:
-// MaxTaskFailures and MaxStageRestarts, defaulting to 50 and 100.
+// relaunchableState: states below this are relaunched on eviction.
 const relaunchableState = tCommitted
 
 var debugStages = os.Getenv("PADO_DEBUG") != ""
@@ -391,8 +390,8 @@ func (jm *JobManager) resetStage(j *jobRun, s *stageRun) {
 	s.nResults = 0
 	s.outChunks = nil
 	jm.recomputeReadiness(j, s)
-	if max := j.cfg.maxStageRestarts(); s.restarts > max {
-		jm.abort(j, fmt.Errorf("runtime: stage %d restarted more than %d times", s.ps.ID, max))
+	if s.restarts > maxStageRestarts {
+		jm.abort(j, fmt.Errorf("runtime: stage %d restarted more than %d times", s.ps.ID, maxStageRestarts))
 	}
 }
 
@@ -914,11 +913,11 @@ func (jm *JobManager) pickExecutor(j *jobRun, pool []string, kind cluster.Kind, 
 }
 
 // taskCacheKeys lists the cacheable inputs of one fragment task.
-func taskCacheKeys(plan *core.Plan, ps *core.PhysStage, frag *core.Fragment, taskIdx int) []cacheKey {
-	var keys []cacheKey
+func taskCacheKeys(plan *core.Plan, ps *core.PhysStage, frag *core.Fragment, taskIdx int) []recache.Key {
+	var keys []recache.Key
 	for _, opID := range frag.Ops {
 		if rd, ok := plan.Graph.Vertex(opID).Op.(*dataflow.ReadOp); ok && rd.Cached {
-			keys = append(keys, cacheKey{Vertex: opID, Partition: taskIdx})
+			keys = append(keys, recache.Key{Vertex: opID, Partition: taskIdx})
 		}
 		for _, si := range ps.InputsTo(opID) {
 			if !si.Cached {
@@ -926,9 +925,9 @@ func taskCacheKeys(plan *core.Plan, ps *core.PhysStage, frag *core.Fragment, tas
 			}
 			switch si.Dep {
 			case dag.OneToOne:
-				keys = append(keys, cacheKey{Vertex: si.FromVertex, Partition: taskIdx})
+				keys = append(keys, recache.Key{Vertex: si.FromVertex, Partition: taskIdx})
 			case dag.OneToMany:
-				keys = append(keys, cacheKey{Vertex: si.FromVertex, Partition: -1})
+				keys = append(keys, recache.Key{Vertex: si.FromVertex, Partition: -1})
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pado/internal/data"
+	"pado/internal/storage"
 )
 
 // Progress is the master's execution-progress metadata (§3.2.6): the
@@ -142,7 +143,7 @@ func (jm *JobManager) replicateProgress(j *jobRun) {
 		targets = append(targets, jm.reservedOrder[i])
 	}
 	snap := j.snapshotProgress()
-	pool := jm.pool
+	dp := jm.dp
 	blockID := progressBlockID(j.id)
 	go func() {
 		payload, err := snap.Encode()
@@ -150,35 +151,7 @@ func (jm *JobManager) replicateProgress(j *jobRun) {
 			return
 		}
 		for _, id := range targets {
-			_ = storeBlock(pool, "progress", id, blockID, payload)
+			_ = storage.StoreBlock(dp, "progress", id, blockID, payload)
 		}
 	}()
-}
-
-// storeBlock writes a block into a remote executor's local store over a
-// pooled connection. op labels the store's purpose ("progress" for
-// metadata replication, "store" otherwise) for per-cause retry counters.
-func storeBlock(pool *connPool, op, owner, blockID string, payload []byte) error {
-	return pool.doOp(op, owner, func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(frameStore); err != nil {
-			return err
-		}
-		if err := e.String(blockID); err != nil {
-			return err
-		}
-		if err := e.Bytes(payload); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("runtime: store of %q on %s rejected", blockID, owner)
-		}
-		return nil
-	})
 }

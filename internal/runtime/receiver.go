@@ -12,6 +12,7 @@ import (
 	"pado/internal/exec"
 	"pado/internal/metrics"
 	"pado/internal/obs"
+	"pado/internal/storage"
 )
 
 func readerOf(b []byte) *bytes.Reader { return bytes.NewReader(b) }
@@ -214,7 +215,7 @@ func (r *receiver) pullCASBatch(pulls []msgCommit) bool {
 	}
 	frames := make([]*pushFrame, len(pulls))
 	errs := make([]error, len(pulls))
-	_ = fanout(len(pulls), maxFetchWorkers, func(i int) error {
+	_ = storage.Fanout(len(pulls), storage.MaxFetchWorkers, func(i int) error {
 		frames[i], errs[i] = r.pullCAS(pulls[i])
 		return nil
 	})
@@ -241,7 +242,7 @@ func (r *receiver) pull(c msgCommit) error {
 	id := taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
 	r.ex.tr.Emit(obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
 		Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: "pull"})
-	payload, err := fetchBlock(r.ex.pool, c.Exec, id)
+	payload, err := storage.FetchBlock(r.ex.dp, "fetch", c.Exec, id)
 	if err != nil {
 		return err
 	}
@@ -434,9 +435,9 @@ func (r *receiver) fetchParts(fromStage int, loc stageLoc, coder data.Coder, par
 		Task: r.spec.Index, Exec: r.ex.id, Note: "receiver"})
 	decoded := make([][]data.Record, len(parts))
 	var total int64
-	err := fanout(len(parts), maxFetchWorkers, func(i int) error {
+	err := storage.Fanout(len(parts), storage.MaxFetchWorkers, func(i int) error {
 		p := parts[i]
-		payload, err := fetchStagePart(r.ex.pool, r.ex.cas, r.ex.met, r.ex.job, fromStage, loc, p, r.ex.cfg.ReplicateStageOutputs)
+		payload, err := fetchStagePart(r.ex.dp, r.ex.cas, r.ex.met, r.ex.job, fromStage, loc, p, r.ex.cfg.ReplicateStageOutputs)
 		if err != nil {
 			return err
 		}
@@ -534,7 +535,7 @@ func (r *receiver) replicateOutput(blockID string, payload []byte) {
 		return
 	}
 	go func() {
-		_ = storeBlock(r.ex.pool, "store", peer, blockID, payload)
+		_ = storage.StoreBlock(r.ex.dp, "store", peer, blockID, payload)
 	}()
 }
 

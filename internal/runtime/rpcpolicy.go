@@ -9,20 +9,20 @@ import (
 	"sync"
 	"time"
 
+	"pado/internal/data"
 	"pado/internal/metrics"
 	"pado/internal/obs"
+	"pado/internal/simnet"
+	"pado/internal/storage"
 )
 
-// errRPCDeadline marks a data-plane operation attempt killed by the
-// per-op deadline (FailureConfig.RPCDeadline). The attempt's connection
-// was closed to unblock it, so the error is transport-shaped: retryable.
-var errRPCDeadline = errors.New("runtime: rpc deadline exceeded")
-
-// errBreakerOpen fails operations fast while a destination's circuit
-// breaker is open. Treated like any transient network error by callers
-// (retry elsewhere / relaunch), and reported to the master as a gray
-// signal through heartbeat payloads.
-var errBreakerOpen = errors.New("runtime: destination quarantined by circuit breaker")
+// Retry-budget constants: at most rpcRetryBudget retry tokens are banked
+// per destination and one token takes rpcBudgetRefill to refill; together
+// they stop retry storms against a struggling peer.
+const (
+	rpcRetryBudget  = 16
+	rpcBudgetRefill = 25 * time.Millisecond
+)
 
 // Breaker states.
 const (
@@ -42,10 +42,11 @@ type destState struct {
 	lastRefill time.Time
 }
 
-// rpcPolicy is the unified data-plane RPC policy layered over one
-// connection pool's retry-once (§ the pool preserves commit-after-all-
-// acks exactly-once semantics; the policy only adds more attempts of
-// operations that are already retry-safe):
+// rpcPolicy is the Pado runtime's data-plane RPC policy: a
+// storage.Transport that decorates one node's connection pool (the pool's
+// own reuse-retry still applies inside each attempt; the policy only adds
+// more attempts of operations that are already retry-safe, so
+// commit-after-all-acks exactly-once semantics are preserved):
 //
 //   - a per-operation deadline that closes the attempt's connection so
 //     blocked pipe reads/writes unwind (simnet conns have no native
@@ -54,9 +55,10 @@ type destState struct {
 //     bounded by a per-destination refilling retry budget so a broken
 //     peer never absorbs an unbounded retry storm;
 //   - a per-destination circuit breaker (closed → open → half-open)
-//     that fails operations fast while open and exposes the open set
-//     for gray self-reporting via heartbeats.
+//     that fails operations fast (storage.ErrQuarantined) while open and
+//     exposes the open set for gray self-reporting via heartbeats.
 type rpcPolicy struct {
+	pool *storage.PoolTransport
 	cfg  FailureConfig
 	met  *metrics.Job
 	emit *obs.Buf // breaker transition events (nil = off)
@@ -66,10 +68,11 @@ type rpcPolicy struct {
 	dests map[string]*destState
 }
 
-func newRPCPolicy(cfg FailureConfig, from string, met *metrics.Job, emit *obs.Buf) *rpcPolicy {
+func newRPCPolicy(pool *storage.PoolTransport, cfg FailureConfig, from string, met *metrics.Job, emit *obs.Buf) *rpcPolicy {
 	h := fnv.New64a()
 	h.Write([]byte(from))
 	return &rpcPolicy{
+		pool:  pool,
 		cfg:   cfg,
 		met:   met,
 		emit:  emit,
@@ -81,7 +84,7 @@ func newRPCPolicy(cfg FailureConfig, from string, met *metrics.Job, emit *obs.Bu
 func (pol *rpcPolicy) dest(to string) *destState {
 	d := pol.dests[to]
 	if d == nil {
-		d = &destState{budget: float64(pol.cfg.rpcRetryBudget()), lastRefill: time.Now()}
+		d = &destState{budget: rpcRetryBudget, lastRefill: time.Now()}
 		pol.dests[to] = d
 	}
 	return d
@@ -146,12 +149,7 @@ func (pol *rpcPolicy) allowRetry(to string) bool {
 	defer pol.mu.Unlock()
 	d := pol.dest(to)
 	now := time.Now()
-	if refill := pol.cfg.rpcBudgetRefill(); refill > 0 {
-		d.budget += float64(now.Sub(d.lastRefill)) / float64(refill)
-		if cap := float64(pol.cfg.rpcRetryBudget()); d.budget > cap {
-			d.budget = cap
-		}
-	}
+	d.budget = min(rpcRetryBudget, d.budget+float64(now.Sub(d.lastRefill))/float64(rpcBudgetRefill))
 	d.lastRefill = now
 	if d.budget < 1 {
 		return false
@@ -203,22 +201,20 @@ func (pol *rpcPolicy) openDests() []string {
 	return out
 }
 
-// run executes one operation toward to under the full policy: breaker
-// admission, per-attempt deadline, and budgeted backoff retries. The
-// pool's own reuse-retry still applies inside each attempt.
-func (pol *rpcPolicy) run(p *connPool, op, to string, fn opFunc) error {
+// Do implements storage.Transport: one operation toward to under the full
+// policy — breaker admission, per-attempt deadline, and budgeted backoff
+// retries. A peer reply counts as success: the destination is healthy.
+func (pol *rpcPolicy) Do(op, to string, fn func(e *data.Encoder, d *data.Decoder) error) error {
 	if !pol.admit(to) {
-		return fmt.Errorf("%s to %s: %w", op, to, errBreakerOpen)
+		return fmt.Errorf("%s to %s: %w", op, to, storage.ErrQuarantined)
 	}
-	deadline := pol.cfg.RPCDeadline
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = p.tryOnce(to, fn, deadline)
-		if err == nil || isProtocolErr(err) {
+		err := pol.pool.Attempt(to, pol.cfg.RPCDeadline, fn)
+		if err == nil || storage.IsReply(err) {
 			pol.success(to)
 			return err
 		}
-		if errorsIs(err, errRPCDeadline) {
+		if errors.Is(err, storage.ErrDeadline) {
 			pol.met.Counter(metrics.NameRPCDeadlineHits).Add(1)
 		}
 		pol.failure(to)
@@ -234,4 +230,22 @@ func (pol *rpcPolicy) run(p *connPool, op, to string, fn opFunc) error {
 		pol.met.Counter(metrics.NameRPCBackoffNS).Add(int64(d))
 		time.Sleep(d)
 	}
+}
+
+// dataPlane is one node's outbound side of the data plane: the pool that
+// owns its streams, and the Transport every operation goes through — the
+// RPC policy around the pool, or the bare pool when the policy is off.
+type dataPlane struct {
+	storage.Transport
+	pool *storage.PoolTransport
+	pol  *rpcPolicy // nil = policy off; its read-side methods are nil-safe
+}
+
+func newDataPlane(net *simnet.Network, from string, met *metrics.Job, cfg FailureConfig, emit *obs.Buf) *dataPlane {
+	pool := storage.NewPoolTransport(net, from).Counting(met)
+	if cfg.DisableRPCPolicy {
+		return &dataPlane{Transport: pool, pool: pool}
+	}
+	pol := newRPCPolicy(pool, cfg, from, met, emit)
+	return &dataPlane{Transport: pol, pool: pool, pol: pol}
 }

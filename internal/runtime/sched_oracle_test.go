@@ -11,6 +11,7 @@ import (
 	"pado/internal/cluster"
 	"pado/internal/core"
 	"pado/internal/dataflow"
+	"pado/internal/recache"
 	"pado/internal/workloads"
 )
 
@@ -161,7 +162,7 @@ func (x *oracleExec) Launch(spec taskSpec) {
 		return
 	}
 	ps := j.plan.Stages[spec.Stage]
-	var cached []cacheKey
+	var cached []recache.Key
 	if !j.cfg.DisableCache {
 		cached = taskCacheKeys(j.plan, ps, ps.Fragments[spec.Frag], spec.Index)
 	}

@@ -5,14 +5,15 @@ import (
 	"fmt"
 
 	"pado/internal/data"
+	"pado/internal/storage"
 )
 
-// Executor data-plane frame types.
+// Runtime frame types. Block get/put is storage's block protocol, served
+// on the same streams (storage.ServeBlocks); these are the frames only
+// Pado has.
 const (
 	framePush      = 'H' // boundary push to a receiver
-	frameFetch     = 'F' // block fetch from a local store
 	frameResult    = 'R' // terminal-transient result push to the master
-	frameStore     = 'S' // block store into a local store (progress metadata)
 	frameHeartbeat = 'B' // executor liveness beat to the master (no response)
 	respOK         = 'K'
 	respNo         = 'N'
@@ -142,10 +143,10 @@ func readPushFrame(d *data.Decoder) (*pushFrame, error) {
 	return f, nil
 }
 
-// sendPush delivers a frame to the receiver's executor node over a pooled
-// connection and waits for the acknowledgement.
-func sendPush(pool *connPool, to string, f *pushFrame) error {
-	return pool.doOp("push", to, func(e *data.Encoder, d *data.Decoder) error {
+// sendPush delivers a frame to the receiver's executor node and waits for
+// the acknowledgement.
+func sendPush(t storage.Transport, to string, f *pushFrame) error {
+	return t.Do("push", to, func(e *data.Encoder, d *data.Decoder) error {
 		if err := writePushFrame(e, f); err != nil {
 			return err
 		}
@@ -160,42 +161,10 @@ func sendPush(pool *connPool, to string, f *pushFrame) error {
 	})
 }
 
-// errBlockNotFound marks a fetch of a missing block.
-var errBlockNotFound = errors.New("runtime: block not found")
-
 // errPushRejected marks a push to an executor that no longer hosts the
-// receiver — a benign race with stage restarts or recovery.
-var errPushRejected = errors.New("runtime: push rejected")
-
-// fetchBlock pulls a named block from owner's local store over a pooled
-// connection.
-func fetchBlock(pool *connPool, owner, blockID string) ([]byte, error) {
-	var payload []byte
-	err := pool.doOp("fetch", owner, func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(frameFetch); err != nil {
-			return err
-		}
-		if err := e.String(blockID); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return fmt.Errorf("fetch %q from %s: %w", blockID, owner, err)
-		}
-		if resp != respOK {
-			return fmt.Errorf("fetch %q from %s: %w", blockID, owner, errBlockNotFound)
-		}
-		payload, err = d.Bytes(0)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
+// receiver — a benign race with stage restarts or recovery, answered by a
+// healthy peer.
+var errPushRejected = storage.Reply(errors.New("runtime: push rejected"))
 
 // resultFrame is a terminal-transient stage's output push to the master.
 type resultFrame struct {
@@ -207,8 +176,8 @@ type resultFrame struct {
 	Payload []byte
 }
 
-func sendResult(pool *connPool, masterID string, f *resultFrame) error {
-	return pool.doOp("collect", masterID, func(e *data.Encoder, d *data.Decoder) error {
+func sendResult(t storage.Transport, masterID string, f *resultFrame) error {
+	return t.Do("collect", masterID, func(e *data.Encoder, d *data.Decoder) error {
 		if err := e.Byte(frameResult); err != nil {
 			return err
 		}

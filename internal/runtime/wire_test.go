@@ -2,15 +2,18 @@ package runtime
 
 import (
 	"bytes"
-	"io"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"pado/internal/cluster"
 	"pado/internal/dag"
 	"pado/internal/data"
 	"pado/internal/metrics"
 	"pado/internal/simnet"
+	"pado/internal/storage"
+	"pado/internal/storage/blocktest"
 )
 
 func TestPushFrameRoundTrip(t *testing.T) {
@@ -144,65 +147,50 @@ func TestBlockIDs(t *testing.T) {
 	}
 }
 
-func TestFetchBlockAgainstServer(t *testing.T) {
+// TestNodeHostDataPlane: a node host answers the shared block protocol
+// (the conformance table every ServeBlocks host runs) and, on the same
+// streams, boundary pushes — rejected with a marked reply while no
+// executor hosts the receiver, which keeps the sender's stream pooled.
+func TestNodeHostDataPlane(t *testing.T) {
 	net := simnet.New(simnet.Config{})
-	a, err := net.AddNode("client")
+	node, err := net.AddNode("r1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = a
-	srv, err := net.AddNode("server")
+	h, err := newNodeHost(&cluster.Container{ID: "r1", Kind: cluster.Reserved, Node: node, Slots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := srv.Listen()
-	go func() {
-		for {
-			conn, err := l.Accept(nil)
-			if err != nil {
-				return
-			}
-			go func(conn *simnet.Conn) {
-				defer conn.Close()
-				d := data.NewDecoder(connReader{conn})
-				e := data.NewEncoder(conn)
-				for {
-					op, err := d.Byte()
-					if err != nil || op != frameFetch {
-						return
-					}
-					id, _ := d.String()
-					if id == "have" {
-						e.Byte(respOK)
-						e.Bytes([]byte("payload"))
-					} else {
-						e.Byte(respNo)
-					}
-					e.Flush()
-				}
-			}(conn)
-		}
-	}()
+	defer h.shutdown()
+	blocktest.Drive(t, net, "r1")
+	if got, ok := h.store.Get("k"); !ok || string(got) != "v2" {
+		t.Errorf("host store holds %q, %v after the table", got, ok)
+	}
 
-	pool := newConnPool(net, "client", &metrics.Job{})
-	defer pool.closeAll()
-	got, err := fetchBlock(pool, "server", "have")
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("fetch = %q, %v", got, err)
+	if _, err := net.AddNode("client"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := fetchBlock(pool, "server", "missing"); err == nil {
-		t.Error("expected not-found error")
+	met := &metrics.Job{}
+	dp := newDataPlane(net, "client", met, FailureConfig{}, nil)
+	defer dp.pool.Close()
+	f := &pushFrame{Stage: 1, Gen: 7, Cover: []senderRef{{Index: 0, Attempt: 0}},
+		Sections: []pushSection{{Payload: []byte("x")}}}
+	for i := 0; i < 2; i++ {
+		err := sendPush(dp, "r1", f)
+		if !errors.Is(err, errPushRejected) || !storage.IsReply(err) || isFatal(err) {
+			t.Fatalf("push %d: err = %v, want a non-fatal errPushRejected reply", i, err)
+		}
 	}
-	if _, err := fetchBlock(pool, "nonexistent", "x"); err == nil {
-		t.Error("expected dial error")
+	if d := met.Counter(metrics.NameConnDials).Load(); d != 1 {
+		t.Errorf("conn_dials = %d, want 1 (a rejected push must not cost the stream)", d)
+	}
+	if dp.pol.quarantined("r1") {
+		t.Error("rejected pushes counted against the destination's breaker")
+	}
+	if _, err := storage.FetchBlock(dp, "fetch", "nonexistent", "x"); err == nil || isFatal(err) {
+		t.Errorf("fetch from an unknown node: err = %v, want a transient dial error", err)
 	}
 }
-
-type connReader struct{ c *simnet.Conn }
-
-func (r connReader) Read(p []byte) (int, error) { return r.c.Read(p) }
-
-var _ io.Reader = connReader{}
 
 func TestBoundaryPartition(t *testing.T) {
 	rec := data.KV("key", int64(1))

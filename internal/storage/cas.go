@@ -311,7 +311,7 @@ func (s *CommitService) Start() error {
 		if err != nil {
 			return fmt.Errorf("storage: commit node %s: %w", n.ID(), err)
 		}
-		go s.serve(l)
+		go Serve(l, s.stop, s.handleOp)
 	}
 	return nil
 }
@@ -325,31 +325,6 @@ func (s *CommitService) Close() {
 		case <-s.stop:
 		default:
 			close(s.stop)
-		}
-	}
-}
-
-func (s *CommitService) serve(l *simnet.Listener) {
-	for {
-		conn, err := l.Accept(s.stop)
-		if err != nil {
-			return
-		}
-		go s.handleConn(conn)
-	}
-}
-
-func (s *CommitService) handleConn(conn *simnet.Conn) {
-	defer conn.Close()
-	d := data.NewDecoder(conn)
-	e := data.NewEncoder(conn)
-	for {
-		op, err := d.Byte()
-		if err != nil {
-			return
-		}
-		if err := s.handleOp(op, e, d); err != nil {
-			return
 		}
 	}
 }
@@ -580,7 +555,7 @@ func (c *CommitClient) GetChunk(hash string) ([]byte, error) {
 		return err
 	})
 	if err != nil {
-		if isNotFound(err) {
+		if IsReply(err) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("storage chunk get %.12s…: %w", hash, err)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -107,7 +108,9 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	c := NewCommitClient(NewDialTransport(net, "client"), svc.NodeIDs())
+	pt := NewPoolTransport(net, "client")
+	defer pt.Close()
+	c := NewCommitClient(pt, svc.NodeIDs())
 
 	rm, err := c.Resolve("stage/abc123", true)
 	if err != nil {
@@ -123,7 +126,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if string(payload) != "part one chunk a" {
 		t.Fatalf("chunk content mangled: %q", payload)
 	}
-	if _, err := c.GetChunk(HashChunk([]byte("never stored"))); !isNotFound(err) {
+	if _, err := c.GetChunk(HashChunk([]byte("never stored"))); !errors.Is(err, ErrNotFound{}) {
 		t.Fatalf("missing chunk: got %v, want ErrNotFound", err)
 	}
 	miss, err := c.Resolve("stage/never", false)

@@ -97,16 +97,18 @@ func (s *LocalStore) Clear() {
 	s.used = 0
 }
 
-// ErrNotFound is returned by remote gets for missing blocks.
+// ErrNotFound is returned by remote gets for missing blocks. It is a peer
+// reply (IsReply): a miss is a healthy negative response, not a broken
+// stream.
 type ErrNotFound struct{ Key string }
 
 // Error implements error.
 func (e ErrNotFound) Error() string { return fmt.Sprintf("storage: block %q not found", e.Key) }
 
+func (ErrNotFound) peerReply() {}
+
 // Is matches any ErrNotFound regardless of key, so errors.Is(err,
-// storage.ErrNotFound{}) classifies misses without knowing the key —
-// which pooled transports need: a miss is a healthy negative response,
-// not a broken connection.
+// storage.ErrNotFound{}) classifies misses without knowing the key.
 func (e ErrNotFound) Is(target error) bool {
 	_, ok := target.(ErrNotFound)
 	return ok

@@ -3,19 +3,10 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"pado/internal/data"
 	"pado/internal/simnet"
-)
-
-// Stable storage wire protocol op codes.
-const (
-	opPut  = 'P'
-	opGet  = 'G'
-	respOK = 'K'
-	respNo = 'N'
 )
 
 // Service is a non-replicated stable-storage cluster (the GlusterFS/HDFS
@@ -86,208 +77,16 @@ func (s *Service) Start() error {
 		if err != nil {
 			return fmt.Errorf("storage: node %s: %w", n.ID(), err)
 		}
-		go s.serve(l, s.stores[i], s.disks[i], n)
+		go ServeBlocks(l, s.stores[i], s.disks[i], nil, nil)
 	}
 	return nil
 }
-
-func (s *Service) serve(l *simnet.Listener, store *LocalStore, disk *simnet.Limiter, node *simnet.Node) {
-	for {
-		conn, err := l.Accept(nil)
-		if err != nil {
-			return
-		}
-		go handleConn(conn, store, disk)
-	}
-}
-
-func handleConn(conn *simnet.Conn, store *LocalStore, disk *simnet.Limiter) {
-	defer conn.Close()
-	d := data.NewDecoder(conn)
-	e := data.NewEncoder(conn)
-	for {
-		op, err := d.Byte()
-		if err != nil {
-			return
-		}
-		switch op {
-		case opPut:
-			key, err := d.String()
-			if err != nil {
-				return
-			}
-			payload, err := d.Bytes(0)
-			if err != nil {
-				return
-			}
-			if disk != nil {
-				if disk.Acquire(len(payload), nil) != nil {
-					return
-				}
-			}
-			store.Put(key, payload)
-			if e.Byte(respOK) != nil || e.Flush() != nil {
-				return
-			}
-		case opGet:
-			key, err := d.String()
-			if err != nil {
-				return
-			}
-			payload, ok := store.Get(key)
-			if !ok {
-				if e.Byte(respNo) != nil || e.Flush() != nil {
-					return
-				}
-				continue
-			}
-			if disk != nil {
-				if disk.Acquire(len(payload), nil) != nil {
-					return
-				}
-			}
-			if e.Byte(respOK) != nil || e.Bytes(payload) != nil || e.Flush() != nil {
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
-// Transport carries one framed request/response round to a destination
-// node. The zero-infrastructure implementation is dialTransport (a fresh
-// stream per operation, the historical client behavior); the runtime's
-// per-node connection pool implements it too, so storage traffic can
-// share pooled connections and the unified RPC policy (deadlines,
-// budgeted retries, circuit breakers) with the rest of the data plane.
-type Transport interface {
-	// Do runs fn as one request/response round against node `to`. op is
-	// a short label ("ckput", "casget", ...) the transport may use to
-	// account retries by cause.
-	Do(op, to string, fn func(e *data.Encoder, d *data.Decoder) error) error
-}
-
-// dialTransport dials a fresh stream per operation.
-type dialTransport struct {
-	net  *simnet.Network
-	from string
-}
-
-// NewDialTransport returns the unpooled Transport: one fresh stream per
-// operation from the named node.
-func NewDialTransport(net *simnet.Network, from string) Transport {
-	return dialTransport{net: net, from: from}
-}
-
-// Do implements Transport.
-func (t dialTransport) Do(_, to string, fn func(e *data.Encoder, d *data.Decoder) error) error {
-	conn, err := t.net.Dial(t.from, to)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return fn(data.NewEncoder(conn), data.NewDecoder(conn))
-}
-
-// PoolTransport keeps one stream per destination node and reuses it
-// across operations, so repeated Put/Get traffic pays one dial per node
-// instead of one per block. Concurrent operations to the same node
-// serialize on its stream (the wire protocol is strict request/response);
-// operations to different nodes proceed in parallel. A failed operation
-// drops the stream — it may hold undrained response bytes — and the next
-// one redials. Protocol-level misses (ErrNotFound) leave the stream
-// aligned and keep it.
-type PoolTransport struct {
-	net  *simnet.Network
-	from string
-
-	mu      sync.Mutex
-	streams map[string]*pooledStream
-}
-
-type pooledStream struct {
-	mu   sync.Mutex
-	conn *simnet.Conn
-	e    *data.Encoder
-	d    *data.Decoder
-}
-
-// NewPoolTransport returns a pooled Transport issuing operations from the
-// named node.
-func NewPoolTransport(net *simnet.Network, from string) *PoolTransport {
-	return &PoolTransport{net: net, from: from, streams: make(map[string]*pooledStream)}
-}
-
-// Do implements Transport.
-func (t *PoolTransport) Do(_, to string, fn func(e *data.Encoder, d *data.Decoder) error) error {
-	s := t.stream(to)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.conn == nil {
-		conn, err := t.net.Dial(t.from, to)
-		if err != nil {
-			return err
-		}
-		s.conn = conn
-		s.e = data.NewEncoder(conn)
-		s.d = data.NewDecoder(conn)
-	}
-	if err := fn(s.e, s.d); err != nil {
-		if !isNotFound(err) {
-			s.conn.Close()
-			s.conn = nil
-		}
-		return err
-	}
-	return nil
-}
-
-func (t *PoolTransport) stream(to string) *pooledStream {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.streams[to]
-	if s == nil {
-		s = &pooledStream{}
-		t.streams[to] = s
-	}
-	return s
-}
-
-// Close drops every pooled stream. Subsequent operations redial.
-func (t *PoolTransport) Close() {
-	t.mu.Lock()
-	streams := make([]*pooledStream, 0, len(t.streams))
-	for _, s := range t.streams {
-		streams = append(streams, s)
-	}
-	t.mu.Unlock()
-	for _, s := range streams {
-		s.mu.Lock()
-		if s.conn != nil {
-			s.conn.Close()
-			s.conn = nil
-		}
-		s.mu.Unlock()
-	}
-}
-
-// isNotFound reports whether err is a miss (ErrNotFound) rather than a
-// transport or codec failure.
-func isNotFound(err error) bool { return errors.Is(err, ErrNotFound{}) }
 
 // Client accesses the stable storage service from one cluster node
 // through a Transport. A client is safe for concurrent use.
 type Client struct {
 	t     Transport
 	nodes []string
-}
-
-// NewClient returns a client dialing a fresh stream from the named node
-// per operation (the historical behavior; use NewClientTransport to
-// route operations through a pooled transport).
-func NewClient(net *simnet.Network, from string, svc *Service) *Client {
-	return NewClientTransport(dialTransport{net: net, from: from}, svc)
 }
 
 // NewClientTransport returns a client issuing its operations through t.
@@ -301,67 +100,10 @@ func (c *Client) nodeFor(key string) string {
 
 // Put stores a block on the storage node responsible for key.
 func (c *Client) Put(key string, payload []byte) error {
-	err := c.t.Do("ckput", c.nodeFor(key), func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opPut); err != nil {
-			return err
-		}
-		if err := e.String(key); err != nil {
-			return err
-		}
-		if err := e.Bytes(payload); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("rejected")
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("storage put %q: %w", key, err)
-	}
-	return nil
+	return StoreBlock(c.t, "ckput", c.nodeFor(key), key, payload)
 }
 
-// Get fetches a block. Missing blocks return ErrNotFound; every other
-// failure — dial, encode, and post-response decode alike — is wrapped
-// with the key context so callers can always tell which block failed.
+// Get fetches a block. Missing blocks return ErrNotFound.
 func (c *Client) Get(key string) ([]byte, error) {
-	var payload []byte
-	err := c.t.Do("ckget", c.nodeFor(key), func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opGet); err != nil {
-			return err
-		}
-		if err := e.String(key); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return fmt.Errorf("connection closed")
-			}
-			return err
-		}
-		if resp == respNo {
-			return ErrNotFound{Key: key}
-		}
-		payload, err = d.Bytes(0)
-		return err
-	})
-	if err != nil {
-		if isNotFound(err) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("storage get %q: %w", key, err)
-	}
-	return payload, nil
+	return FetchBlock(c.t, "ckget", c.nodeFor(key), key)
 }

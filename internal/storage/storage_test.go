@@ -88,9 +88,17 @@ func newServiceCluster(t *testing.T, nodes int, diskBW int64) (*simnet.Network, 
 	return net, svc
 }
 
+// newClient returns a stable-storage client on its own pool, closed with
+// the test.
+func newClient(t *testing.T, net *simnet.Network, from string, svc *Service) *Client {
+	pt := NewPoolTransport(net, from)
+	t.Cleanup(pt.Close)
+	return NewClientTransport(pt, svc)
+}
+
 func TestStableServicePutGet(t *testing.T) {
 	net, svc := newServiceCluster(t, 3, 0)
-	c := NewClient(net, "client", svc)
+	c := newClient(t, net, "client", svc)
 
 	blocks := map[string][]byte{}
 	for i := 0; i < 20; i++ {
@@ -117,7 +125,7 @@ func TestStableServicePutGet(t *testing.T) {
 
 func TestStableServiceMissingBlock(t *testing.T) {
 	net, svc := newServiceCluster(t, 2, 0)
-	c := NewClient(net, "client", svc)
+	c := newClient(t, net, "client", svc)
 	_, err := c.Get("nope")
 	var nf ErrNotFound
 	if !errors.As(err, &nf) || nf.Key != "nope" {
@@ -183,8 +191,11 @@ func TestPoolTransportReuseAndMissAlignment(t *testing.T) {
 			t.Fatalf("get after miss: %q %v", got, err)
 		}
 	}
-	if len(pt.streams) != 2 {
-		t.Errorf("pooled %d destinations, want 2", len(pt.streams))
+	pt.mu.Lock()
+	dests := len(pt.idle)
+	pt.mu.Unlock()
+	if dests != 2 {
+		t.Errorf("pooled %d destinations, want 2", dests)
 	}
 
 	var wg sync.WaitGroup
@@ -210,7 +221,7 @@ func TestPoolTransportReuseAndMissAlignment(t *testing.T) {
 
 func TestStableServiceSpreadsBlocks(t *testing.T) {
 	net, svc := newServiceCluster(t, 4, 0)
-	c := NewClient(net, "client", svc)
+	c := newClient(t, net, "client", svc)
 	for i := 0; i < 64; i++ {
 		if err := c.Put(fmt.Sprintf("b%d", i), []byte("x")); err != nil {
 			t.Fatal(err)
@@ -226,7 +237,7 @@ func TestStableServiceSpreadsBlocks(t *testing.T) {
 func TestStableServiceDiskThrottle(t *testing.T) {
 	// 256KB through a single 512KB/s disk should take ~0.4s+.
 	net, svc := newServiceCluster(t, 1, 512<<10)
-	c := NewClient(net, "client", svc)
+	c := newClient(t, net, "client", svc)
 	payload := make([]byte, 256<<10)
 	start := time.Now()
 	if err := c.Put("big", payload); err != nil {
@@ -259,7 +270,7 @@ func TestStableServiceConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := NewClient(net, fmt.Sprintf("c%d", i), svc)
+			c := newClient(t, net, fmt.Sprintf("c%d", i), svc)
 			for k := 0; k < 25; k++ {
 				key := fmt.Sprintf("c%d-%d", i, k)
 				if err := c.Put(key, []byte(key)); err != nil {
