@@ -26,6 +26,7 @@ import (
 	"pado/internal/data"
 	"pado/internal/dataflow"
 	"pado/internal/engines/sparklike"
+	"pado/internal/harness"
 	"pado/internal/introspect"
 	"pado/internal/metrics"
 	"pado/internal/obs"
@@ -119,11 +120,6 @@ func main() {
 	// the priming run below always sees the clean input.
 	pipe := buildPipe(*workload, *delta, 1)
 
-	pol, err := core.PolicyByName(*policy)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	scale := vtime.NewScale(time.Duration(*scaleMS) * time.Millisecond)
 	clCfg := cluster.Config{
 		Transient: *transient,
@@ -136,23 +132,25 @@ func main() {
 	if err != nil {
 		fatalf("cluster: %v", err)
 	}
-	planCfg := core.PlanConfig{
-		ReduceParallelism: 2 * *reserved,
-		Policy:            pol,
-		Env:               clCfg.PlacementEnv(),
+	// Both engines run under the configuration the harness builds for this
+	// cell shape, so a padorun number means what a padobench number means.
+	cell := harness.Params{
+		Rate: r, Transient: *transient, Reserved: *reserved, Scale: scale,
+		Policy: *policy, Seed: *seed,
+		Failure: runtime.FailureConfig{
+			DisableDetector:  *noDetector,
+			HeartbeatEvery:   *heartbeat,
+			SuspectAfter:     *suspectAfter,
+			DeadAfter:        *deadAfter,
+			DisableRPCPolicy: *noRPCPolicy,
+			RPCDeadline:      *rpcDeadline,
+		},
 	}
-
-	if *showPlan || *dot {
-		plan, err := core.Compile(buildPipe(*workload, *delta, 1).Graph(), planCfg)
-		if err != nil {
-			fatalf("compile: %v", err)
-		}
-		if *dot {
-			fmt.Println(plan.Graph.DOT())
-		}
-		if *showPlan {
-			printPlan(plan)
-		}
+	if strings.Contains(*engine, "checkpoint") {
+		cell.Engine = harness.EngineSparkCheckpoint
+	}
+	if *incremental {
+		cell.CommitStore = storage.NewCommitStore()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -171,6 +169,23 @@ func main() {
 		defer chaosEngine.Stop()
 	}
 
+	cfg, err := cell.PadoRuntimeConfig(tracer, chaosEngine)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if *showPlan || *dot {
+		plan, err := core.Compile(buildPipe(*workload, *delta, 1).Graph(), cfg.Plan)
+		if err != nil {
+			fatalf("compile: %v", err)
+		}
+		if *dot {
+			fmt.Println(plan.Graph.DOT())
+		}
+		if *showPlan {
+			printPlan(plan)
+		}
+	}
+
 	var outputs map[dag.VertexID][]data.Record
 	var jct time.Duration
 	var relaunched, evictions int64
@@ -179,27 +194,7 @@ func main() {
 	var stageParents map[int][]int
 	switch strings.ToLower(*engine) {
 	case "pado":
-		cfg := runtime.Config{
-			Plan:   planCfg,
-			Tracer: tracer,
-			Failure: runtime.FailureConfig{
-				DisableDetector:  *noDetector,
-				HeartbeatEvery:   *heartbeat,
-				SuspectAfter:     *suspectAfter,
-				DeadAfter:        *deadAfter,
-				DisableRPCPolicy: *noRPCPolicy,
-				RPCDeadline:      *rpcDeadline,
-			},
-		}
-		if chaosEngine != nil {
-			cfg.Chaos = chaosEngine
-		}
-		if *incremental {
-			store := storage.NewCommitStore()
-			cfg.Commits = store
-			// Task-level commits need content-stable boundary payloads, so
-			// the incremental path runs on raw boundaries.
-			cfg.DisablePartialAggregation = true
+		if store := cell.CommitStore; store != nil {
 			// Prime: an identical clean-input run on its own cluster fills
 			// the store, then the reported run below reruns against it.
 			primeCfg := cfg
@@ -249,11 +244,7 @@ func main() {
 			report = chaos.Check(tracer.Events(), stageParents)
 		}
 	case "spark", "spark-checkpoint":
-		res, err := sparklike.Run(ctx, cl, pipe.Graph(), sparklike.Config{
-			Checkpoint: strings.Contains(*engine, "checkpoint"),
-			Plan:       core.PlanConfig{ReduceParallelism: 2 * *reserved},
-			Tracer:     tracer,
-		})
+		res, err := sparklike.Run(ctx, cl, pipe.Graph(), cell.SparkConfig(tracer))
 		if err != nil {
 			fatalf("run: %v", err)
 		}
@@ -296,7 +287,7 @@ func main() {
 				Snapshot:     &snap,
 			}
 			if strings.ToLower(*engine) == "pado" {
-				opts.Policy = pol.Name()
+				opts.Policy = cfg.Plan.Policy.Name()
 			}
 			rep := analyze.Analyze(events, opts)
 			if err := writeExport(*reportOut, func(w *os.File) error {

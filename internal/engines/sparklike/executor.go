@@ -56,8 +56,7 @@ type taskEnv struct {
 	met    *metrics.Job
 	tr     *obs.Buf // trace buffer (nil = tracing off)
 	store  *storage.LocalStore
-	cache  *recache.Cache // nil on the driver, which does not cache
-	flight *recache.Flight
+	cache  *recache.Cache  // nil on the driver, which does not cache
 	cpu    *simnet.Limiter // nil = unlimited compute capacity
 	// pool carries every fetch and checkpoint put/get the node issues. It
 	// is the bare pool, with no RPC policy on top: Spark discovers a stale
@@ -89,13 +88,12 @@ func newExecutor(id string, node *simnet.Node, net *simnet.Network, plan *SPlan,
 	ex := &executor{events: events, stopCh: make(chan struct{})}
 	ex.taskEnv = taskEnv{
 		execID: id, plan: plan, cfg: cfg, met: met,
-		tr:     cfg.Tracer.Buf(),
-		store:  storage.NewLocalStore(),
-		cache:  recache.New(cacheCapacity),
-		flight: recache.NewFlight(),
-		cpu:    cpu,
-		pool:   storage.NewPoolTransport(net, id).Counting(met),
-		stop:   ex.stopCh, send: ex.sendEvent, stopped: ex.isStopped,
+		tr:    cfg.Tracer.Buf(),
+		store: storage.NewLocalStore(),
+		cache: recache.New(cacheCapacity),
+		cpu:   cpu,
+		pool:  storage.NewPoolTransport(net, id).Counting(met),
+		stop:  ex.stopCh, send: ex.sendEvent, stopped: ex.isStopped,
 	}
 	if svc != nil {
 		ex.ck = storage.NewClientTransport(ex.pool, svc)
@@ -257,48 +255,46 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 }
 
 func (env taskEnv) openRead(stage int, opID dag.VertexID, rd *dataflow.ReadOp, part int) (dataflow.Iterator, error) {
-	useCache := rd.Cached && env.cache != nil
+	cache := env.cache
+	if !rd.Cached {
+		cache = nil
+	}
 	key := recache.Key{Vertex: opID, Partition: part}
-	if useCache {
-		if recs, ok := env.cache.Get(key); ok {
-			env.met.CacheHits.Add(1)
-			env.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: stage, Task: part,
-				Exec: env.execID, Note: "read"})
-			return (&dataflow.SliceSource{Parts: [][]data.Record{recs}}).Open(0)
-		}
-		env.met.CacheMisses.Add(1)
-		env.tr.Emit(obs.Event{Kind: obs.CacheMiss, Stage: stage, Task: part,
-			Exec: env.execID, Note: "read"})
-	}
-	it, err := rd.Source.Open(part)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var recs []data.Record
-	for {
-		r, ok, err := it.Next()
+	note := recache.Observer(env.met, env.tr, obs.Event{Stage: stage, Task: part, Exec: env.execID, Note: "read"})
+	recs, err := cache.Load(key, note, func() ([]data.Record, error) {
+		it, err := rd.Source.Open(part)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+		defer it.Close()
+		var recs []data.Record
+		for {
+			r, ok, err := it.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			recs = append(recs, r)
 		}
-		recs = append(recs, r)
-	}
-	// External reads cost real capacity, paid on actual reads only.
-	if env.cpu != nil {
-		cost := 1
-		if rd.Cost > 0 {
-			cost = rd.Cost
+		// External reads cost real capacity, paid on actual reads only.
+		if env.cpu != nil {
+			cost := 1
+			if rd.Cost > 0 {
+				cost = rd.Cost
+			}
+			if err := env.cpu.Acquire(len(recs)*cost, env.stop); err != nil {
+				return nil, err
+			}
 		}
-		if err := env.cpu.Acquire(len(recs)*cost, env.stop); err != nil {
-			return nil, err
+		if cache != nil {
+			env.send(evCached{Exec: env.execID, Key: key})
 		}
-	}
-	if useCache {
-		env.cache.Put(key, recs)
-		env.send(evCached{Exec: env.execID, Key: key})
+		return recs, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return (&dataflow.SliceSource{Parts: [][]data.Record{recs}}).Open(0)
 }
@@ -355,29 +351,9 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 	case dag.OneToMany:
 		// Broadcasts are cached per executor, like Spark's broadcast
 		// variables: concurrent slots share one fetch.
-		if env.cache != nil {
-			key := recache.Key{Vertex: si.FromVertex, Partition: -1}
-			if cached, ok := env.cache.Get(key); ok {
-				env.met.CacheHits.Add(1)
-				env.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: si.FromStage, Frag: -1,
-					Task: -1, Exec: env.execID, Note: "broadcast"})
-				recs = cached
-				break
-			}
-			env.met.CacheMisses.Add(1)
-			env.tr.Emit(obs.Event{Kind: obs.CacheMiss, Stage: si.FromStage, Frag: -1,
-				Task: -1, Exec: env.execID, Note: "broadcast"})
-			recs, _, err = env.flight.Do(key, func() ([]data.Record, error) {
-				out, e := fetchAllWhole()
-				if e != nil {
-					return nil, e
-				}
-				env.cache.Put(key, out)
-				return out, nil
-			})
-			break
-		}
-		recs, err = fetchAllWhole()
+		recs, err = env.cache.Load(recache.Key{Vertex: si.FromVertex, Partition: recache.Broadcast},
+			recache.Observer(env.met, env.tr, obs.Event{Stage: si.FromStage, Frag: -1, Task: -1,
+				Exec: env.execID, Note: "broadcast"}), fetchAllWhole)
 	case dag.ManyToOne:
 		recs, err = fetchAllWhole()
 	case dag.ManyToMany:

@@ -402,7 +402,7 @@ func runOnce(p Params) (Outcome, error) {
 	var stageParents map[int][]int
 	switch p.Engine {
 	case EnginePado:
-		cfg, err := p.padoRuntimeConfig(tracer, engine)
+		cfg, err := p.PadoRuntimeConfig(tracer, engine)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -443,14 +443,7 @@ func runOnce(p Params) (Outcome, error) {
 			report = chaos.Check(tracer.Events(), stageParents)
 		}
 	default:
-		cfg := sparklike.Config{Checkpoint: p.Engine == EngineSparkCheckpoint, Tracer: tracer}
-		cfg.StorageDiskBW = storageDiskBW
-		// Spark's shuffle-fetch retry dance (5s waits on a ~13-minute
-		// job) scales to ~0.1 paper minutes per retry.
-		cfg.FetchRetries = 1
-		cfg.FetchRetryWait = p.Scale.Wall(0.1)
-		cfg.Plan.ReduceParallelism = 2 * p.Reserved
-		res, err := sparklike.Run(ctx, cl, pipe.Graph(), cfg)
+		res, err := sparklike.Run(ctx, cl, pipe.Graph(), p.SparkConfig(tracer))
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -487,12 +480,27 @@ func runOnce(p Params) (Outcome, error) {
 		Chaos: report, Injections: injections, ReportPath: reportPath}, nil
 }
 
-// padoRuntimeConfig assembles the Pado runtime configuration for one
+// SparkConfig assembles the Spark-like baseline's configuration for one
+// experiment cell (Engine picks checkpointing): reduce parallelism
+// tracking the reserved pool, the stable store's disk bandwidth, and
+// Spark's shuffle-fetch retry dance — 5s waits on a ~13-minute job scale
+// to ~0.1 paper minutes per retry.
+func (p Params) SparkConfig(tracer *obs.Tracer) sparklike.Config {
+	cfg := sparklike.Config{Checkpoint: p.Engine == EngineSparkCheckpoint, Tracer: tracer}
+	cfg.StorageDiskBW = storageDiskBW
+	cfg.FetchRetries = 1
+	cfg.FetchRetryWait = p.Scale.Wall(0.1)
+	cfg.Plan.ReduceParallelism = 2 * p.Reserved
+	return cfg
+}
+
+// PadoRuntimeConfig assembles the Pado runtime configuration for one
 // experiment cell: reduce parallelism tracking the reserved pool, the
 // named placement policy against the cell's capacity env, and the
 // paper-time partial-aggregation escape delay (§3.2.7, pinned to 0.1
-// paper minutes at the current scale).
-func (p Params) padoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (runtime.Config, error) {
+// paper minutes at the current scale). engine may be nil. Both this and
+// SparkConfig are exported so cmd/padorun runs what the harness runs.
+func (p Params) PadoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (runtime.Config, error) {
 	cfg := runtime.Config{Tracer: tracer}
 	if engine != nil {
 		cfg.Chaos = engine
@@ -508,13 +516,7 @@ func (p Params) padoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (run
 	cfg.Plan.Env = p.clusterConfig().PlacementEnv()
 	cfg.AggMaxDelay = p.Scale.Wall(0.1)
 	cfg.Failure = p.Failure
-	if p.CommitStore != nil {
-		cfg.Commits = p.CommitStore
-		// Task-level commits need content-stable boundary payloads;
-		// partially aggregated frames fold nondeterministic task covers
-		// together, so the incremental path runs on raw boundaries.
-		cfg.DisablePartialAggregation = true
-	}
+	cfg.Commits = p.CommitStore
 	if p.PadoConfig != nil {
 		p.PadoConfig(&cfg)
 	}

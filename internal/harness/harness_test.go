@@ -63,6 +63,9 @@ func TestRunWithEvictions(t *testing.T) {
 	p.Engine = EnginePado
 	p.Workload = WorkloadMR
 	p.Rate = trace.RateHigh
+	// At tinyParams' size the job can end before the first container
+	// lifetime does (~30 % of runs); four times the input outlasts it.
+	p.Size *= 4
 	out, err := Run(p)
 	if err != nil {
 		t.Fatal(err)

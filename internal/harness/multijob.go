@@ -239,7 +239,7 @@ func RunJobs(p Params) (MultiOutcome, error) {
 				}
 			}
 			q := p.jobParams(spec)
-			cfg, err := q.padoRuntimeConfig(tracer, engine)
+			cfg, err := q.PadoRuntimeConfig(tracer, engine)
 			if err != nil {
 				results[i].err = err
 				return

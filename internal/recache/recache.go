@@ -10,14 +10,20 @@ import (
 
 	"pado/internal/dag"
 	"pado/internal/data"
+	"pado/internal/metrics"
+	"pado/internal/obs"
 )
 
 // Key identifies a cacheable task input: a read source partition, an
-// aligned stage-output partition, or a whole broadcast (partition == -1).
+// aligned stage-output partition, or a whole broadcast (Partition ==
+// Broadcast).
 type Key struct {
 	Vertex    dag.VertexID
 	Partition int
 }
+
+// Broadcast is the Key.Partition of a one-to-many input cached whole.
+const Broadcast = -1
 
 // String renders the key for the master's cache index.
 func (k Key) String() string { return fmt.Sprintf("%d/%d", k.Vertex, k.Partition) }
@@ -33,6 +39,7 @@ type Cache struct {
 	entries  map[Key]*list.Element
 	hits     int64
 	misses   int64
+	flight   *Flight
 }
 
 type cacheEntry struct {
@@ -46,6 +53,49 @@ func New(capacity int64) *Cache {
 		capacity: capacity,
 		ll:       list.New(),
 		entries:  make(map[Key]*list.Element),
+		flight:   NewFlight(),
+	}
+}
+
+// Load is the read-through path every cached task input takes: a hit
+// returns the resident records; a miss runs fill — once among concurrent
+// callers of the same key, latecomers share the first caller's result —
+// and caches what it returned. note hears whether the lookup hit before
+// any fill starts, so each caller counts and traces hits and misses in its
+// own vocabulary. A nil cache (caching off for this input) just fills.
+func (c *Cache) Load(key Key, note func(hit bool), fill func() ([]data.Record, error)) ([]data.Record, error) {
+	if c == nil {
+		return fill()
+	}
+	recs, hit := c.Get(key)
+	note(hit)
+	if hit {
+		return recs, nil
+	}
+	recs, _, err := c.flight.Do(key, func() ([]data.Record, error) {
+		recs, err := fill()
+		if err == nil {
+			c.Put(key, recs)
+		}
+		return recs, err
+	})
+	return recs, err
+}
+
+// Observer builds the Load observer both engines use: it counts the lookup
+// in met's cache hit/miss counters and traces it as ev under the matching
+// kind.
+func Observer(met *metrics.Job, tr *obs.Buf, ev obs.Event) func(hit bool) {
+	return func(hit bool) {
+		ev := ev
+		if hit {
+			ev.Kind = obs.CacheHit
+			met.CacheHits.Add(1)
+		} else {
+			ev.Kind = obs.CacheMiss
+			met.CacheMisses.Add(1)
+		}
+		tr.Emit(ev)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 
 	"pado/internal/dag"
 	"pado/internal/data"
+	"pado/internal/metrics"
+	"pado/internal/obs"
 )
 
 func recsOfSize(n int) []data.Record {
@@ -184,5 +186,76 @@ func TestKeyString(t *testing.T) {
 	k := Key{Vertex: 3, Partition: -1}
 	if k.String() != fmt.Sprintf("%d/%d", 3, -1) {
 		t.Errorf("Key.String = %q", k.String())
+	}
+}
+
+// TestLoad walks the read-through path both engines use: a miss fills and
+// caches, a hit skips the fill, a failed fill caches nothing, concurrent
+// misses share one fill, and a nil cache reads through unobserved. The
+// observer counts and traces every lookup under the caller's identity.
+func TestLoad(t *testing.T) {
+	met := &metrics.Job{}
+	tr := obs.New()
+	note := Observer(met, tr.Buf(), obs.Event{Stage: 4, Task: 2, Exec: "t1", Note: "read"})
+	c := New(1 << 20)
+	key := Key{Vertex: 3, Partition: 2}
+	fills := 0
+	fill := func() ([]data.Record, error) { fills++; return recsOfSize(5), nil }
+
+	for i, wantFills := range []int{1, 1} { // miss, then hit
+		recs, err := c.Load(key, note, fill)
+		if err != nil || len(recs) != 5 || fills != wantFills {
+			t.Fatalf("load %d: %d recs, err %v, %d fills (want %d)", i, len(recs), err, fills, wantFills)
+		}
+	}
+	if h, m := met.CacheHits.Load(), met.CacheMisses.Load(); h != 1 || m != 1 {
+		t.Errorf("counted %d hits, %d misses, want 1 and 1", h, m)
+	}
+	evs := tr.Events()
+	if len(evs) != 2 || evs[0].Kind != obs.CacheMiss || evs[1].Kind != obs.CacheHit ||
+		evs[1].Stage != 4 || evs[1].Task != 2 || evs[1].Exec != "t1" || evs[1].Note != "read" {
+		t.Errorf("traced %+v, want a miss then a hit under the caller's identity", evs)
+	}
+
+	boom := errors.New("boom")
+	bad := Key{Vertex: 9}
+	if _, err := c.Load(bad, note, func() ([]data.Record, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Errorf("failed fill returned %v", err)
+	}
+	if _, ok := c.Get(bad); ok {
+		t.Error("a failed fill was cached")
+	}
+
+	var calls atomic.Int32
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	shared := Key{Vertex: 5, Partition: Broadcast}
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs, err := c.Load(shared, note, func() ([]data.Record, error) {
+				calls.Add(1)
+				<-gate
+				return recsOfSize(2), nil
+			})
+			if err != nil || len(recs) != 2 {
+				t.Errorf("shared load: %d recs, %v", len(recs), err)
+			}
+		}()
+	}
+	for met.CacheMisses.Load() < 2+8 {
+		runtimeGosched() // every caller has missed and is at, or in, the flight
+	}
+	close(gate)
+	wg.Wait()
+	if n := calls.Load(); n > 3 {
+		t.Errorf("%d concurrent fills of one key, want them shared", n)
+	}
+
+	var off *Cache
+	recs, err := off.Load(key, func(bool) { t.Error("a nil cache has no lookup to observe") }, fill)
+	if err != nil || len(recs) != 5 || fills != 2 {
+		t.Errorf("nil cache: %d recs, err %v, %d fills (want a read-through)", len(recs), err, fills)
 	}
 }

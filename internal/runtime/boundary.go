@@ -2,44 +2,50 @@ package runtime
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"pado/internal/core"
 	"pado/internal/dag"
 	"pado/internal/data"
 	"pado/internal/dataflow"
 	"pado/internal/exec"
+	"pado/internal/metrics"
 	"pado/internal/obs"
 	"pado/internal/storage"
 )
 
-// dispatchBoundaries moves a finished fragment task's boundary outputs to
-// the stage's reserved tasks. Depending on configuration the data takes
-// the paper's push path (possibly partially aggregated) or, in the
-// pull-boundary ablation, is parked in the local store for receivers to
-// pull after commit.
+// dispatchBoundaries encodes a finished fragment task's boundary outputs
+// for the stage's reserved tasks: folded into per-receiver accumulator
+// tables that join the executor's aggregation buffer (§3.2.7), or raw
+// frames with one section per boundary edge. Everything after the encoding
+// — push, failure, commit — is pushFrames, for both.
 func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, spec taskSpec,
 	outs map[dag.VertexID][]data.Record) {
 
 	g := ex.plan.Graph
+	cover := []senderRef{{Index: spec.Index, Attempt: spec.Attempt}}
 	nRecv := len(spec.Receivers)
 	if nRecv == 0 {
 		// A reserved-root stage always has receivers; reaching here is
 		// a scheduling bug.
-		ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: fmt.Errorf("runtime: no receivers for stage %d", spec.Stage), Fatal: true})
+		ex.failCover(spec, cover, fmt.Errorf("runtime: no receivers for stage %d", spec.Stage), true)
 		return
 	}
 
 	// Partial aggregation applies when the stage root is a combine with
 	// an accumulator coder and the fragment has exactly one boundary
-	// carrying the combine's main input.
+	// carrying the combine's main input. A content-addressable task keeps
+	// the raw encoding: its sections become a "task/" commit, and a buffer
+	// merges whichever covers happened to meet, which is not content-stable
+	// across runs (DESIGN.md §14).
 	rootOp, _ := g.Vertex(ps.Root).Op.(*dataflow.CombineOp)
-	aggregable := !ex.cfg.DisablePartialAggregation &&
+	addressable := spec.TaskKey != "" && ex.cas != nil
+	aggregable := !ex.cfg.DisablePartialAggregation && !addressable &&
 		rootOp != nil && rootOp.AccCoder != nil &&
 		len(frag.Boundaries) == 1 && frag.Boundaries[0].Tag == "" &&
 		!ex.cfg.PullBoundaries
 
 	if aggregable {
-		// Fold this task's records into per-receiver accumulator tables.
 		b := frag.Boundaries[0]
 		perRecv := make([]*exec.AccTable, nRecv)
 		for i := range perRecv {
@@ -48,31 +54,10 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 		for _, r := range outs[b.From] {
 			perRecv[boundaryPartition(b.Dep, r, spec.Index, nRecv)].AddRecord(r)
 		}
-		if ex.cfg.aggMaxTasks() > 1 {
-			// Executor-level aggregation across tasks (§3.2.7).
-			buf := ex.aggBufferFor(ps, spec, rootOp.AccCoder, rootOp.Fn, rootOp.Global)
-			buf.deposit(senderRef{Index: spec.Index, Attempt: spec.Attempt}, perRecv)
-			return
-		}
-		// Task-level aggregation only: one frame per receiver.
-		frames := make([]*pushFrame, nRecv)
-		for i := range frames {
-			payload, err := encodeAccTable(rootOp.AccCoder, perRecv[i])
-			if err != nil {
-				ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err, Fatal: true})
-				return
-			}
-			frames[i] = &pushFrame{
-				Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, RecvIdx: i, Frag: spec.Frag,
-				Cover:    []senderRef{{Index: spec.Index, Attempt: spec.Attempt}},
-				Sections: []pushSection{{Tag: "", Aggregated: true, Payload: payload}},
-			}
-		}
-		ex.pushFrames(spec, frames)
+		ex.aggBufferFor(spec, rootOp.AccCoder).deposit(cover[0], perRecv)
 		return
 	}
 
-	// Raw path: per-receiver frames with one section per boundary edge.
 	// Each receiver gets exactly one section per boundary, so the slices
 	// can be sized exactly once.
 	sections := make([][]pushSection, nRecv)
@@ -82,7 +67,7 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 	for _, b := range frag.Boundaries {
 		coder, err := dataflow.OutputCoder(g.Vertex(b.From))
 		if err != nil {
-			ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err, Fatal: true})
+			ex.failCover(spec, cover, err, true)
 			return
 		}
 		groups := make([][]data.Record, nRecv)
@@ -105,41 +90,13 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 		for i := range groups {
 			payload, err := data.EncodeAll(coder, groups[i])
 			if err != nil {
-				ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err, Fatal: true})
+				ex.failCover(spec, cover, err, true)
 				return
 			}
 			sections[i] = append(sections[i], pushSection{Tag: b.Tag, Payload: payload})
 		}
 	}
-	frames := make([]*pushFrame, nRecv)
-	for i := range frames {
-		frames[i] = &pushFrame{
-			Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, RecvIdx: i, Frag: spec.Frag,
-			Cover:    []senderRef{{Index: spec.Index, Attempt: spec.Attempt}},
-			Sections: sections[i],
-		}
-	}
-
-	if ex.cfg.PullBoundaries {
-		// Ablation: park encoded frames locally; receivers pull them
-		// after the commit, exactly like shuffle files on local disk —
-		// and exactly as vulnerable to eviction.
-		var total int64
-		for i, f := range frames {
-			var buf []byte
-			buf, err := encodeFrameBlock(f)
-			if err != nil {
-				ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err, Fatal: true})
-				return
-			}
-			ex.store.Put(taskBlockID(ex.job, spec.Stage, spec.Gen, spec.Frag, spec.Index, spec.Attempt, i), buf)
-			total += int64(len(buf))
-		}
-		_ = total
-		ex.send(newOutputCommitted(ex.ref(spec)))
-		return
-	}
-	ex.pushFrames(spec, frames)
+	ex.pushFrames(spec, cover, sections)
 }
 
 // boundaryPartition routes one record to a receiver index for a boundary
@@ -160,37 +117,78 @@ func boundaryPartition(dep dag.DepType, r data.Record, taskIdx, nRecv int) int {
 	}
 }
 
-// pushFrames sends every receiver its frame concurrently and then, once
-// every push is acknowledged, commits the task through the master. The
-// commit-after-all-acks ordering is what makes the push path exactly-once
-// (§3.2.5): a frame the receiver staged is only merged after the commit
-// arrives, so no receiver can observe a commit for data it doesn't hold.
-// On any failure the task fails (first error by receiver index, for
-// deterministic reporting) and no commit is sent; the relaunched attempt
-// re-pushes everything and receivers drop superseded frames by attempt.
-func (ex *Executor) pushFrames(spec taskSpec, frames []*pushFrame) {
-	var total int64
-	for _, f := range frames {
-		for _, s := range f.Sections {
-			total += int64(len(s.Payload))
-		}
+// failCover fails every task of a cover with err.
+func (ex *Executor) failCover(spec taskSpec, cover []senderRef, err error, fatal bool) {
+	for _, c := range cover {
+		spec.Index, spec.Attempt = c.Index, c.Attempt
+		ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err, Fatal: fatal})
 	}
-	ex.tr.Emit(obs.Event{Kind: obs.PushStarted, Stage: spec.Stage, Frag: spec.Frag,
-		Task: spec.Index, Attempt: spec.Attempt, Exec: ex.id, Bytes: total})
-	err := storage.Fanout(len(frames), len(frames), func(i int) error {
-		var n int64
-		for _, s := range frames[i].Sections {
-			n += int64(len(s.Payload))
+}
+
+// pushFrames is the one outbound boundary path (§3.2.4-§3.2.5). spec
+// supplies the stage coordinates, the receivers and the task key; the
+// tasks whose output sections[i] carries for receiver i are named by cover
+// — spec's own task, or every task an aggregation buffer merged. It sends
+// every receiver its frame concurrently and, once every push is
+// acknowledged, commits the cover through the master with one event. The
+// commit-after-all-acks ordering is what makes the push path exactly-once:
+// a frame the receiver staged is only merged after the commits arrive, so
+// no receiver can observe a commit for data it doesn't hold. On any
+// failure every covered task fails (first error by receiver index, for
+// deterministic reporting) and no commit is sent; the relaunched attempts
+// re-push everything and receivers drop superseded frames by attempt.
+func (ex *Executor) pushFrames(spec taskSpec, cover []senderRef, sections [][]pushSection) {
+	frames := make([]*pushFrame, len(sections))
+	for i := range frames {
+		frames[i] = &pushFrame{Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, RecvIdx: i, Frag: spec.Frag,
+			Cover: cover, Sections: sections[i]}
+	}
+
+	if ex.cfg.PullBoundaries {
+		// Ablation: park the same frames locally instead of sending them;
+		// receivers pull them after the commit, exactly like shuffle files
+		// on local disk — and exactly as vulnerable to eviction.
+		for i, f := range frames {
+			buf, err := encodeFrameBlock(f)
+			if err != nil {
+				ex.failCover(spec, cover, err, true)
+				return
+			}
+			ex.store.Put(taskBlockID(ex.job, spec.Stage, spec.Gen, spec.Frag, spec.Index, spec.Attempt, i), buf)
 		}
+		ex.send(newOutputCommitted(ex.job, spec.Stage, spec.Gen, spec.Frag, cover))
+		return
+	}
+
+	sizes := make([]int64, len(sections))
+	var total int64
+	note := ""
+	for i, secs := range sections {
+		for _, s := range secs {
+			sizes[i] += int64(len(s.Payload))
+			if s.Aggregated {
+				note = "aggregated"
+			}
+		}
+		total += sizes[i]
+	}
+	// Attribute the frames' bytes evenly across the covered tasks so
+	// per-task trace spans still sum to the frame size.
+	shares := attributeBytes(total, len(cover))
+	for ci, c := range cover {
+		ex.tr.Emit(obs.Event{Kind: obs.PushStarted, Stage: spec.Stage, Frag: spec.Frag,
+			Task: c.Index, Attempt: c.Attempt, Exec: ex.id, Bytes: shares[ci], Note: note})
+	}
+	err := storage.Fanout(len(frames), len(frames), func(i int) error {
 		if err := sendPush(ex.dp, spec.Receivers[i], frames[i]); err != nil {
 			return err
 		}
-		ex.met.BytesPushed.Add(n)
+		ex.met.BytesPushed.Add(sizes[i])
 		return nil
 	})
 	if err != nil {
 		if !ex.stopped() {
-			ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err, Fatal: isFatal(err)})
+			ex.failCover(spec, cover, err, isFatal(err))
 		}
 		return
 	}
@@ -200,9 +198,99 @@ func (ex *Executor) pushFrames(spec taskSpec, frames []*pushFrame) {
 	// commit event: a "task/" manifest must never exist for data whose
 	// push wasn't acknowledged.
 	if spec.TaskKey != "" && ex.cas != nil {
-		ex.commitTaskChunks(spec, frames)
+		ex.commitTaskChunks(spec.TaskKey, sections)
 	}
-	ex.send(newOutputCommitted(ex.ref(spec)))
+	ex.send(newOutputCommitted(ex.job, spec.Stage, spec.Gen, spec.Frag, cover))
+}
+
+// attributeBytes splits total evenly across n covered tasks. Integer
+// division alone drops up to n-1 bytes per frame, so the first task
+// carries the remainder; the shares always sum exactly to total, keeping
+// eviction-cost attribution in the profiler consistent with the byte
+// counters.
+func attributeBytes(total int64, n int) []int64 {
+	shares := make([]int64, n)
+	share := total / int64(n)
+	for i := range shares {
+		shares[i] = share
+	}
+	shares[0] += total - share*int64(n)
+	return shares
+}
+
+// fetchStagePart pulls one partition of a located stage output. A
+// location carrying commit-store chunks (the stage was skipped this run)
+// is served from the CAS; otherwise the partition comes from its owner
+// executor.
+func fetchStagePart(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job,
+	job, stage int, loc stageLoc, part int) ([]byte, error) {
+	if loc.Chunks != nil {
+		if cas == nil {
+			return nil, fmt.Errorf("runtime: stage %d is served from the commit store but this executor has no commit plane", stage)
+		}
+		payload, err := cas.GetChunk(loc.Chunks[part])
+		if err != nil {
+			return nil, err
+		}
+		met.Counter(metrics.NameCASBytesServed).Add(int64(len(payload)))
+		return payload, nil
+	}
+	return storage.FetchBlock(dp, "fetch", loc.Execs[part], stageBlockID(job, stage, loc.Gen, part))
+}
+
+// fetchStage is the one inbound boundary path: every task, receiver and
+// the manager's output collection read a located stage output through it.
+// The listed partitions are fetched concurrently (bounded by
+// storage.MaxFetchWorkers), counted into bytes_fetched, decoded, and
+// concatenated in the order of parts, so the record order the caller sees
+// is independent of fetch timing. ev is the template of the
+// fetch_started/fetch_done pair around the transfer: Stage names the
+// parent stage, the rest is the caller's identity; a nil tr traces nothing.
+func fetchStage(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, tr *obs.Buf, job int,
+	ev obs.Event, loc stageLoc, parts []int, coder data.Coder) ([]data.Record, error) {
+
+	for _, p := range parts {
+		if p < 0 || p >= loc.nParts() {
+			return nil, fmt.Errorf("runtime: partition %d out of range for stage %d", p, ev.Stage)
+		}
+	}
+	ev.Kind = obs.FetchStarted
+	tr.Emit(ev)
+	decoded := make([][]data.Record, len(parts))
+	var total atomic.Int64
+	err := storage.Fanout(len(parts), storage.MaxFetchWorkers, func(i int) error {
+		payload, err := fetchStagePart(dp, cas, met, job, ev.Stage, loc, parts[i])
+		if err != nil {
+			return err
+		}
+		met.BytesFetched.Add(int64(len(payload)))
+		total.Add(int64(len(payload)))
+		decoded[i], err = data.DecodeAll(coder, payload)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var recs []data.Record
+	for i, part := range decoded {
+		if i == 0 {
+			recs = part // a single partition is returned as decoded
+		} else {
+			recs = append(recs, part...)
+		}
+	}
+	ev.Kind, ev.Bytes = obs.FetchDone, total.Load()
+	tr.Emit(ev)
+	return recs, nil
+}
+
+// allParts lists every partition of a located stage output.
+func allParts(loc stageLoc) []int {
+	parts := make([]int, loc.nParts())
+	for i := range parts {
+		parts[i] = i
+	}
+	return parts
 }
 
 // encodeFrameBlock / decodeFrameBlock serialize a pushFrame for the

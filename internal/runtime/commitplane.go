@@ -32,8 +32,9 @@ import (
 //     the staged sections from the CAS instead of accepting pushes;
 //   - on the write side, receivers put their finalized partitions as
 //     chunks (evReservedTaskDone.Chunk) and the master commits the
-//     assembled stage manifest; raw-path senders put their per-receiver
-//     section chunks and commit task manifests. All writes are
+//     assembled stage manifest; content-addressable tasks push raw
+//     sections, put them as per-receiver chunks and commit task manifests
+//     (every other task keeps aggregating). All writes are
 //     best-effort: a failed put or commit only forfeits future reuse.
 //
 // Exactly-once survives unchanged: skipped stages never schedule, skipped
@@ -367,25 +368,19 @@ func (jm *JobManager) unpinCommits(j *jobRun) {
 	}
 }
 
-// commitTaskChunks writes a finished raw-path task's per-receiver section
-// payloads as CAS chunks and commits the task manifest. Only raw sections
-// are cacheable: aggregation buffers merge nondeterministic task covers,
-// so their payloads are not content-stable across runs. Best-effort.
-func (ex *Executor) commitTaskChunks(spec taskSpec, frames []*pushFrame) {
-	for _, f := range frames {
-		for _, s := range f.Sections {
-			if s.Aggregated {
-				return
-			}
-		}
-	}
-	parts := make([][]string, len(frames))
+// commitTaskChunks writes a finished content-addressable task's
+// per-receiver section payloads as CAS chunks and commits the task
+// manifest. Such a task always takes the raw encoding (dispatchBoundaries):
+// aggregation buffers merge nondeterministic task covers, so their
+// payloads are not content-stable across runs. Best-effort.
+func (ex *Executor) commitTaskChunks(taskKey string, sections [][]pushSection) {
+	parts := make([][]string, len(sections))
 	written := ex.met.Counter(metrics.NameCASBytesWritten)
 	// One put per receiver section, issued concurrently: the puts are
 	// independent and the manifest below is only committed if every one
 	// landed, so a partial write can never be resolved by a later run.
-	err := storage.Fanout(len(frames), len(frames), func(i int) error {
-		payload, err := encodeSections(frames[i].Sections)
+	err := storage.Fanout(len(sections), len(sections), func(i int) error {
+		payload, err := encodeSections(sections[i])
 		if err != nil {
 			return err
 		}
@@ -400,7 +395,7 @@ func (ex *Executor) commitTaskChunks(spec taskSpec, frames []*pushFrame) {
 	if err != nil {
 		return
 	}
-	if err := ex.cas.Commit(&storage.Manifest{Key: taskCommitKey(spec.TaskKey), Parts: parts}); err == nil {
+	if err := ex.cas.Commit(&storage.Manifest{Key: taskCommitKey(taskKey), Parts: parts}); err == nil {
 		ex.met.Counter(metrics.NameCommitWrites).Add(1)
 	}
 }

@@ -79,13 +79,6 @@ type Config struct {
 	// enables both with conservative defaults; see FailureConfig.
 	Failure FailureConfig
 
-	// ReplicateStageOutputs ring-replicates every finalized reserved
-	// stage-output partition to the next output executor, so fetches can
-	// route around a primary whose circuit breaker is open (gray-failure
-	// tolerance). Off by default: it doubles reserved-side storage and
-	// adds a background store per partition.
-	ReplicateStageOutputs bool
-
 	// OnManager, when non-nil, is called with the single-job manager
 	// right after it starts, before the job is submitted. Run/RunPlan
 	// construct their JobManager internally; this hook is how callers

@@ -17,8 +17,8 @@ import (
 	"pado/internal/trace"
 )
 
-// TestMidFanoutPushFailure breaks one receiver's link partway through the
-// push fan-out: frames to the other reserved nodes land, the frame to the
+// TestMidFanoutPushFailure breaks one receiver's link partway through
+// pushFrames' per-receiver fan-out: frames to the other reserved nodes land, the frame to the
 // broken node fails, and the task must fail WITHOUT committing. The
 // relaunched attempt re-pushes every frame; receivers that already staged
 // the earlier attempt's frames must discard them (superseded by the newer
@@ -28,11 +28,17 @@ func TestMidFanoutPushFailure(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		// cover is the least number of tasks one failed frame set must
+		// have taken down together.
+		cover int
 	}{
-		// Raw path: pushFrames' parallel per-receiver fan-out.
-		{"raw", Config{DisablePartialAggregation: true}},
-		// Aggregated path: aggBuffer.push covering several tasks.
-		{"aggregated", Config{}},
+		// Raw sections, one task per frame set.
+		{"raw", Config{DisablePartialAggregation: true}, 1},
+		// Aggregated sections, flushed by the buffer's timer.
+		{"aggregated", Config{}, 1},
+		// Two tasks per node and a flush at two: every frame set covers
+		// two tasks, and a failed fan-out must fail both.
+		{"aggregated-cover", Config{AggMaxTasks: 2}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, expect := buildWordCount(8, 300)
@@ -65,6 +71,24 @@ func TestMidFanoutPushFailure(t *testing.T) {
 			}
 			if res.Metrics.RelaunchedTasks == 0 {
 				t.Error("fault produced no relaunches; fan-out failure path not exercised")
+			}
+			// A failed frame set fails every covered task with the same
+			// error from the same executor.
+			together := make(map[string]map[int]bool)
+			most := 0
+			for _, ev := range tr.Events() {
+				if ev.Kind != obs.TaskFailed || ev.Attempt != 0 {
+					continue
+				}
+				k := ev.Exec + " " + ev.Note
+				if together[k] == nil {
+					together[k] = make(map[int]bool)
+				}
+				together[k][ev.Task] = true
+				most = max(most, len(together[k]))
+			}
+			if most < tc.cover {
+				t.Errorf("a failed push took down at most %d task(s) together, want the cover of %d", most, tc.cover)
 			}
 			checkWordCount(t, res, expect)
 		})

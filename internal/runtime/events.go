@@ -67,17 +67,26 @@ type evTaskComputed struct {
 	Cached []recache.Key
 }
 
-// evOutputCommitted reports that every receiver acknowledged the task's
-// pushed output (§3.2.5). The master forwards per-receiver commits.
-type evOutputCommitted struct{ ref taskRef }
+// evOutputCommitted reports that every receiver acknowledged one pushed
+// frame set (§3.2.5). Cover lists the tasks whose output the frames carry —
+// one for a raw or single-task push, several when the executor's
+// aggregation buffer merged them (§3.2.7). The master applies it
+// all-or-nothing: a frame is only ever processed by a receiver once every
+// covered task is committed at the frame's attempt, so committing part of
+// a cover would strand the data of the committed part.
+type evOutputCommitted struct {
+	Job, Stage, Gen, Frag int
+	Cover                 []senderRef
+}
 
 // evTaskComputed and evOutputCommitted are the two per-task events every
 // successful task emits, so they dominate event-channel allocation. They
 // travel as pooled pointers: senders build them with newTaskComputed /
 // newOutputCommitted, and the manager loop copies the value out and
 // returns the struct (putTaskComputed / putOutputCommitted) before
-// dispatching, so a handler can never observe reuse. A send dropped by a
-// stopping executor simply leaks the struct to the GC.
+// dispatching, so a handler can never observe reuse. The cover slice is
+// the pushed frames' own and immutable, so the copy may alias it. A send
+// dropped by a stopping executor simply leaks the struct to the GC.
 var taskComputedPool = sync.Pool{New: func() any { return new(evTaskComputed) }}
 var outputCommittedPool = sync.Pool{New: func() any { return new(evOutputCommitted) }}
 
@@ -92,9 +101,9 @@ func putTaskComputed(e *evTaskComputed) {
 	taskComputedPool.Put(e)
 }
 
-func newOutputCommitted(ref taskRef) *evOutputCommitted {
+func newOutputCommitted(job, stage, gen, frag int, cover []senderRef) *evOutputCommitted {
 	e := outputCommittedPool.Get().(*evOutputCommitted)
-	e.ref = ref
+	e.Job, e.Stage, e.Gen, e.Frag, e.Cover = job, stage, gen, frag, cover
 	return e
 }
 

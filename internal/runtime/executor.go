@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pado/internal/cluster"
@@ -229,11 +228,10 @@ type Executor struct {
 	events   chan<- event
 	masterID string
 
-	store  *storage.LocalStore // the host's shared store
-	cache  *recache.Cache
-	flight *recache.Flight
-	cpu    *simnet.Limiter // the host's limiter; nil = unlimited
-	dp     *dataPlane      // outbound data plane: pooled streams + RPC policy
+	store *storage.LocalStore // the host's shared store
+	cache *recache.Cache
+	cpu   *simnet.Limiter // the host's limiter; nil = unlimited
+	dp    *dataPlane      // outbound data plane: pooled streams + RPC policy
 	// cas is the executor's commit-store client (nil when the manager has
 	// no commit plane), sharing the transport above: receivers put
 	// finalized partitions and pull skipped-task sections through it,
@@ -273,7 +271,6 @@ func newExecutor(job int, h *nodeHost, net *simnet.Network, plan *core.Plan, cfg
 		masterID:  masterID,
 		store:     h.store,
 		cache:     recache.New(cacheCapacity),
-		flight:    recache.NewFlight(),
 		dp:        dp,
 		cas:       cas,
 		cpu:       h.cpu,
@@ -449,6 +446,9 @@ func (ex *Executor) ref(spec taskSpec) taskRef {
 type inputFetch struct {
 	op dag.VertexID
 	si core.StageInput
+	// part is the aligned partition a one-to-one edge reads, or
+	// recache.Broadcast for a one-to-many side input.
+	part int
 
 	recs   []data.Record
 	cached bool
@@ -471,32 +471,23 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 		if rd, ok := v.Op.(*dataflow.ReadOp); ok {
 			opID, rd, vtx := opID, rd, v
 			in.Read[opID] = func() (dataflow.Iterator, error) {
-				if rd.Cached && !ex.cfg.DisableCache {
-					key := recache.Key{Vertex: opID, Partition: spec.Index}
-					if recs, ok := ex.cache.Get(key); ok {
-						ex.met.CacheHits.Add(1)
-						ex.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: spec.Stage, Frag: spec.Frag,
-							Task: spec.Index, Exec: ex.id, Note: "read"})
-						return (&dataflow.SliceSource{Parts: [][]data.Record{recs}}).Open(0)
+				key := recache.Key{Vertex: opID, Partition: spec.Index}
+				cache := ex.cacheFor(rd.Cached)
+				recs, err := cache.Load(key, recache.Observer(ex.met, ex.tr, obs.Event{Stage: spec.Stage, Frag: spec.Frag,
+					Task: spec.Index, Exec: ex.id, Note: "read"}), func() ([]data.Record, error) {
+					recs, err := materialize(rd.Source, spec.Index)
+					if err != nil {
+						return nil, err
 					}
-					ex.met.CacheMisses.Add(1)
-					ex.tr.Emit(obs.Event{Kind: obs.CacheMiss, Stage: spec.Stage, Frag: spec.Frag,
-						Task: spec.Index, Exec: ex.id, Note: "read"})
-				}
-				recs, err := materialize(rd.Source, spec.Index)
+					// Reading external input has a real cost, paid only on
+					// actual reads — cache hits skip it.
+					return recs, ex.throttle(len(recs) * dataflow.OpCost(vtx))
+				})
 				if err != nil {
 					return nil, err
 				}
-				// Reading external input has a real cost, paid only on
-				// actual reads — cache hits skip it.
-				if err := ex.throttle(len(recs) * dataflow.OpCost(vtx)); err != nil {
-					return nil, err
-				}
-				if rd.Cached && !ex.cfg.DisableCache {
-					key := recache.Key{Vertex: opID, Partition: spec.Index}
-					if ex.cache.Put(key, recs) {
-						cached = append(cached, key)
-					}
+				if cache != nil {
+					cached = append(cached, key)
 				}
 				return (&dataflow.SliceSource{Parts: [][]data.Record{recs}}).Open(0)
 			}
@@ -506,10 +497,13 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 			if _, ok := spec.InputLocs[si.FromStage]; !ok {
 				return nil, cached, fmt.Errorf("runtime: missing input location for stage %d", si.FromStage)
 			}
-			if si.Dep != dag.OneToOne && si.Dep != dag.OneToMany {
+			f := &inputFetch{op: opID, si: si, part: spec.Index}
+			if si.Dep == dag.OneToMany {
+				f.part = recache.Broadcast
+			} else if si.Dep != dag.OneToOne {
 				return nil, cached, fmt.Errorf("runtime: transient operator %q has %v cross-stage input", v.Name, si.Dep)
 			}
-			fetches = append(fetches, &inputFetch{op: opID, si: si})
+			fetches = append(fetches, f)
 		}
 	}
 
@@ -518,16 +512,11 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 	// round trips onto the task's critical path.
 	err := storage.Fanout(len(fetches), storage.MaxFetchWorkers, func(i int) error {
 		f := fetches[i]
-		loc := spec.InputLocs[f.si.FromStage]
 		coder, err := dataflow.OutputCoder(g.Vertex(f.si.FromVertex))
 		if err != nil {
 			return err
 		}
-		if f.si.Dep == dag.OneToOne {
-			f.recs, f.cached, err = ex.fetchPartition(f.si, loc, spec.Index, coder)
-		} else {
-			f.recs, f.cached, err = ex.fetchBroadcast(f.si, loc, coder)
-		}
+		f.recs, f.cached, err = ex.fetchInput(f.si, spec.InputLocs[f.si.FromStage], f.part, coder)
 		return err
 	})
 	if err != nil {
@@ -536,17 +525,14 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 	// Apply in collection (plan) order: record ordering and the reported
 	// cache keys stay identical to the serial implementation.
 	for _, f := range fetches {
-		if f.si.Dep == dag.OneToOne {
-			if f.cached {
-				cached = append(cached, recache.Key{Vertex: f.si.FromVertex, Partition: spec.Index})
-			}
-			addTagged(in.Ext, f.op, f.si.Tag, f.recs)
-		} else {
-			if f.cached {
-				cached = append(cached, recache.Key{Vertex: f.si.FromVertex, Partition: -1})
-			}
-			addTagged(in.Sides, f.op, f.si.Tag, f.recs)
+		if f.cached {
+			cached = append(cached, recache.Key{Vertex: f.si.FromVertex, Partition: f.part})
 		}
+		dst := in.Ext
+		if f.part == recache.Broadcast {
+			dst = in.Sides
+		}
+		addTagged(dst, f.op, f.si.Tag, f.recs)
 	}
 	in.Throttle = ex.throttle
 	outs, err := exec.RunFragment(g, frag.Ops, in)
@@ -588,157 +574,41 @@ func materialize(src dataflow.Source, part int) ([]data.Record, error) {
 	}
 }
 
-// fetchStagePart pulls one partition of a located stage output. A
-// location carrying commit-store chunks (the stage was skipped this run)
-// is served from the CAS; otherwise the partition comes from its owner
-// executor. With ring replication on (Config.ReplicateStageOutputs) the
-// partition also lives on the next output executor, so a primary whose
-// breaker is open is routed around without waiting for it, and a primary
-// that fails with a transient error still gets one replica fallback
-// before the caller sees the failure.
-func fetchStagePart(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job,
-	job, stage int, loc stageLoc, part int, replicated bool) ([]byte, error) {
-	if loc.Chunks != nil {
-		if cas == nil {
-			return nil, fmt.Errorf("runtime: stage %d is served from the commit store but this executor has no commit plane", stage)
-		}
-		payload, err := cas.GetChunk(loc.Chunks[part])
-		if err != nil {
-			return nil, err
-		}
-		met.Counter(metrics.NameCASBytesServed).Add(int64(len(payload)))
-		return payload, nil
+// cacheFor returns the executor's input cache for an input the plan marked
+// cacheable, and nil — recache.Load then reads through — for any other.
+func (ex *Executor) cacheFor(cacheable bool) *recache.Cache {
+	if cacheable && !ex.cfg.DisableCache {
+		return ex.cache
 	}
-	id := stageBlockID(job, stage, loc.Gen, part)
-	primary := loc.Execs[part]
-	if !replicated || len(loc.Execs) < 2 {
-		return storage.FetchBlock(dp, "fetch", primary, id)
-	}
-	peer := loc.Execs[(part+1)%len(loc.Execs)]
-	if dp.pol.quarantined(primary) {
-		if payload, err := storage.FetchBlock(dp, "fetch", peer, id); err == nil {
-			return payload, nil
-		}
-	}
-	payload, err := storage.FetchBlock(dp, "fetch", primary, id)
-	if err != nil && storage.IsTransient(err) {
-		if fallback, ferr := storage.FetchBlock(dp, "fetch", peer, id); ferr == nil {
-			return fallback, nil
-		}
-	}
-	return payload, err
+	return nil
 }
 
-// fetchPartition pulls one aligned partition of a parent stage's output,
-// through the input cache when the plan marked the edge cacheable. The
-// second result reports whether the records are now resident in this
-// executor's cache — hit or fresh fill alike — so the master's cache
-// index can steer future tasks to this executor (§3.2.7). fetchBroadcast
-// reports the same "resident here" semantics.
-func (ex *Executor) fetchPartition(si core.StageInput, loc stageLoc, part int, coder data.Coder) ([]data.Record, bool, error) {
-	if part >= loc.nParts() {
-		return nil, false, fmt.Errorf("runtime: partition %d out of range for stage %d", part, si.FromStage)
+// fetchInput pulls one cross-stage input of a fragment task — the aligned
+// partition part of a one-to-one edge, or with part == recache.Broadcast
+// every partition of a one-to-many side input — through the input cache
+// when the plan marked the edge cacheable. Cached inputs share one network
+// fetch among concurrent task slots (§3.2.7: the data "only needs to be
+// sent once to the executors"). The second result reports whether the
+// records are now resident in this executor's cache — hit, fresh fill and
+// shared fill alike — so the master's cache index can steer future tasks
+// to this executor.
+func (ex *Executor) fetchInput(si core.StageInput, loc stageLoc, part int, coder data.Coder) ([]data.Record, bool, error) {
+	fetchEv := obs.Event{Stage: si.FromStage, Frag: part, Task: part, Exec: ex.id}
+	cacheEv, parts := fetchEv, []int{part}
+	cacheEv.Note = "partition"
+	if part == recache.Broadcast {
+		fetchEv.Note, cacheEv.Note = "broadcast", "broadcast"
+		parts = allParts(loc)
 	}
-	fetch := func() ([]data.Record, error) {
-		ex.tr.Emit(obs.Event{Kind: obs.FetchStarted, Stage: si.FromStage, Frag: part,
-			Task: part, Exec: ex.id})
-		payload, err := fetchStagePart(ex.dp, ex.cas, ex.met, ex.job, si.FromStage, loc, part, ex.cfg.ReplicateStageOutputs)
-		if err != nil {
-			return nil, err
-		}
-		ex.met.BytesFetched.Add(int64(len(payload)))
-		ex.tr.Emit(obs.Event{Kind: obs.FetchDone, Stage: si.FromStage, Frag: part,
-			Task: part, Exec: ex.id, Bytes: int64(len(payload))})
-		return data.DecodeAll(coder, payload)
-	}
-	if ex.cfg.DisableCache || !si.Cached {
-		recs, err := fetch()
-		return recs, false, err
-	}
-	key := recache.Key{Vertex: si.FromVertex, Partition: part}
-	if recs, ok := ex.cache.Get(key); ok {
-		ex.met.CacheHits.Add(1)
-		ex.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: si.FromStage, Frag: part,
-			Task: part, Exec: ex.id, Note: "partition"})
-		return recs, true, nil
-	}
-	ex.met.CacheMisses.Add(1)
-	ex.tr.Emit(obs.Event{Kind: obs.CacheMiss, Stage: si.FromStage, Frag: part,
-		Task: part, Exec: ex.id, Note: "partition"})
-	recs, _, err := ex.flight.Do(key, func() ([]data.Record, error) {
-		recs, err := fetch()
-		if err != nil {
-			return nil, err
-		}
-		ex.cache.Put(key, recs)
-		return recs, nil
-	})
-	return recs, err == nil, err
+	cache := ex.cacheFor(si.Cached)
+	recs, err := cache.Load(recache.Key{Vertex: si.FromVertex, Partition: part}, recache.Observer(ex.met, ex.tr, cacheEv),
+		func() ([]data.Record, error) { return ex.fetchParts(fetchEv, loc, parts, coder) })
+	return recs, cache != nil && err == nil, err
 }
 
-// fetchBroadcast pulls every partition of a parent stage's output (a
-// one-to-many side input) concurrently, with fan-out bounded by
-// maxFetchWorkers. Cached broadcasts go through a singleflight group so
-// concurrent task slots share one network fetch (§3.2.7: the data "only
-// needs to be sent once to the executors").
-//
-// The boolean result matches fetchPartition: it reports whether the
-// broadcast records are now resident in this executor's cache ("resident
-// here"), which is what the master's cache index wants for steering —
-// a hit, a fresh fill, and a singleflight-shared fill all qualify.
-// (Previously a broadcast hit reported false while a partition hit
-// reported true, so the index diverged for side-inputs.)
-func (ex *Executor) fetchBroadcast(si core.StageInput, loc stageLoc, coder data.Coder) ([]data.Record, bool, error) {
-	fetch := func() ([]data.Record, error) {
-		ex.tr.Emit(obs.Event{Kind: obs.FetchStarted, Stage: si.FromStage, Frag: -1,
-			Task: -1, Exec: ex.id, Note: "broadcast"})
-		parts := make([][]data.Record, loc.nParts())
-		var total int64
-		err := storage.Fanout(loc.nParts(), storage.MaxFetchWorkers, func(part int) error {
-			payload, err := fetchStagePart(ex.dp, ex.cas, ex.met, ex.job, si.FromStage, loc, part, ex.cfg.ReplicateStageOutputs)
-			if err != nil {
-				return err
-			}
-			ex.met.BytesFetched.Add(int64(len(payload)))
-			atomic.AddInt64(&total, int64(len(payload)))
-			parts[part], err = data.DecodeAll(coder, payload)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		var recs []data.Record
-		for _, p := range parts {
-			recs = append(recs, p...)
-		}
-		ex.tr.Emit(obs.Event{Kind: obs.FetchDone, Stage: si.FromStage, Frag: -1,
-			Task: -1, Exec: ex.id, Bytes: total, Note: "broadcast"})
-		return recs, nil
-	}
-
-	if ex.cfg.DisableCache || !si.Cached {
-		recs, err := fetch()
-		return recs, false, err
-	}
-	key := recache.Key{Vertex: si.FromVertex, Partition: -1}
-	if recs, ok := ex.cache.Get(key); ok {
-		ex.met.CacheHits.Add(1)
-		ex.tr.Emit(obs.Event{Kind: obs.CacheHit, Stage: si.FromStage, Frag: -1,
-			Task: -1, Exec: ex.id, Note: "broadcast"})
-		return recs, true, nil
-	}
-	ex.met.CacheMisses.Add(1)
-	ex.tr.Emit(obs.Event{Kind: obs.CacheMiss, Stage: si.FromStage, Frag: -1,
-		Task: -1, Exec: ex.id, Note: "broadcast"})
-	recs, _, err := ex.flight.Do(key, func() ([]data.Record, error) {
-		recs, err := fetch()
-		if err != nil {
-			return nil, err
-		}
-		ex.cache.Put(key, recs)
-		return recs, nil
-	})
-	return recs, err == nil, err
+// fetchParts is fetchStage on this executor's data plane.
+func (ex *Executor) fetchParts(ev obs.Event, loc stageLoc, parts []int, coder data.Coder) ([]data.Record, error) {
+	return fetchStage(ex.dp, ex.cas, ex.met, ex.tr, ex.job, ev, loc, parts, coder)
 }
 
 // sendTerminal pushes a terminal transient task's output to the master
@@ -772,174 +642,88 @@ func (ex *Executor) sendTerminal(ps *core.PhysStage, frag *core.Fragment, spec t
 // errors, coder mismatches — is a job bug and aborts the run.
 func isFatal(err error) bool { return !storage.IsTransient(err) }
 
-// aggBuffer merges the boundary outputs of several tasks running on the
-// same executor before pushing (§3.2.7 partial aggregation). Data escapes
-// when MaxTasks outputs accumulated or MaxDelay elapsed.
+// aggBuffer merges the aggregated boundary outputs of tasks running on the
+// same executor and widens the cover before they are pushed (§3.2.7
+// partial aggregation). Data escapes when AggMaxTasks outputs accumulated
+// — at 1, every task flushes alone — or AggMaxDelay elapsed. The buffer
+// only merges and encodes; sending, failing and committing the flushed
+// frames is pushFrames.
 type aggBuffer struct {
-	ex       *Executor
-	stage    int
-	gen      int
-	frag     int
-	receiver []string
+	ex *Executor
+	// spec is the first depositor's: stage coordinates and receivers are
+	// the same for every task of the fragment generation.
+	spec     taskSpec
 	accCoder data.Coder
-	fn       dataflow.CombineFn
-	global   bool
 
 	mu     sync.Mutex
-	tables []*exec.AccTable // per receiver
+	tables []*exec.AccTable // per receiver; nil while the buffer is empty
 	cover  []senderRef
 	timer  *time.Timer
 }
 
-func (ex *Executor) aggBufferFor(ps *core.PhysStage, spec taskSpec, accCoder data.Coder,
-	fn dataflow.CombineFn, global bool) *aggBuffer {
-
+func (ex *Executor) aggBufferFor(spec taskSpec, accCoder data.Coder) *aggBuffer {
 	k := aggKey{Stage: spec.Stage, Gen: spec.Gen, Frag: spec.Frag}
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	b, ok := ex.aggbufs[k]
 	if !ok {
-		b = &aggBuffer{
-			ex: ex, stage: spec.Stage, gen: spec.Gen, frag: spec.Frag,
-			receiver: spec.Receivers, accCoder: accCoder, fn: fn, global: global,
-		}
-		b.reset()
+		b = &aggBuffer{ex: ex, spec: spec, accCoder: accCoder}
 		ex.aggbufs[k] = b
 	}
 	return b
 }
 
-func (b *aggBuffer) reset() {
-	b.tables = make([]*exec.AccTable, len(b.receiver))
-	for i := range b.tables {
-		b.tables[i] = exec.NewAccTable(b.fn, b.global)
-	}
-	b.cover = nil
-}
-
-// deposit folds one task's per-receiver accumulator tables into the
-// buffer and flushes if the task-count limit is reached.
+// deposit merges one task's per-receiver accumulator tables into the
+// buffer — an empty buffer adopts them — and flushes if the task-count
+// limit is reached.
 func (b *aggBuffer) deposit(ref senderRef, perRecv []*exec.AccTable) {
 	b.mu.Lock()
-	for i, t := range perRecv {
-		for _, r := range t.AccRecords() {
-			b.tables[i].MergeAcc(r.Key, r.Value)
+	if len(b.cover) == 0 {
+		b.tables = perRecv
+	} else {
+		for i, t := range perRecv {
+			for _, r := range t.AccRecords() {
+				b.tables[i].MergeAcc(r.Key, r.Value)
+			}
 		}
 	}
 	b.cover = append(b.cover, ref)
 	if len(b.cover) >= b.ex.cfg.aggMaxTasks() {
-		tables, cover := b.take()
-		b.mu.Unlock()
-		b.push(tables, cover)
+		b.flushLocked()
 		return
 	}
 	if b.timer == nil {
-		b.timer = time.AfterFunc(b.ex.cfg.aggMaxDelay(), b.flushTimer)
+		b.timer = time.AfterFunc(b.ex.cfg.aggMaxDelay(), func() {
+			b.mu.Lock()
+			b.flushLocked()
+		})
 	}
 	b.mu.Unlock()
 }
 
-func (b *aggBuffer) take() ([]*exec.AccTable, []senderRef) {
+// flushLocked takes whatever the buffer holds, encodes one aggregated
+// section per receiver and hands them to pushFrames under the merged
+// cover. Called with b.mu held — so a cover never outgrows AggMaxTasks —
+// and releases it before encoding.
+func (b *aggBuffer) flushLocked() {
 	tables, cover := b.tables, b.cover
+	b.tables, b.cover = nil, nil
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
 	}
-	b.reset()
-	return tables, cover
-}
-
-func (b *aggBuffer) flushTimer() {
-	b.mu.Lock()
-	b.timer = nil
-	if len(b.cover) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	tables, cover := b.take()
 	b.mu.Unlock()
-	b.push(tables, cover)
-}
-
-// attributeBytes splits total evenly across n covered tasks. Integer
-// division alone drops up to n-1 bytes per frame, so the first task
-// carries the remainder; the shares always sum exactly to total, keeping
-// eviction-cost attribution in the profiler consistent with the byte
-// counters.
-func attributeBytes(total int64, n int) []int64 {
-	shares := make([]int64, n)
-	share := total / int64(n)
-	for i := range shares {
-		shares[i] = share
+	if len(cover) == 0 {
+		return // the timer raced a count-triggered flush
 	}
-	shares[0] += total - share*int64(n)
-	return shares
-}
-
-// push sends one aggregated frame per receiver, then commits every
-// covered task through the master.
-func (b *aggBuffer) push(tables []*exec.AccTable, cover []senderRef) {
-	ex := b.ex
-	var wg sync.WaitGroup
-	errs := make([]error, len(b.receiver))
-	payloads := make([][]byte, len(b.receiver))
-	var total int64
-	for i := range b.receiver {
-		payload, err := encodeAccTable(b.accCoder, tables[i])
+	sections := make([][]pushSection, len(tables))
+	for i, t := range tables {
+		payload, err := data.EncodeAll(b.accCoder, t.AccRecords())
 		if err != nil {
-			errs[i] = err
-			continue
-		}
-		payloads[i] = payload
-		total += int64(len(payload))
-	}
-	// Attribute the aggregated frame's bytes evenly across the covered
-	// tasks so per-task trace spans still sum to the frame size.
-	shares := attributeBytes(total, len(cover))
-	for ci, c := range cover {
-		ex.tr.Emit(obs.Event{Kind: obs.PushStarted, Stage: b.stage, Frag: b.frag,
-			Task: c.Index, Attempt: c.Attempt, Exec: ex.id,
-			Bytes: shares[ci], Note: "aggregated"})
-	}
-	for i := range b.receiver {
-		if errs[i] != nil {
-			continue
-		}
-		f := &pushFrame{
-			Job: ex.job, Stage: b.stage, Gen: b.gen, RecvIdx: i, Frag: b.frag,
-			Cover:    cover,
-			Sections: []pushSection{{Tag: "", Aggregated: true, Payload: payloads[i]}},
-		}
-		wg.Add(1)
-		go func(i int, f *pushFrame, n int) {
-			defer wg.Done()
-			if err := sendPush(ex.dp, b.receiver[i], f); err != nil {
-				errs[i] = err
-				return
-			}
-			ex.met.BytesPushed.Add(int64(n))
-		}(i, f, len(payloads[i]))
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			if ex.stopped() {
-				return
-			}
-			for _, c := range cover {
-				ex.send(evTaskFailed{
-					ref:  taskRef{Job: ex.job, Stage: b.stage, Gen: b.gen, Frag: b.frag, Index: c.Index, Attempt: c.Attempt},
-					Exec: ex.id, Err: err, Fatal: isFatal(err),
-				})
-			}
+			b.ex.failCover(b.spec, cover, err, true)
 			return
 		}
+		sections[i] = []pushSection{{Aggregated: true, Payload: payload}}
 	}
-	for _, c := range cover {
-		ex.send(newOutputCommitted(taskRef{Job: ex.job, Stage: b.stage, Gen: b.gen, Frag: b.frag, Index: c.Index, Attempt: c.Attempt}))
-	}
-}
-
-func encodeAccTable(coder data.Coder, t *exec.AccTable) ([]byte, error) {
-	return data.EncodeAll(coder, t.AccRecords())
+	b.ex.pushFrames(b.spec, cover, sections)
 }

@@ -217,9 +217,6 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 	if met.Counter(metrics.NameBreakerOpens).Load() == 0 {
 		t.Error("breaker_opens counter is zero")
 	}
-	if !dp.pol.quarantined("server") {
-		t.Fatal("destination not quarantined after sustained failures")
-	}
 	if open := dp.pol.openDests(); len(open) != 1 || open[0] != "server" {
 		t.Fatalf("openDests = %v, want [server]", open)
 	}
@@ -236,9 +233,6 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if dp.pol.quarantined("server") {
-		t.Error("destination still quarantined after successful traffic")
 	}
 	if open := dp.pol.openDests(); len(open) != 0 {
 		t.Errorf("openDests = %v after recovery, want none", open)

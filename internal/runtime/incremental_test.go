@@ -92,10 +92,7 @@ func runIncremental(t *testing.T, pipe *dataflow.Pipeline, store *storage.Commit
 	defer cancel()
 	res, err := Run(ctx, cl, pipe.Graph(), Config{
 		Commits: store,
-		// Partial aggregation merges nondeterministic task covers, which
-		// is content-unstable; raw boundaries are the cacheable path.
-		DisablePartialAggregation: true,
-		Tracer:                    tracer,
+		Tracer:  tracer,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

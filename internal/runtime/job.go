@@ -9,6 +9,7 @@ import (
 	"pado/internal/data"
 	"pado/internal/dataflow"
 	"pado/internal/metrics"
+	"pado/internal/obs"
 )
 
 // Result carries a finished job's terminal outputs and metrics.
@@ -89,17 +90,10 @@ func (jm *JobManager) collectOutputs(j *jobRun) (map[dag.VertexID][]data.Record,
 			// A skipped terminal stage has no outputExecs; its partitions
 			// come straight from the commit store.
 			loc := stageLoc{Gen: s.gen, Execs: s.outputExecs, Chunks: s.skipChunks}
-			for part := 0; part < loc.nParts(); part++ {
-				payload, err := fetchStagePart(jm.dp, jm.casClient(), j.met, j.id, s.ps.ID, loc, part, j.cfg.ReplicateStageOutputs)
-				if err != nil {
-					return nil, err
-				}
-				j.met.BytesFetched.Add(int64(len(payload)))
-				part, err := data.DecodeAll(coder, payload)
-				if err != nil {
-					return nil, err
-				}
-				recs = append(recs, part...)
+			recs, err = fetchStage(jm.dp, jm.casClient(), j.met, nil, j.id,
+				obs.Event{Stage: s.ps.ID}, loc, allParts(loc), coder)
+			if err != nil {
+				return nil, err
 			}
 		} else {
 			for _, payload := range s.results {

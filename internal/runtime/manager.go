@@ -528,7 +528,7 @@ func (jm *JobManager) handle(ev event) {
 	case *evOutputCommitted:
 		val := *e
 		putOutputCommitted(e)
-		if j := jm.jobs[val.ref.Job]; j != nil {
+		if j := jm.jobs[val.Job]; j != nil {
 			jm.onOutputCommitted(j, val)
 		}
 	case evTaskFailed:

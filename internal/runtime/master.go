@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"log"
-	"os"
 	"slices"
 	"time"
 
@@ -64,9 +62,8 @@ type stageRun struct {
 	restarts int
 
 	// recvExecs is immutable for the life of a generation and shared by
-	// reference into every taskSpec.Receivers and recvSpec.Peers of that
-	// generation (executors and receivers only read it); resetStage
-	// replaces, never mutates, it.
+	// reference into every taskSpec.Receivers of that generation
+	// (executors only read it); resetStage replaces, never mutates, it.
 	recvExecs []string
 	recvReady []bool
 	nReady    int
@@ -111,8 +108,6 @@ type stageRun struct {
 
 // relaunchableState: states below this are relaunched on eviction.
 const relaunchableState = tCommitted
-
-var debugStages = os.Getenv("PADO_DEBUG") != ""
 
 // trackReceivers adjusts one job's live reserved-task count and records
 // the high-water mark.
@@ -486,34 +481,66 @@ func (jm *JobManager) onTaskComputed(j *jobRun, e evTaskComputed) {
 		Task: e.ref.Index, Attempt: e.ref.Attempt, Exec: e.Exec})
 }
 
+// onOutputCommitted applies one frame set's commit all-or-nothing. A
+// receiver processes a frame only once every covered task is committed at
+// the frame's attempt and drops it as soon as one was relaunched, so a
+// cover with a stale member (its executor was evicted, or declared dead,
+// between the push and this event) commits nothing: the members that are
+// still current relaunch with the rest, and no task is ever left committed
+// behind a frame that will be dropped.
 func (jm *JobManager) onOutputCommitted(j *jobRun, e evOutputCommitted) {
-	s, t := jm.taskAt(j, e.ref)
-	if s == nil || t == nil || t.state == tCommitted || t.state == tWaiting {
-		return
+	ref := taskRef{Job: e.Job, Stage: e.Stage, Gen: e.Gen, Frag: e.Frag}
+	live := func(c senderRef) (*stageRun, *taskRun) {
+		ref.Index, ref.Attempt = c.Index, c.Attempt
+		s, t := jm.taskAt(j, ref)
+		if t == nil || t.state == tCommitted || t.state == tWaiting {
+			return nil, nil
+		}
+		return s, t
 	}
+	stale := false
+	for _, c := range e.Cover {
+		if _, t := live(c); t == nil {
+			stale = true
+		}
+	}
+	for _, c := range e.Cover {
+		s, t := live(c)
+		switch {
+		case !stale:
+			jm.commitTask(j, s, e.Frag, c, t)
+		case t != nil:
+			jm.requeue(j, s, e.Frag, c.Index, t)
+			j.tr.Emit(obs.Event{Kind: obs.TaskRelaunched, Stage: e.Stage, Frag: e.Frag,
+				Task: c.Index, Attempt: t.attempt, Note: "cover_stale"})
+		}
+	}
+}
+
+// commitTask marks one covered task committed and relays the commit to
+// every receiver of the stage (§3.2.5). The chaos hook may delay or
+// duplicate individual relays; receivers' attempt tracking must make
+// duplicates harmless and delays at worst slow (stale generations are
+// dropped on arrival).
+func (jm *JobManager) commitTask(j *jobRun, s *stageRun, frag int, c senderRef, t *taskRun) {
 	t.state = tCommitted
 	if !t.started.IsZero() {
 		j.histCommit.ObserveDuration(time.Since(t.started))
 	}
-	fr := s.frags[e.ref.Frag]
-	fr.nCommitted++
-	j.tr.Emit(obs.Event{Kind: obs.PushCommitted, Stage: s.ps.ID, Frag: e.ref.Frag,
-		Task: e.ref.Index, Attempt: e.ref.Attempt, Exec: t.exec})
-	// Relay the commit to every receiver of the stage (§3.2.5). The
-	// chaos hook may delay or duplicate individual relays; receivers'
-	// attempt tracking must make duplicates harmless and delays at worst
-	// slow (stale generations are dropped on arrival).
+	s.frags[frag].nCommitted++
+	j.tr.Emit(obs.Event{Kind: obs.PushCommitted, Stage: s.ps.ID, Frag: frag,
+		Task: c.Index, Attempt: c.Attempt, Exec: t.exec})
 	for idx, exID := range s.recvExecs {
 		ex := j.execs[exID]
 		if ex == nil {
 			continue
 		}
-		msg := msgCommit{Frag: e.ref.Frag, Index: e.ref.Index, Attempt: e.ref.Attempt, Exec: t.exec}
+		msg := msgCommit{Frag: frag, Index: c.Index, Attempt: c.Attempt, Exec: t.exec}
 		stage, gen := s.ps.ID, s.gen
 		var delay time.Duration
 		dups := 0
 		if j.cfg.Chaos != nil {
-			delay, dups = j.cfg.Chaos.CommitRelay(j.id, stage, e.ref.Frag, e.ref.Index, e.ref.Attempt, idx)
+			delay, dups = j.cfg.Chaos.CommitRelay(j.id, stage, frag, c.Index, c.Attempt, idx)
 		}
 		send := func() {
 			for i := 0; i <= dups; i++ {
@@ -566,9 +593,14 @@ func (jm *JobManager) onPullFailed(j *jobRun, e evPullFailed) {
 		Task: e.ref.Index, Attempt: t.attempt, Note: "pull_failed"})
 }
 
+// onReservedTaskDone accepts completions while the stage is still
+// starting receivers too: StartReceiver runs the receiver before the
+// master has handled the stage's last ready event, and a receiver with
+// nothing to wait for (a reserved root fed only by cross-stage inputs) can
+// finalize first.
 func (jm *JobManager) onReservedTaskDone(j *jobRun, e evReservedTaskDone) {
 	s := jm.stageAt(j, e.Stage, e.Gen)
-	if s == nil || s.status != sRunning || s.recvDone[e.Index] {
+	if s == nil || (s.status != sRunning && s.status != sStartingReceivers) || s.recvDone[e.Index] {
 		return
 	}
 	s.recvDone[e.Index] = true
@@ -587,10 +619,6 @@ func (jm *JobManager) onReservedTaskDone(j *jobRun, e evReservedTaskDone) {
 		jm.commitStage(j, s)
 		j.tr.Emit(obs.Event{Kind: obs.StageComplete, Stage: s.ps.ID})
 		jm.replicateProgress(j)
-		if debugStages {
-			log.Printf("pado: job %d stage %d (%s) done at %v", j.id, s.ps.ID,
-				j.plan.Graph.Vertex(s.ps.Root).Name, time.Since(j.t0).Round(time.Millisecond))
-		}
 		jm.checkAllDone(j)
 	}
 }
@@ -713,7 +741,6 @@ func (jm *JobManager) startStage(j *jobRun, s *stageRun) bool {
 				Expected:  expected,
 				InputLocs: s.inputLocs,
 				PullMode:  j.cfg.PullBoundaries,
-				Peers:     s.recvExecs,
 			})
 		}
 	} else {
@@ -927,7 +954,7 @@ func taskCacheKeys(plan *core.Plan, ps *core.PhysStage, frag *core.Fragment, tas
 			case dag.OneToOne:
 				keys = append(keys, recache.Key{Vertex: si.FromVertex, Partition: taskIdx})
 			case dag.OneToMany:
-				keys = append(keys, recache.Key{Vertex: si.FromVertex, Partition: -1})
+				keys = append(keys, recache.Key{Vertex: si.FromVertex, Partition: recache.Broadcast})
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 
 	"pado/internal/core"
 	"pado/internal/dag"
@@ -31,11 +30,6 @@ type recvSpec struct {
 	// PullMode makes the receiver pull committed sender outputs from
 	// transient local stores (ablation) instead of accepting pushes.
 	PullMode bool
-	// Peers lists the stage's output executors in partition order. With
-	// Config.ReplicateStageOutputs on, each receiver ring-replicates its
-	// finalized partition to the next peer so fetches can route around a
-	// quarantined primary.
-	Peers []string
 }
 
 // Receiver messages.
@@ -376,30 +370,16 @@ func (r *receiver) fetchInputs() error {
 		if err != nil {
 			return err
 		}
-		switch si.Dep {
-		case dag.OneToOne:
-			recs, err := r.fetchParts(si.FromStage, loc, coder, []int{r.spec.Index})
-			if err != nil {
-				return err
-			}
-			r.routeInput(si.Tag, recs, false)
-		case dag.OneToMany:
-			recs, err := r.fetchParts(si.FromStage, loc, coder, allParts(loc))
-			if err != nil {
-				return err
-			}
-			r.routeInput(si.Tag, recs, true)
-		case dag.ManyToOne:
-			recs, err := r.fetchParts(si.FromStage, loc, coder, allParts(loc))
-			if err != nil {
-				return err
-			}
-			r.routeInput(si.Tag, recs, false)
-		case dag.ManyToMany:
-			recs, err := r.fetchParts(si.FromStage, loc, coder, allParts(loc))
-			if err != nil {
-				return err
-			}
+		parts := allParts(loc)
+		if si.Dep == dag.OneToOne {
+			parts = []int{r.spec.Index}
+		}
+		recs, err := r.ex.fetchParts(obs.Event{Stage: si.FromStage, Frag: obs.ReservedFrag,
+			Task: r.spec.Index, Exec: r.ex.id, Note: "receiver"}, loc, parts, coder)
+		if err != nil {
+			return err
+		}
+		if si.Dep == dag.ManyToMany {
 			// Keep only this task's hash partition.
 			mine := recs[:0]
 			for _, rec := range recs {
@@ -407,55 +387,11 @@ func (r *receiver) fetchInputs() error {
 					mine = append(mine, rec)
 				}
 			}
-			r.routeInput(si.Tag, mine, false)
+			recs = mine
 		}
+		r.routeInput(si.Tag, recs, si.Dep == dag.OneToMany)
 	}
 	return nil
-}
-
-func allParts(loc stageLoc) []int {
-	parts := make([]int, loc.nParts())
-	for i := range parts {
-		parts[i] = i
-	}
-	return parts
-}
-
-// fetchParts pulls and decodes the listed partitions of a parent stage's
-// output. Partitions are fetched concurrently (bounded by
-// maxFetchWorkers) and reassembled in the order of parts, so the record
-// order the receiver sees is independent of fetch timing.
-func (r *receiver) fetchParts(fromStage int, loc stageLoc, coder data.Coder, parts []int) ([]data.Record, error) {
-	for _, p := range parts {
-		if p >= loc.nParts() {
-			return nil, fmt.Errorf("runtime: partition %d out of range for stage %d", p, fromStage)
-		}
-	}
-	r.ex.tr.Emit(obs.Event{Kind: obs.FetchStarted, Stage: fromStage, Frag: obs.ReservedFrag,
-		Task: r.spec.Index, Exec: r.ex.id, Note: "receiver"})
-	decoded := make([][]data.Record, len(parts))
-	var total int64
-	err := storage.Fanout(len(parts), storage.MaxFetchWorkers, func(i int) error {
-		p := parts[i]
-		payload, err := fetchStagePart(r.ex.dp, r.ex.cas, r.ex.met, r.ex.job, fromStage, loc, p, r.ex.cfg.ReplicateStageOutputs)
-		if err != nil {
-			return err
-		}
-		r.ex.met.BytesFetched.Add(int64(len(payload)))
-		atomic.AddInt64(&total, int64(len(payload)))
-		decoded[i], err = data.DecodeAll(coder, payload)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var recs []data.Record
-	for _, part := range decoded {
-		recs = append(recs, part...)
-	}
-	r.ex.tr.Emit(obs.Event{Kind: obs.FetchDone, Stage: fromStage, Frag: obs.ReservedFrag,
-		Task: r.spec.Index, Exec: r.ex.id, Bytes: total, Note: "receiver"})
-	return recs, nil
 }
 
 // routeInput places fetched cross-stage records: side inputs for ParDo
@@ -505,7 +441,6 @@ func (r *receiver) maybeFinalize() bool {
 	}
 	blockID := stageBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, r.spec.Index)
 	r.ex.store.Put(blockID, payload)
-	r.replicateOutput(blockID, payload)
 	// Cacheable stage: also write the partition to the commit store so
 	// the master can commit the stage manifest once every receiver is
 	// done. Best-effort — on error the done event just carries no chunk,
@@ -520,23 +455,6 @@ func (r *receiver) maybeFinalize() bool {
 	r.ex.send(evReservedTaskDone{Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen, Index: r.spec.Index,
 		Exec: r.ex.id, Bytes: int64(len(payload)), Chunk: chunk})
 	return true
-}
-
-// replicateOutput ring-replicates the finalized partition to the next
-// output executor (best-effort, off the critical path) so downstream
-// fetches have a replica holder to route to when the primary's breaker
-// is open. Gated by Config.ReplicateStageOutputs.
-func (r *receiver) replicateOutput(blockID string, payload []byte) {
-	if !r.ex.cfg.ReplicateStageOutputs || len(r.spec.Peers) < 2 {
-		return
-	}
-	peer := r.spec.Peers[(r.spec.Index+1)%len(r.spec.Peers)]
-	if peer == r.ex.id {
-		return
-	}
-	go func() {
-		_ = storage.StoreBlock(r.ex.dp, "store", peer, blockID, payload)
-	}()
 }
 
 func (r *receiver) runRoot() ([]data.Record, error) {

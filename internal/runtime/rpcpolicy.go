@@ -171,18 +171,6 @@ func (pol *rpcPolicy) backoff(n int) time.Duration {
 	return time.Duration(float64(d) * jitter)
 }
 
-// quarantined reports whether to's breaker is open or probing: fetch
-// paths with replica holders route around such destinations.
-func (pol *rpcPolicy) quarantined(to string) bool {
-	if pol == nil {
-		return false
-	}
-	pol.mu.Lock()
-	defer pol.mu.Unlock()
-	d := pol.dests[to]
-	return d != nil && d.state != brClosed
-}
-
 // openDests lists destinations whose breakers are open or half-open, in
 // sorted order — the gray signal carried by heartbeat payloads.
 func (pol *rpcPolicy) openDests() []string {

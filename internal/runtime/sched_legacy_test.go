@@ -97,7 +97,6 @@ func (jm *JobManager) legacyStartStage(j *jobRun, s *stageRun) {
 				Expected:  expected,
 				InputLocs: locs,
 				PullMode:  j.cfg.PullBoundaries,
-				Peers:     append([]string(nil), s.recvExecs...),
 			})
 		}
 	} else {

@@ -171,15 +171,16 @@ func (x *oracleExec) Launch(spec taskSpec) {
 		d.queue = append(d.queue, evResult{Job: j.id, Stage: spec.Stage, Gen: spec.Gen,
 			Index: spec.Index, Attempt: spec.Attempt, Payload: []byte{byte(spec.Index)}})
 	} else {
-		d.queue = append(d.queue, newOutputCommitted(ref))
+		d.queue = append(d.queue, newOutputCommitted(j.id, spec.Stage, spec.Gen, spec.Frag,
+			[]senderRef{{Index: spec.Index, Attempt: spec.Attempt}}))
 	}
 }
 
 func (x *oracleExec) StartReceiver(spec recvSpec) {
 	d, j := x.d, x.h.j
-	d.logf("R j%d s%d g%d i%d @%s exp=%d pull=%v peers=%s locs=%s",
+	d.logf("R j%d s%d g%d i%d @%s exp=%d pull=%v locs=%s",
 		j.id, spec.Stage, spec.Gen, spec.Index, x.id,
-		spec.Expected, spec.PullMode, fmtStrs(spec.Peers), fmtLocs(spec.InputLocs))
+		spec.Expected, spec.PullMode, fmtLocs(spec.InputLocs))
 	d.queue = append(d.queue, evReceiverReady{Job: j.id, Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index})
 	d.recvs[recvID{j.id, spec.Stage, spec.Gen, spec.Index}] = &oracleRecv{
 		spec: spec, exec: x.id, processed: make(map[[2]int]bool),
@@ -259,7 +260,7 @@ func (d *oracleDriver) deliver(ev event) {
 	case *evOutputCommitted:
 		val := *e
 		putOutputCommitted(e)
-		if j := jm.jobs[val.ref.Job]; j != nil {
+		if j := jm.jobs[val.Job]; j != nil {
 			jm.onOutputCommitted(j, val)
 		}
 	case evTaskFailed:

@@ -184,7 +184,7 @@ func TestNodeHostDataPlane(t *testing.T) {
 	if d := met.Counter(metrics.NameConnDials).Load(); d != 1 {
 		t.Errorf("conn_dials = %d, want 1 (a rejected push must not cost the stream)", d)
 	}
-	if dp.pol.quarantined("r1") {
+	if open := dp.pol.openDests(); len(open) != 0 {
 		t.Error("rejected pushes counted against the destination's breaker")
 	}
 	if _, err := storage.FetchBlock(dp, "fetch", "nonexistent", "x"); err == nil || isFatal(err) {

@@ -186,7 +186,11 @@ const MaxFetchWorkers = 8
 // whichever goroutine lost the race) keeps the reported failure
 // deterministic for a fixed set of per-index outcomes, which the chaos
 // determinism gate relies on. All indices are attempted even after a
-// failure; callers treat the results as all-or-nothing.
+// failure; callers treat the results as all-or-nothing. Worker w starts on
+// index w and claims further indices as it finishes, so the first
+// min(n, workers) operations are in flight at once — a push reaches every
+// receiver concurrently instead of whichever goroutine runs first draining
+// the indices one round trip after another.
 func Fanout(n, workers int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
@@ -194,7 +198,7 @@ func Fanout(n, workers int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	if n == 1 || workers <= 1 {
+	if workers <= 1 {
 		var first error
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil && first == nil {
@@ -205,19 +209,16 @@ func Fanout(n, workers int, fn func(i int) error) error {
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
+	next.Store(int64(workers))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
+			for ; i < n; i = int(next.Add(1)) - 1 {
 				errs[i] = fn(i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
