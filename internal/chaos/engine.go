@@ -24,7 +24,7 @@ type Engine struct {
 	plan *Plan
 	cl   *cluster.Cluster
 	tr   *obs.Buf
-	trc  *obs.Tracer
+	sub  *obs.Subscriber // the engine's synchronous tap on the run's tracer
 
 	mu       sync.Mutex
 	rules    []*ruleState
@@ -111,7 +111,6 @@ func NewEngine(plan *Plan, cl *cluster.Cluster) *Engine {
 // injector. Rules without an After dependency arm immediately; those
 // with an empty On fire at once.
 func (e *Engine) Attach(tr *obs.Tracer) {
-	e.trc = tr
 	e.tr = tr.Buf()
 	go e.runInjector()
 	e.mu.Lock()
@@ -123,7 +122,7 @@ func (e *Engine) Attach(tr *obs.Tracer) {
 	}
 	e.mu.Unlock()
 	e.dispatch(fire)
-	tr.SetTap(e.tap)
+	e.sub = tr.SubscribeSync(e.tap)
 }
 
 // Stop detaches the tap, stops the injector, and removes any still
@@ -139,9 +138,7 @@ func (e *Engine) Stop() {
 	e.removals = nil
 	e.mu.Unlock()
 
-	if e.trc != nil {
-		e.trc.SetTap(nil)
-	}
+	e.sub.Close()
 	close(e.stop)
 	<-e.done
 	for _, rm := range removals {

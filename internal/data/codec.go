@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Encoder writes primitive values in a compact varint-based wire format.
@@ -140,8 +141,22 @@ func (d *Decoder) Float64() (float64, error) {
 // Byte reads a single byte.
 func (d *Decoder) Byte() (byte, error) { return d.r.ReadByte() }
 
+// A decoder reserves memory for what has arrived, not for what a prefix
+// claims, so a few corrupt or hostile bytes cannot make it allocate.
+const (
+	// bytesChunk is how much Bytes allocates on the strength of a length
+	// prefix alone.
+	bytesChunk = 1 << 20
+	// MaxPrealloc caps the capacity a decoder of some framed list reserves
+	// on the strength of its count alone; past it the slice grows by append
+	// as elements arrive.
+	MaxPrealloc = 256
+)
+
 // Bytes reads a length-prefixed byte slice. maxLen guards against corrupt
-// streams; pass 0 for the 1GiB default.
+// streams; pass 0 for the 1GiB default. A slice longer than bytesChunk
+// grows only as its bytes arrive, doubling, so a corrupt or hostile prefix
+// cannot claim more memory than the stream then delivers.
 func (d *Decoder) Bytes(maxLen int) ([]byte, error) {
 	n, err := d.Uvarint()
 	if err != nil {
@@ -154,9 +169,16 @@ func (d *Decoder) Bytes(maxLen int) ([]byte, error) {
 	if n > limit {
 		return nil, fmt.Errorf("data: length %d exceeds limit %d", n, limit)
 	}
-	b := make([]byte, n)
+	b := make([]byte, min(n, bytesChunk))
 	if _, err := io.ReadFull(d.r, b); err != nil {
 		return nil, err
+	}
+	for have := len(b); uint64(have) < n; have = len(b) {
+		more := int(min(n-uint64(have), uint64(have)))
+		b = slices.Grow(b, more)[:have+more]
+		if _, err := io.ReadFull(d.r, b[have:]); err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }

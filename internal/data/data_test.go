@@ -173,6 +173,29 @@ func TestDecoderBytesLimit(t *testing.T) {
 	}
 }
 
+// TestDecoderBytesGrowsPastChunk: a slice longer than bytesChunk is read
+// in growing steps and comes back whole; one cut short anywhere past the
+// first step is an error, not a short slice.
+func TestDecoderBytesGrowsPastChunk(t *testing.T) {
+	payload := make([]byte, 3*bytesChunk+7)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	if e.Bytes(payload) != nil || e.Flush() != nil {
+		t.Fatal("encode failed")
+	}
+	got, err := NewDecoder(bytes.NewReader(buf.Bytes())).Bytes(0)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("long slice: %d of %d bytes back, err %v", len(got), len(payload), err)
+	}
+	cut := buf.Bytes()[:2*bytesChunk]
+	if got, err := NewDecoder(bytes.NewReader(cut)).Bytes(0); err == nil {
+		t.Errorf("truncated long slice decoded to %d bytes without an error", len(got))
+	}
+}
+
 func TestHashKeyStability(t *testing.T) {
 	// Same logical key must hash identically across calls and across
 	// int/int64 representations.

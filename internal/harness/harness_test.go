@@ -113,6 +113,7 @@ func TestTraceDirWritesExports(t *testing.T) {
 	p.Engine = EnginePado
 	p.Workload = WorkloadMR
 	p.Rate = trace.RateHigh
+	p.Size *= 4 // outlast the first container lifetime, as in TestRunWithEvictions
 	p.TraceDir = dir
 	if _, err := Run(p); err != nil {
 		t.Fatal(err)

@@ -1,32 +1,34 @@
 package obs
 
 import (
+	"slices"
 	"sync/atomic"
 )
 
 // The live-event plane fans every emitted event out to two classes of
-// consumer:
+// subscriber, any number of each:
 //
-//   - one synchronous tap (SetTap), invoked inline from the emitting
-//     goroutine — the chaos engine depends on this synchrony to inject
-//     faults deterministically at the exact emission point;
-//   - any number of asynchronous Subscribers, each owning a buffered
+//   - synchronous ones (SubscribeSync), whose function is invoked inline
+//     from the emitting goroutine — the chaos engine depends on this
+//     synchrony to inject faults deterministically at the exact emission
+//     point;
+//   - asynchronous ones (Subscribe), each owning a buffered
 //     channel the emitter offers events to without ever blocking: when
 //     a subscriber's buffer is full the event is dropped for that
 //     subscriber and its drop counter incremented. A slow consumer
 //     (an SSE client on a bad link, a stalled padotop) can therefore
 //     never stall Emit or hold up the master loop.
 //
-// The subscriber set is copy-on-write: Subscribe/Close/SetTap build a
+// The subscriber set is copy-on-write: SubscribeSync/Subscribe/Close build a
 // fresh immutable fanout under the tracer's mutex and publish it with
 // one atomic store, so the emit path is a single atomic load plus a
 // loop over an immutable slice — no lock, no allocation.
 
 // fanout is the immutable live-consumer set published on Tracer.fan.
 type fanout struct {
-	// sync is the synchronous tap (SetTap); invoked inline before any
-	// subscriber offer.
-	sync *func(Event)
+	// sync are the synchronous subscribers, invoked inline in
+	// subscription order before any asynchronous offer.
+	sync []*Subscriber
 	// subs are the asynchronous subscribers, offered to in order.
 	subs []*Subscriber
 }
@@ -35,13 +37,15 @@ type fanout struct {
 // kinds past 64 breaks the build here rather than silently mis-filtering.
 var _ [64 - int(kindCount)]struct{}
 
-// Subscriber is one asynchronous consumer of the live event stream.
-// Events are delivered on C() in emission order as seen by each
-// emitting goroutine; events arriving while the buffer is full are
-// dropped (counted by Dropped), never blocking the emitter.
+// Subscriber is one consumer of the live event stream. An asynchronous
+// one gets events on C() in emission order as seen by each emitting
+// goroutine; events arriving while the buffer is full are dropped
+// (counted by Dropped), never blocking the emitter. A synchronous one has
+// no channel: its function has already run when Emit returns.
 type Subscriber struct {
 	t    *Tracer
-	mask uint64 // bit i set = Kind(i) wanted; 0 = all kinds
+	fn   func(Event) // synchronous subscribers only
+	mask uint64      // bit i set = Kind(i) wanted; 0 = all kinds
 	ch   chan Event
 
 	drops atomic.Int64
@@ -69,6 +73,25 @@ func (t *Tracer) Subscribe(buf int, kinds ...Kind) *Subscriber {
 	t.mu.Lock()
 	t.publishLocked(func(f *fanout) {
 		f.subs = append(f.subs, s)
+	})
+	t.mu.Unlock()
+	return s
+}
+
+// SubscribeSync registers fn as a synchronous subscriber: every subsequent
+// Emit on any of the tracer's buffers invokes fn with the stamped event,
+// from the emitting goroutine, before any asynchronous subscriber sees it.
+// fn must be fast and must not block — emitters sit on hot paths (the
+// master event loop, executor task loops). Consumers that tolerate drops
+// should use Subscribe instead. Close detaches it; nil-safe like Subscribe.
+func (t *Tracer) SubscribeSync(fn func(Event)) *Subscriber {
+	if t == nil {
+		return nil
+	}
+	s := &Subscriber{t: t, fn: fn}
+	t.mu.Lock()
+	t.publishLocked(func(f *fanout) {
+		f.sync = append(f.sync, s)
 	})
 	t.mu.Unlock()
 	return s
@@ -105,13 +128,10 @@ func (s *Subscriber) Close() {
 	t := s.t
 	t.mu.Lock()
 	t.publishLocked(func(f *fanout) {
-		kept := f.subs[:0:0]
-		for _, sub := range f.subs {
-			if sub != s {
-				kept = append(kept, sub)
-			}
-		}
-		f.subs = kept
+		// The clone's slices are its own: deleting in place is safe.
+		drop := func(sub *Subscriber) bool { return sub == s }
+		f.sync = slices.DeleteFunc(f.sync, drop)
+		f.subs = slices.DeleteFunc(f.subs, drop)
 	})
 	t.mu.Unlock()
 }
@@ -135,11 +155,11 @@ func (s *Subscriber) offer(ev Event) {
 func (t *Tracer) publishLocked(mut func(*fanout)) {
 	next := &fanout{}
 	if cur := t.fan.Load(); cur != nil {
-		next.sync = cur.sync
-		next.subs = append([]*Subscriber(nil), cur.subs...)
+		next.sync = slices.Clone(cur.sync)
+		next.subs = slices.Clone(cur.subs)
 	}
 	mut(next)
-	if next.sync == nil && len(next.subs) == 0 {
+	if len(next.sync) == 0 && len(next.subs) == 0 {
 		t.fan.Store(nil)
 		return
 	}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -88,10 +90,11 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 }
 
 // TestFanoutConcurrentEmitSubscribe is the satellite's -race hardening
-// test: emitters on several goroutines race subscriber add/remove and
-// tap replace/clear. The assertions are deliberately weak (no panics,
-// no lost events on a wide-open subscriber, tap sees a sane subset);
-// the real check is the race detector over the copy-on-write publish.
+// test: emitters on several goroutines race the add/remove of subscribers
+// of both classes. The assertions are deliberately weak (no panics, no
+// lost events on a wide-open subscriber, the synchronous ones see a sane
+// subset); the real check is the race detector over the copy-on-write
+// publish.
 func TestFanoutConcurrentEmitSubscribe(t *testing.T) {
 	tr := New()
 
@@ -100,24 +103,21 @@ func TestFanoutConcurrentEmitSubscribe(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Churn the tap between a live function and nil.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				tr.SetTap(nil)
-				return
-			default:
+	// Churn two synchronous subscribers on and off.
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tr.SubscribeSync(func(Event) { tapped.Add(1) }).Close()
 			}
-			if i%2 == 0 {
-				tr.SetTap(func(Event) { tapped.Add(1) })
-			} else {
-				tr.SetTap(nil)
-			}
-		}
-	}()
+		}()
+	}
 
 	// Churn subscribers: subscribe, drain a little, close.
 	for c := 0; c < churners; c++ {
@@ -161,28 +161,35 @@ func TestFanoutConcurrentEmitSubscribe(t *testing.T) {
 	if n := tr.Len(); n != emitters*perEmitter {
 		t.Fatalf("recorded %d events, want %d", n, emitters*perEmitter)
 	}
-	if got := tapped.Load(); got < 0 || got > int64(emitters*perEmitter) {
-		t.Fatalf("tap saw %d events, want between 0 and %d", got, emitters*perEmitter)
+	if got := tapped.Load(); got < 0 || got > 2*int64(emitters*perEmitter) {
+		t.Fatalf("synchronous subscribers saw %d events, want between 0 and %d", got, 2*emitters*perEmitter)
 	}
 }
 
-// TestSetTapCompat locks the PR-2 contract the chaos engine relies on:
-// the tap is invoked synchronously from the emitting goroutine, and
-// SetTap(nil) removes it.
-func TestSetTapCompat(t *testing.T) {
+// TestSyncSubscribers locks the contract the chaos engine relies on — a
+// synchronous subscriber runs on the emitting goroutine, before Emit
+// returns — and that several coexist: each sees every event, in
+// subscription order, until its own Close, which leaves the others alone.
+func TestSyncSubscribers(t *testing.T) {
 	tr := New()
 	b := tr.Buf()
 
-	var got []Event
-	tr.SetTap(func(ev Event) { got = append(got, ev) }) // no lock: synchronous means same goroutine
+	var got []string // no lock: synchronous means same goroutine
+	first := tr.SubscribeSync(func(ev Event) { got = append(got, fmt.Sprint("first:", ev.Task)) })
+	second := tr.SubscribeSync(func(ev Event) { got = append(got, fmt.Sprint("second:", ev.Task)) })
 	b.Emit(Event{Kind: PushStarted, Task: 7})
-	if len(got) != 1 || got[0].Task != 7 {
-		t.Fatalf("tap saw %v, want the emitted push", got)
-	}
-	tr.SetTap(nil)
+	first.Close()
+	first.Close() // idempotent
 	b.Emit(Event{Kind: PushStarted, Task: 8})
-	if len(got) != 1 {
-		t.Fatalf("tap still live after SetTap(nil): saw %d events", len(got))
+	second.Close()
+	b.Emit(Event{Kind: PushStarted, Task: 9})
+
+	want := []string{"first:7", "second:7", "second:8"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("synchronous subscribers saw %v, want %v", got, want)
+	}
+	if tr.fan.Load() != nil {
+		t.Error("fan-out still published after the last subscriber closed")
 	}
 }
 
@@ -199,7 +206,7 @@ func TestSubscriberNilSafe(t *testing.T) {
 		t.Error("nil subscriber drop count must be 0")
 	}
 	s.Close() // must not panic
-	tr.SetTap(func(Event) {})
+	tr.SubscribeSync(func(Event) {}).Close()
 }
 
 // Counterish is a tiny atomic counter for test tallies (avoids

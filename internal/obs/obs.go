@@ -247,10 +247,10 @@ type Tracer struct {
 	// chaos engine's injector) may Emit concurrently with the wiring.
 	sink [kindCount]atomic.Pointer[metrics.Counter]
 
-	// fan, when set, is the immutable live-consumer set: one optional
-	// synchronous tap (SetTap — the chaos engine triggers faults off it
-	// inline) plus any number of asynchronous Subscribers with bounded
-	// buffers (the introspection plane's /events stream). Published
+	// fan, when set, is the immutable live-consumer set: synchronous
+	// subscribers (the chaos engine triggers faults off one inline) and
+	// asynchronous ones with bounded buffers (the introspection plane's
+	// /events stream). Published
 	// copy-on-write under mu; nil when nobody is listening, so the
 	// emit-path cost with no live consumers is one atomic load.
 	fan atomic.Pointer[fanout]
@@ -314,29 +314,6 @@ func (t *Tracer) JobBuf(job int) *Buf {
 
 // Enabled reports whether the tracer records events.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// SetTap installs fn as the synchronous live event tap: every
-// subsequent Emit on any of the tracer's buffers invokes fn with the
-// stamped event, from the emitting goroutine, before any asynchronous
-// subscriber sees it. fn must be fast and must not block — emitters sit
-// on hot paths (the master event loop, executor task loops). There is
-// one tap slot: installing a tap replaces the previous one, and passing
-// nil removes it. Asynchronous consumers that tolerate drops should use
-// Subscribe instead. Nil-safe.
-func (t *Tracer) SetTap(fn func(Event)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.publishLocked(func(f *fanout) {
-		if fn == nil {
-			f.sync = nil
-		} else {
-			f.sync = &fn
-		}
-	})
-	t.mu.Unlock()
-}
 
 // Events merges every buffer into one stream ordered by virtual time
 // (stable, so same-timestamp events keep their per-buffer order). Safe
@@ -414,8 +391,8 @@ func (b *Buf) Emit(ev Event) {
 	b.evs = append(b.evs, ev)
 	b.mu.Unlock()
 	if f := b.t.fan.Load(); f != nil {
-		if f.sync != nil {
-			(*f.sync)(ev)
+		for _, s := range f.sync {
+			s.fn(ev)
 		}
 		for _, s := range f.subs {
 			s.offer(ev)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -32,10 +33,7 @@ func benchNet(b *testing.B) *simnet.Network {
 		if _, err := readPushFrame(d); err != nil {
 			return err
 		}
-		if err := e.Byte(respOK); err != nil {
-			return err
-		}
-		return e.Flush()
+		return storage.Answer(e, true, nil)
 	})
 	return net
 }
@@ -75,14 +73,14 @@ func BenchmarkFrameEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeFrameBlock(f); err != nil {
+		if _, err := frameBytes(f); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFrameDecode(b *testing.B) {
-	blob, err := encodeFrameBlock(benchFrame(16 << 10))
+	blob, err := frameBytes(benchFrame(16 << 10))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 	b.SetBytes(int64(len(blob)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeFrameBlock(blob); err != nil {
+		if _, err := readPushFrame(data.NewDecoder(bytes.NewReader(blob))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,18 +138,13 @@ func (ex *Executor) failCover(spec taskSpec, cover []senderRef, err error, fatal
 // deterministic reporting) and no commit is sent; the relaunched attempts
 // re-push everything and receivers drop superseded frames by attempt.
 func (ex *Executor) pushFrames(spec taskSpec, cover []senderRef, sections [][]pushSection) {
-	frames := make([]*pushFrame, len(sections))
-	for i := range frames {
-		frames[i] = &pushFrame{Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, RecvIdx: i, Frag: spec.Frag,
-			Cover: cover, Sections: sections[i]}
-	}
-
 	if ex.cfg.PullBoundaries {
-		// Ablation: park the same frames locally instead of sending them;
+		// Ablation: park the same sections locally instead of sending them;
 		// receivers pull them after the commit, exactly like shuffle files
-		// on local disk — and exactly as vulnerable to eviction.
-		for i, f := range frames {
-			buf, err := encodeFrameBlock(f)
+		// on local disk — and exactly as vulnerable to eviction. The cover
+		// is spec's own task: nothing aggregates in this mode.
+		for i, secs := range sections {
+			buf, err := sectionsBlock(secs)
 			if err != nil {
 				ex.failCover(spec, cover, err, true)
 				return
@@ -179,8 +174,10 @@ func (ex *Executor) pushFrames(spec taskSpec, cover []senderRef, sections [][]pu
 		ex.tr.Emit(obs.Event{Kind: obs.PushStarted, Stage: spec.Stage, Frag: spec.Frag,
 			Task: c.Index, Attempt: c.Attempt, Exec: ex.id, Bytes: shares[ci], Note: note})
 	}
-	err := storage.Fanout(len(frames), len(frames), func(i int) error {
-		if err := sendPush(ex.dp, spec.Receivers[i], frames[i]); err != nil {
+	err := storage.Fanout(len(sections), len(sections), func(i int) error {
+		f := &pushFrame{Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, RecvIdx: i, Frag: spec.Frag,
+			Cover: cover, Sections: sections[i]}
+		if err := sendPush(ex.dp, spec.Receivers[i], f); err != nil {
 			return err
 		}
 		ex.met.BytesPushed.Add(sizes[i])
@@ -218,24 +215,23 @@ func attributeBytes(total int64, n int) []int64 {
 	return shares
 }
 
-// fetchStagePart pulls one partition of a located stage output. A
-// location carrying commit-store chunks (the stage was skipped this run)
-// is served from the CAS; otherwise the partition comes from its owner
-// executor.
-func fetchStagePart(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job,
-	job, stage int, loc stageLoc, part int) ([]byte, error) {
-	if loc.Chunks != nil {
-		if cas == nil {
-			return nil, fmt.Errorf("runtime: stage %d is served from the commit store but this executor has no commit plane", stage)
-		}
-		payload, err := cas.GetChunk(loc.Chunks[part])
-		if err != nil {
-			return nil, err
-		}
-		met.Counter(metrics.NameCASBytesServed).Add(int64(len(payload)))
-		return payload, nil
+// fetchBlock is the one block read of the runtime: commit-store chunk
+// `chunk` when the location names one (a skipped stage's partition, a
+// skipped task's sections), counted into cas_bytes_served, and block id in
+// owner's local store otherwise.
+func fetchBlock(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, owner, id, chunk string) ([]byte, error) {
+	if chunk == "" {
+		return storage.FetchBlock(dp, "fetch", owner, id)
 	}
-	return storage.FetchBlock(dp, "fetch", loc.Execs[part], stageBlockID(job, stage, loc.Gen, part))
+	if cas == nil {
+		return nil, fmt.Errorf("runtime: chunk %.12s… is in the commit store but this executor has no commit plane", chunk)
+	}
+	payload, err := cas.GetChunk(chunk)
+	if err != nil {
+		return nil, err
+	}
+	met.Counter(metrics.NameCASBytesServed).Add(int64(len(payload)))
+	return payload, nil
 }
 
 // fetchStage is the one inbound boundary path: every task, receiver and
@@ -259,7 +255,13 @@ func fetchStage(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, tr *
 	decoded := make([][]data.Record, len(parts))
 	var total atomic.Int64
 	err := storage.Fanout(len(parts), storage.MaxFetchWorkers, func(i int) error {
-		payload, err := fetchStagePart(dp, cas, met, job, ev.Stage, loc, parts[i])
+		var owner, id, chunk string
+		if loc.Chunks != nil {
+			chunk = loc.Chunks[parts[i]]
+		} else {
+			owner, id = loc.Execs[parts[i]], stageBlockID(job, ev.Stage, loc.Gen, parts[i])
+		}
+		payload, err := fetchBlock(dp, cas, met, owner, id, chunk)
 		if err != nil {
 			return err
 		}
@@ -291,24 +293,4 @@ func allParts(loc stageLoc) []int {
 		parts[i] = i
 	}
 	return parts
-}
-
-// encodeFrameBlock / decodeFrameBlock serialize a pushFrame for the
-// pull-boundary ablation's local store.
-func encodeFrameBlock(f *pushFrame) ([]byte, error) {
-	return data.Encoded(func(e *data.Encoder) error {
-		return writePushFrame(e, f)
-	})
-}
-
-func decodeFrameBlock(b []byte) (*pushFrame, error) {
-	d := data.NewDecoder(readerOf(b))
-	op, err := d.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if op != framePush {
-		return nil, fmt.Errorf("runtime: bad frame block")
-	}
-	return readPushFrame(d)
 }

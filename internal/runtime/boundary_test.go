@@ -12,6 +12,7 @@ import (
 	"pado/internal/metrics"
 	"pado/internal/obs"
 	"pado/internal/simnet"
+	"pado/internal/storage"
 	"pado/internal/trace"
 )
 
@@ -331,4 +332,91 @@ func TestFetchStage(t *testing.T) {
 			t.Errorf("a rejected part list emitted %d events and counted %d bytes", n, met.BytesFetched.Load())
 		}
 	})
+}
+
+// TestReceiverPull drives the receiver's one pull path with a batch that
+// holds both kinds of commit — a pull-mode sender's parked output and a
+// skipped task's chunk — and the case that hung the pull ablation when
+// pulls were first batched: another receiver's failed pull has already had
+// a sender relaunched, so one batch carries the dead attempt's commit and
+// the new attempt's. The failed pull must drop only its own commit.
+func TestReceiverPull(t *testing.T) {
+	const job, stage, gen, recvIdx = 2, 1, 3, 0
+	net := simnet.New(simnet.Config{})
+	for _, id := range []string{"r0", "cas0"} {
+		if _, err := net.AddNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node, err := net.AddNode("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := newNodeHost(&cluster.Container{ID: "t1", Kind: cluster.Transient, Node: node, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.shutdown()
+	svc := storage.NewCommitService(storage.NewCommitStore(), []*simnet.Node{net.Node("cas0")})
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	met := &metrics.Job{}
+	dp := newDataPlane(net, "r0", met, FailureConfig{DisableRPCPolicy: true}, nil)
+	defer dp.pool.Close()
+	events := make(chan event, 4)
+	ex := &Executor{job: job, id: "r0", dp: dp, met: met, events: events, stop: make(chan struct{}),
+		cas: storage.NewCommitClient(dp, svc.NodeIDs())}
+	r := &receiver{ex: ex, spec: recvSpec{Stage: stage, Gen: gen, Index: recvIdx, PullMode: true},
+		committed: make(map[fragSender]msgCommit)}
+
+	parked, err := sectionsBlock([]pushSection{{Payload: []byte("parked")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender.store.Put(taskBlockID(job, stage, gen, 0, 7, 1, recvIdx), parked)
+	skipped, err := sectionsBlock([]pushSection{{Payload: []byte("skipped")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, err := ex.cas.PutChunk(skipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dead := msgCommit{Frag: 0, Index: 7, Attempt: 0, Exec: "t0"} // t0 went with its eviction
+	live := msgCommit{Frag: 0, Index: 7, Attempt: 1, Exec: "t1"}
+	skip := msgCommit{Frag: 0, Index: 8, Chunk: chunk}
+	r.committed[fragSender{Index: 7}] = live // the batch's bookkeeping kept the newer attempt
+	r.committed[fragSender{Index: 8}] = skip
+	if !r.pull([]msgCommit{dead, live, skip}) {
+		t.Fatal("pull reported a stopping executor")
+	}
+
+	if got := r.committed[fragSender{Index: 7}]; got != live {
+		t.Errorf("after the dead attempt's pull failed, task 7 is committed as %+v, want the live attempt %+v", got, live)
+	}
+	select {
+	case ev := <-events:
+		if f, ok := ev.(evPullFailed); !ok || f.ref.Index != 7 || f.ref.Attempt != 0 {
+			t.Errorf("event %+v, want evPullFailed for task 7 attempt 0", ev)
+		}
+	default:
+		t.Error("the failed pull was not reported")
+	}
+	var got []string
+	for _, f := range r.staged {
+		got = append(got, fmt.Sprintf("%d.%d:%s", f.Cover[0].Index, f.Cover[0].Attempt, f.Sections[0].Payload))
+		if f.Job != job || f.Stage != stage || f.Gen != gen || f.RecvIdx != recvIdx || len(f.Cover) != 1 {
+			t.Errorf("staged frame head %+v does not match the receiver and its commit", f)
+		}
+	}
+	if want := []string{"7.1:parked", "8.0:skipped"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("staged %v, want %v", got, want)
+	}
+	if f, s := met.BytesFetched.Load(), met.Counter(metrics.NameCASBytesServed).Load(); f != int64(len(parked)) || s != int64(len(skipped)) {
+		t.Errorf("bytes_fetched = %d, cas_bytes_served = %d; want the parked block's %d and the chunk's %d", f, s, len(parked), len(skipped))
+	}
 }

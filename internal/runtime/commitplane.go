@@ -1,11 +1,9 @@
 package runtime
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 
-	"pado/internal/data"
 	"pado/internal/metrics"
 	"pado/internal/obs"
 	"pado/internal/simnet"
@@ -29,7 +27,7 @@ import (
 //     stores, and nothing downstream can tell the difference;
 //   - a task-level hit commits the task without launching it: the master
 //     relays commit messages carrying chunk addresses, and receivers pull
-//     the staged sections from the CAS instead of accepting pushes;
+//     the sections from the CAS (receiver.pull) instead of accepting pushes;
 //   - on the write side, receivers put their finalized partitions as
 //     chunks (evReservedTaskDone.Chunk) and the master commits the
 //     assembled stage manifest; content-addressable tasks push raw
@@ -380,7 +378,7 @@ func (ex *Executor) commitTaskChunks(taskKey string, sections [][]pushSection) {
 	// independent and the manifest below is only committed if every one
 	// landed, so a partial write can never be resolved by a later run.
 	err := storage.Fanout(len(sections), len(sections), func(i int) error {
-		payload, err := encodeSections(sections[i])
+		payload, err := sectionsBlock(sections[i])
 		if err != nil {
 			return err
 		}
@@ -398,91 +396,4 @@ func (ex *Executor) commitTaskChunks(taskKey string, sections [][]pushSection) {
 	if err := ex.cas.Commit(&storage.Manifest{Key: taskCommitKey(taskKey), Parts: parts}); err == nil {
 		ex.met.Counter(metrics.NameCommitWrites).Add(1)
 	}
-}
-
-// pullCAS serves one skipped task's sections from the commit store as a
-// frame shaped exactly as if the sender had pushed it (same Cover
-// bookkeeping, so drainStaged and the exactly-once dedup treat both paths
-// identically). Safe to call concurrently: it only reads receiver identity
-// and touches atomic counters; the caller stages the returned frame.
-func (r *receiver) pullCAS(c msgCommit) (*pushFrame, error) {
-	if r.ex.cas == nil {
-		return nil, fmt.Errorf("runtime: commit relay carries chunk %.12s but executor has no commit plane", c.Chunk)
-	}
-	r.ex.tr.Emit(obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
-		Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: "cas"})
-	payload, err := r.ex.cas.GetChunk(c.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	r.ex.met.Counter(metrics.NameCASBytesServed).Add(int64(len(payload)))
-	secs, err := decodeSections(payload)
-	if err != nil {
-		return nil, err
-	}
-	r.ex.tr.Emit(obs.Event{Kind: obs.FetchDone, Stage: r.spec.Stage, Frag: c.Frag,
-		Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Bytes: int64(len(payload)), Note: "cas"})
-	return &pushFrame{
-		Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen, RecvIdx: r.spec.Index,
-		Frag:     c.Frag,
-		Cover:    []senderRef{{Index: c.Index, Attempt: c.Attempt}},
-		Sections: secs,
-	}, nil
-}
-
-// encodeSections / decodeSections serialize a frame's section list for
-// CAS chunks. Deliberately NOT the full pushFrame codec: a pushFrame
-// embeds job, generation, and attempt — run-specific identity that would
-// pollute content addresses and defeat cross-run dedup. The receiver
-// reconstructs the frame envelope from the commit message instead.
-func encodeSections(secs []pushSection) ([]byte, error) {
-	return data.Encoded(func(e *data.Encoder) error {
-		if err := e.Uvarint(uint64(len(secs))); err != nil {
-			return err
-		}
-		for _, s := range secs {
-			if err := e.String(s.Tag); err != nil {
-				return err
-			}
-			b := byte(0)
-			if s.Aggregated {
-				b = 1
-			}
-			if err := e.Byte(b); err != nil {
-				return err
-			}
-			if err := e.Bytes(s.Payload); err != nil {
-				return err
-			}
-		}
-		return e.Flush()
-	})
-}
-
-func decodeSections(payload []byte) ([]pushSection, error) {
-	d := data.NewDecoder(bytes.NewReader(payload))
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("runtime: section chunk lists %d sections", n)
-	}
-	secs := make([]pushSection, n)
-	for i := range secs {
-		tag, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		agg, err := d.Byte()
-		if err != nil {
-			return nil, err
-		}
-		p, err := d.Bytes(0)
-		if err != nil {
-			return nil, err
-		}
-		secs[i] = pushSection{Tag: tag, Aggregated: agg == 1, Payload: p}
-	}
-	return secs, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"pado/internal/cluster"
 	"pado/internal/data"
+	"pado/internal/metrics"
 	"pado/internal/obs"
 	"pado/internal/simnet"
 	"pado/internal/storage"
@@ -53,11 +54,11 @@ func TestMidFanoutPushFailure(t *testing.T) {
 			remove := cl.Net().InjectFault(simnet.LinkFault{From: "t", To: "r1", DropEvery: 1})
 			tr := obs.New()
 			var relaunches atomic.Int64
-			tr.SetTap(func(ev obs.Event) {
+			defer tr.SubscribeSync(func(ev obs.Event) {
 				if ev.Kind == obs.TaskRelaunched && relaunches.Add(1) >= 2 {
 					remove()
 				}
-			})
+			}).Close()
 			tc.cfg.Tracer = tr
 
 			ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
@@ -92,6 +93,61 @@ func TestMidFanoutPushFailure(t *testing.T) {
 			}
 			checkWordCount(t, res, expect)
 		})
+	}
+}
+
+// TestRefusalCostsNoRetry: a peer's "no" is an answer, whichever op it
+// answers. A manifest with a dangling chunk, committed through a data plane
+// with the RPC policy on, reaches the service exactly once: the stream
+// stays pooled (no redial, the next op reuses it), no retry budget or
+// backoff is spent, and the destination's breaker records nothing.
+func TestRefusalCostsNoRetry(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	node, err := net.AddNode("cas0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.AddNode("client"); err != nil {
+		t.Fatal(err)
+	}
+	svc := storage.NewCommitService(storage.NewCommitStore(), []*simnet.Node{node})
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	met := &metrics.Job{}
+	dp := newDataPlane(net, "client", met, FailureConfig{}, nil)
+	defer dp.pool.Close()
+	cas := storage.NewCommitClient(dp, svc.NodeIDs())
+	attempts := func() int64 {
+		return met.Counter(metrics.NameConnDials).Load() + met.Counter(metrics.NameConnReuses).Load()
+	}
+
+	stored, err := cas.PutChunk([]byte("stored")) // dials the one stream
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := attempts()
+	err = cas.Commit(&storage.Manifest{Key: "x", Parts: [][]string{{stored, storage.HashChunk([]byte("ghost"))}}})
+	if err == nil || !storage.IsReply(err) || isFatal(err) {
+		t.Fatalf("dangling commit: err = %v, want a non-fatal peer reply", err)
+	}
+	if got := attempts() - before; got != 1 {
+		t.Errorf("the refused commit reached the service %d times, want once", got)
+	}
+	if m, err := cas.Resolve("x", false); err != nil || m != nil {
+		t.Fatalf("resolve after the refusal = %v, %v; want a clean miss", m, err)
+	}
+	if d, r := met.Counter(metrics.NameConnDials).Load(), met.Counter(metrics.NameConnReuses).Load(); d != 1 || r != 2 {
+		t.Errorf("conn_dials = %d, conn_reuses = %d; want 1 and 2 (refusal and miss both keep the stream)", d, r)
+	}
+	if n := met.Counter(metrics.NameRPCRetries).Load(); n != 0 {
+		t.Errorf("rpc_retries = %d, want 0", n)
+	}
+	for _, b := range dp.pol.inspect() {
+		if b.Fails != 0 || b.State != "closed" {
+			t.Errorf("breaker toward %s: %d fails, %s; a refusal is not a failure", b.Dest, b.Fails, b.State)
+		}
 	}
 }
 

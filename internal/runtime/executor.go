@@ -198,14 +198,8 @@ func (h *nodeHost) handlePush(op byte, e *data.Encoder, d *data.Decoder) error {
 	if err != nil {
 		return err
 	}
-	resp := byte(respNo)
-	if ex := h.executor(f.Job); ex != nil && ex.deliverPush(f) {
-		resp = respOK
-	}
-	if err := e.Byte(resp); err != nil {
-		return err
-	}
-	return e.Flush()
+	ex := h.executor(f.Job)
+	return storage.Answer(e, ex != nil && ex.deliverPush(f), nil)
 }
 
 // Executor runs one job's tasks on one container (§3.2.4). Transient

@@ -208,30 +208,3 @@ func TestIncrementalSkippedParentConsumerUnderEviction(t *testing.T) {
 		t.Errorf("invariants: %s", report)
 	}
 }
-
-// TestSectionsCodecRoundTrip pins the CAS chunk payload codec used for
-// skipped-task pulls.
-func TestSectionsCodecRoundTrip(t *testing.T) {
-	secs := []pushSection{
-		{Tag: "", Aggregated: false, Payload: []byte("hello")},
-		{Tag: "side", Aggregated: true, Payload: nil},
-		{Tag: "x", Aggregated: false, Payload: []byte{0, 1, 2, 255}},
-	}
-	buf, err := encodeSections(secs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeSections(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(secs) {
-		t.Fatalf("got %d sections, want %d", len(got), len(secs))
-	}
-	for i, s := range secs {
-		g := got[i]
-		if g.Tag != s.Tag || g.Aggregated != s.Aggregated || string(g.Payload) != string(s.Payload) {
-			t.Errorf("section %d: got %+v want %+v", i, g, s)
-		}
-	}
-}

@@ -276,9 +276,6 @@ func (jm *JobManager) buildState() *ManagerState {
 	}
 
 	if jm.commits != nil {
-		// Refreshing the store gauges here (not in updateGauges) keeps the
-		// per-event path free of the store's mutex; /metrics snapshots the
-		// manager first, so its exposition is always as fresh as /state.
 		cs := jm.commits.store.Stats()
 		st.Store = &StoreState{
 			Chunks: cs.Chunks, Manifests: cs.Manifests, UsedBytes: cs.UsedBytes,
@@ -289,7 +286,49 @@ func (jm *JobManager) buildState() *ManagerState {
 		jm.met.Gauge(metrics.GaugeCASManifests).Set(int64(cs.Manifests))
 		jm.met.Gauge(metrics.GaugeStorageUsedBytes).Set(cs.UsedBytes)
 	}
+	jm.refreshGauges(st)
 	return st
+}
+
+// refreshGauges sets the fleet gauges to the snapshot's tallies. Gauges
+// are only ever read behind a snapshot — /metrics, /state and padotop all
+// Inspect first — so refreshing them here keeps them as fresh as any
+// reader can see while event handling pays nothing for them.
+func (jm *JobManager) refreshGauges(st *ManagerState) {
+	var recv, running, freeT, freeR, suspect, open int
+	for _, j := range st.Jobs {
+		recv += j.ReceiversActive
+	}
+	for _, n := range st.Nodes {
+		running += n.RunningTasks
+		if n.Kind == cluster.Transient.String() {
+			freeT += n.SlotsFree
+		} else {
+			freeR += n.SlotsFree
+		}
+		if n.Detector == "suspect" {
+			suspect++
+		}
+	}
+	for _, b := range st.Breakers {
+		if b.State != breakerStateNames[brClosed] {
+			open++
+		}
+	}
+	for name, v := range map[string]int{
+		metrics.GaugeJobsRunning:       len(st.Jobs),
+		metrics.GaugeJobsQueued:        len(st.Queue),
+		metrics.GaugeTasksRunning:      running,
+		metrics.GaugeReceiversActive:   recv,
+		metrics.GaugeSlotsFreeTrans:    freeT,
+		metrics.GaugeSlotsFreeReserved: freeR,
+		metrics.GaugeBudgetFree:        st.BudgetFree,
+		metrics.GaugeNodesAlive:        len(st.Nodes),
+		metrics.GaugeNodesSuspect:      suspect,
+		metrics.GaugeBreakersOpen:      open,
+	} {
+		jm.met.Gauge(name).Set(int64(v))
+	}
 }
 
 // jobState projects one jobRun. Runs on the event loop only.
@@ -384,19 +423,6 @@ func (fd *failureDetector) inspect(now time.Time) map[string]fdNodeView {
 	return out
 }
 
-// suspectCount reports how many tracked nodes are currently suspect.
-func (fd *failureDetector) suspectCount() int {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	n := 0
-	for _, node := range fd.nodes {
-		if node.suspect {
-			n++
-		}
-	}
-	return n
-}
-
 // inspect lists every destination with non-default breaker state or a
 // drained retry budget, sorted by destination. Safe from any goroutine.
 func (pol *rpcPolicy) inspect() []BreakerState {
@@ -418,23 +444,6 @@ func (pol *rpcPolicy) inspect() []BreakerState {
 	return out
 }
 
-// openCount reports how many destinations are currently open or
-// half-open (quarantined for fetch routing).
-func (pol *rpcPolicy) openCount() int {
-	if pol == nil {
-		return 0
-	}
-	pol.mu.Lock()
-	defer pol.mu.Unlock()
-	n := 0
-	for _, d := range pol.dests {
-		if d.state != brClosed {
-			n++
-		}
-	}
-	return n
-}
-
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
@@ -449,53 +458,4 @@ func sortBreakers(s []BreakerState) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// managerGauges caches the fleet registry's live-introspection gauges
-// so the event loop updates them with atomic stores, not map lookups.
-type managerGauges struct {
-	jobsRunning, jobsQueued  *metrics.Gauge
-	tasksRunning, recvActive *metrics.Gauge
-	slotsFreeT, slotsFreeR   *metrics.Gauge
-	budgetFree               *metrics.Gauge
-	nodesAlive, nodesSuspect *metrics.Gauge
-	breakersOpen             *metrics.Gauge
-}
-
-func newManagerGauges(reg *metrics.Job) managerGauges {
-	return managerGauges{
-		jobsRunning:  reg.Gauge(metrics.GaugeJobsRunning),
-		jobsQueued:   reg.Gauge(metrics.GaugeJobsQueued),
-		tasksRunning: reg.Gauge(metrics.GaugeTasksRunning),
-		recvActive:   reg.Gauge(metrics.GaugeReceiversActive),
-		slotsFreeT:   reg.Gauge(metrics.GaugeSlotsFreeTrans),
-		slotsFreeR:   reg.Gauge(metrics.GaugeSlotsFreeReserved),
-		budgetFree:   reg.Gauge(metrics.GaugeBudgetFree),
-		nodesAlive:   reg.Gauge(metrics.GaugeNodesAlive),
-		nodesSuspect: reg.Gauge(metrics.GaugeNodesSuspect),
-		breakersOpen: reg.Gauge(metrics.GaugeBreakersOpen),
-	}
-}
-
-// updateGauges refreshes the fleet gauges from loop-confined state.
-// Called after every handled event; everything here is O(fleet size),
-// which is tens of containers — far below the cost of the event that
-// preceded it.
-func (jm *JobManager) updateGauges() {
-	jm.g.jobsRunning.Set(int64(len(jm.order)))
-	jm.g.jobsQueued.Set(int64(len(jm.queue)))
-	jm.g.tasksRunning.Set(int64(len(jm.assignments)))
-	recv := 0
-	for _, id := range jm.order {
-		recv += jm.jobs[id].recvActive
-	}
-	jm.g.recvActive.Set(int64(recv))
-	jm.g.slotsFreeT.Set(int64(jm.freeSlots[cluster.Transient]))
-	jm.g.slotsFreeR.Set(int64(jm.freeSlots[cluster.Reserved]))
-	jm.g.budgetFree.Set(int64(jm.budgetFree))
-	jm.g.nodesAlive.Set(int64(len(jm.hosts)))
-	if jm.fd != nil {
-		jm.g.nodesSuspect.Set(int64(jm.fd.suspectCount()))
-	}
-	jm.g.breakersOpen.Set(int64(jm.dp.pol.openCount()))
 }

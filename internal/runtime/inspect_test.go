@@ -73,6 +73,47 @@ func checkSnapshot(t *testing.T, st *ManagerState, slots int) {
 	}
 }
 
+// checkGauges asserts the fleet gauges equal the snapshot's own tallies.
+// A snapshot refreshes them as it is built and nothing else writes them,
+// so with a single inspector the equality is exact.
+func checkGauges(t *testing.T, reg *metrics.Job, st *ManagerState) {
+	t.Helper()
+	want := map[string]int{
+		metrics.GaugeJobsRunning: len(st.Jobs),
+		metrics.GaugeJobsQueued:  len(st.Queue),
+		metrics.GaugeBudgetFree:  st.BudgetFree,
+		metrics.GaugeNodesAlive:  len(st.Nodes),
+	}
+	for _, j := range st.Jobs {
+		want[metrics.GaugeReceiversActive] += j.ReceiversActive
+	}
+	for _, n := range st.Nodes {
+		want[metrics.GaugeTasksRunning] += n.RunningTasks
+		if n.Kind == cluster.Transient.String() {
+			want[metrics.GaugeSlotsFreeTrans] += n.SlotsFree
+		} else {
+			want[metrics.GaugeSlotsFreeReserved] += n.SlotsFree
+		}
+		if n.Detector == "suspect" {
+			want[metrics.GaugeNodesSuspect]++
+		}
+	}
+	for _, b := range st.Breakers {
+		if b.State != "closed" {
+			want[metrics.GaugeBreakersOpen]++
+		}
+	}
+	for _, name := range []string{
+		metrics.GaugeJobsRunning, metrics.GaugeJobsQueued, metrics.GaugeTasksRunning,
+		metrics.GaugeReceiversActive, metrics.GaugeSlotsFreeTrans, metrics.GaugeSlotsFreeReserved,
+		metrics.GaugeBudgetFree, metrics.GaugeNodesAlive, metrics.GaugeNodesSuspect, metrics.GaugeBreakersOpen,
+	} {
+		if got := reg.Gauge(name).Load(); got != int64(want[name]) {
+			t.Errorf("gauge %s = %d, the snapshot tallies %d", name, got, want[name])
+		}
+	}
+}
+
 // TestInspectConsistentUnderChaos hammers Inspect from several
 // goroutines while three jobs run through an eviction storm plus
 // silent node kills (the failure detector's hardest case), asserting
@@ -109,6 +150,19 @@ func TestInspectConsistentUnderChaos(t *testing.T) {
 	for i := 0; i < n; i++ {
 		handles[i], expects[i] = submitWordCount(t, jm, 4, 150+10*i,
 			Config{Tracer: tracer, MaxTaskFailures: 1000}, JobOptions{})
+	}
+
+	// One inspector, jobs running: the gauges are this snapshot's tallies.
+	for i := 0; i < 5; i++ {
+		st, err := jm.Inspect(ctx)
+		if err != nil {
+			t.Fatalf("inspect: %v", err)
+		}
+		if len(st.Jobs) == 0 || len(st.Nodes) == 0 {
+			t.Fatalf("mid-run snapshot shows %d jobs on %d nodes, want running jobs on a live fleet", len(st.Jobs), len(st.Nodes))
+		}
+		checkGauges(t, fleet, st)
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Silent kills on top of the organic eviction storm: the node
@@ -190,6 +244,7 @@ func TestInspectConsistentUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatalf("final inspect: %v", err)
 		}
+		checkGauges(t, fleet, st)
 		lingering := 0
 		for _, node := range st.Nodes {
 			for _, id := range gone {

@@ -210,9 +210,6 @@ type JobManager struct {
 	// is fed by collector goroutines; register/forget/tick run on the
 	// event loop.
 	fd *failureDetector
-	// g caches the fleet registry's live-introspection gauges; the loop
-	// refreshes them after every handled event (inspect.go).
-	g managerGauges
 	// commits is the incremental re-execution plane (nil when
 	// ManagerConfig.Commits is unset): the served commit store, its
 	// dedicated simnet nodes, and the master-side client.
@@ -308,7 +305,6 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 	if !mcfg.Failure.DisableDetector {
 		jm.fd = newFailureDetector(mcfg.Failure)
 	}
-	jm.g = newManagerGauges(met)
 	jm.cSchedRounds = met.Counter(metrics.NameSchedRounds)
 	jm.cTasksScanned = met.Counter(metrics.NameSchedTasksScanned)
 	jm.cSlotIndexHits = met.Counter(metrics.NameSlotIndexHits)
@@ -550,7 +546,6 @@ func (jm *JobManager) handle(ev event) {
 	}
 	jm.reapFinished()
 	jm.scheduleAll()
-	jm.updateGauges()
 }
 
 // admitOrQueue makes the admission decision for a newly submitted job.
@@ -837,10 +832,7 @@ func (jm *JobManager) handleCollectorOp(op byte, e *data.Encoder, d *data.Decode
 		case <-stop:
 			return errManagerClosed
 		}
-		if err := e.Byte(respOK); err != nil {
-			return err
-		}
-		return e.Flush()
+		return storage.Answer(e, true, nil)
 	default:
 		return fmt.Errorf("runtime: unknown collector frame %q", op)
 	}

@@ -14,8 +14,6 @@ import (
 	"pado/internal/storage"
 )
 
-func readerOf(b []byte) *bytes.Reader { return bytes.NewReader(b) }
-
 // recvSpec describes one reserved task (receiver).
 type recvSpec struct {
 	Stage int
@@ -36,9 +34,9 @@ type recvSpec struct {
 type msgFrame struct{ f *pushFrame }
 
 // msgCommit is a task-output commit forwarded by the master. Exec names
-// the sender's executor for pull-mode fetches. Chunk, when non-empty,
-// marks a skipped task (commitplane.go): no sender ran, Exec is empty,
-// and the receiver pulls the staged sections from the commit store.
+// the sender's executor, where pull mode parked the task's sections.
+// Chunk, when non-empty, marks a skipped task (commitplane.go): no sender
+// ran, Exec is empty, and the sections are that chunk of the commit store.
 type msgCommit struct {
 	Frag    int
 	Index   int
@@ -136,12 +134,12 @@ func (r *receiver) run() {
 		if !ok {
 			return
 		}
-		// Greedily drain whatever else is already queued so commit-store
-		// pulls for skipped tasks can be fetched in one parallel fanout:
-		// the master relays a skipped stage's commits back-to-back, and
-		// one round trip per commit would serialize into the dominant
-		// rerun cost. Frame staging and commit bookkeeping commute, so
-		// batch order is indistinguishable from one-at-a-time order.
+		// Greedily drain whatever else is already queued so the sections a
+		// batch of commits names can be pulled in one parallel fanout: the
+		// master relays a skipped stage's commits back-to-back, and one
+		// round trip per commit would serialize into the dominant rerun
+		// cost. Frame staging and commit bookkeeping commute, so batch
+		// order is indistinguishable from one-at-a-time order.
 		batch := []any{m}
 		for {
 			v, ok := r.msgs.tryGet()
@@ -150,7 +148,7 @@ func (r *receiver) run() {
 			}
 			batch = append(batch, v)
 		}
-		var casPulls []msgCommit
+		var pulls []msgCommit
 		for _, m := range batch {
 			switch msg := m.(type) {
 			case msgFrame:
@@ -160,31 +158,14 @@ func (r *receiver) run() {
 				if old, ok := r.committed[key]; !ok || msg.Attempt > old.Attempt {
 					r.committed[key] = msg
 				}
-				if msg.Chunk != "" && msg.Exec == "" {
-					// Skipped task: its sections live in the commit
-					// store. A failed pull reverts the skip through the
-					// same relaunch path a lost pull-mode block uses.
-					casPulls = append(casPulls, msg)
-				} else if r.spec.PullMode {
-					if err := r.pull(msg); err != nil {
-						if r.ex.stopped() {
-							return
-						}
-						// The sender's stored output is gone (its
-						// container was evicted): ask the master to
-						// relaunch the sender.
-						delete(r.committed, key)
-						r.ex.send(evPullFailed{ref: taskRef{
-							Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen,
-							Frag: msg.Frag, Index: msg.Index, Attempt: msg.Attempt,
-						}})
-					}
+				if msg.Chunk != "" || r.spec.PullMode {
+					pulls = append(pulls, msg)
 				}
 			case msgCancel:
 				return
 			}
 		}
-		if !r.pullCASBatch(casPulls) {
+		if !r.pull(pulls) {
 			return
 		}
 		if err := r.drainStaged(); err != nil {
@@ -199,56 +180,64 @@ func (r *receiver) run() {
 	}
 }
 
-// pullCASBatch fetches the staged sections of a batch of skipped-task
-// commits concurrently. A failed pull reverts that task's skip (commit
-// entry dropped, evPullFailed sent) without poisoning the rest of the
-// batch. Returns false when the executor is stopping.
-func (r *receiver) pullCASBatch(pulls []msgCommit) bool {
-	if len(pulls) == 0 {
-		return true
-	}
-	frames := make([]*pushFrame, len(pulls))
-	errs := make([]error, len(pulls))
-	_ = storage.Fanout(len(pulls), storage.MaxFetchWorkers, func(i int) error {
-		frames[i], errs[i] = r.pullCAS(pulls[i])
+// pull is the receiver's one way to fetch what was not pushed to it: for
+// every commit it gets the block the commit names — the chunk of a skipped
+// task, or the output a pull-mode sender parked in its local store —
+// concurrently, reads the sections, and stages them under the frame head
+// the commit implies, exactly as if the sender had pushed (same Cover
+// bookkeeping, so drainStaged and the exactly-once dedup cannot tell). A
+// failed pull drops that commit and reports evPullFailed — the block is
+// gone with its evicted container, or the skip must be reverted — and the
+// master relaunches the sender; the rest of the batch is unaffected.
+// Returns false when the executor is stopping.
+func (r *receiver) pull(commits []msgCommit) bool {
+	frames := make([]*pushFrame, len(commits))
+	_ = storage.Fanout(len(commits), storage.MaxFetchWorkers, func(i int) error {
+		c := commits[i]
+		note, id := "cas", ""
+		if c.Chunk == "" {
+			note, id = "pull", taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
+		}
+		ev := obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
+			Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: note}
+		r.ex.tr.Emit(ev)
+		payload, err := fetchBlock(r.ex.dp, r.ex.cas, r.ex.met, c.Exec, id, c.Chunk)
+		if err != nil {
+			return nil
+		}
+		if c.Chunk == "" {
+			r.ex.met.BytesFetched.Add(int64(len(payload)))
+		}
+		ev.Kind, ev.Bytes = obs.FetchDone, int64(len(payload))
+		r.ex.tr.Emit(ev)
+		secs, err := readSections(data.NewDecoder(bytes.NewReader(payload)))
+		if err != nil {
+			return nil
+		}
+		frames[i] = &pushFrame{Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen, RecvIdx: r.spec.Index,
+			Frag: c.Frag, Cover: []senderRef{{Index: c.Index, Attempt: c.Attempt}}, Sections: secs}
 		return nil
 	})
-	for i, msg := range pulls {
-		if errs[i] != nil {
-			if r.ex.stopped() {
-				return false
-			}
-			delete(r.committed, fragSender{Frag: msg.Frag, Index: msg.Index})
-			r.ex.send(evPullFailed{ref: taskRef{
-				Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen,
-				Frag: msg.Frag, Index: msg.Index, Attempt: msg.Attempt,
-			}})
+	for i, c := range commits {
+		if frames[i] != nil {
+			r.staged = append(r.staged, frames[i])
 			continue
 		}
-		r.staged = append(r.staged, frames[i])
+		if r.ex.stopped() {
+			return false
+		}
+		// Another receiver's failed pull may already have had the sender
+		// relaunched, and the batch may hold the new attempt's commit too:
+		// only this commit is dropped.
+		if key := (fragSender{Frag: c.Frag, Index: c.Index}); r.committed[key] == c {
+			delete(r.committed, key)
+		}
+		r.ex.send(evPullFailed{ref: taskRef{
+			Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen,
+			Frag: c.Frag, Index: c.Index, Attempt: c.Attempt,
+		}})
 	}
 	return true
-}
-
-// pull fetches a committed sender output in pull-boundary mode and stages
-// it as if it had been pushed.
-func (r *receiver) pull(c msgCommit) error {
-	id := taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
-	r.ex.tr.Emit(obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
-		Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: "pull"})
-	payload, err := storage.FetchBlock(r.ex.dp, "fetch", c.Exec, id)
-	if err != nil {
-		return err
-	}
-	r.ex.met.BytesFetched.Add(int64(len(payload)))
-	r.ex.tr.Emit(obs.Event{Kind: obs.FetchDone, Stage: r.spec.Stage, Frag: c.Frag,
-		Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Bytes: int64(len(payload)), Note: "pull"})
-	f, err := decodeFrameBlock(payload)
-	if err != nil {
-		return err
-	}
-	r.staged = append(r.staged, f)
-	return nil
 }
 
 // drainStaged processes every staged frame whose covered senders are all

@@ -15,7 +15,7 @@ import (
 // per event, as a function of job size? The fleet here is synthetic —
 // fake taskLaunchers record launches instead of running a data plane —
 // so the numbers isolate scheduleAll/assignTasks/pickExecutor and the
-// per-event bookkeeping around them (reapFinished, updateGauges).
+// per-event bookkeeping around them (reapFinished).
 //
 // The three benchmarks pin the control-plane raw-speed trajectory:
 //

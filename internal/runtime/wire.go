@@ -8,15 +8,13 @@ import (
 	"pado/internal/storage"
 )
 
-// Runtime frame types. Block get/put is storage's block protocol, served
-// on the same streams (storage.ServeBlocks); these are the frames only
-// Pado has.
+// Runtime ops. Block get/put is storage's block protocol, served on the
+// same streams (storage.ServeBlocks); these are the ops only Pado has.
+// Push and result are storage.Call rounds; the heartbeat is one-way.
 const (
-	framePush      = 'H' // boundary push to a receiver
-	frameResult    = 'R' // terminal-transient result push to the master
-	frameHeartbeat = 'B' // executor liveness beat to the master (no response)
-	respOK         = 'K'
-	respNo         = 'N'
+	framePush      = 'H' // pushFrame → (nothing); refused = the node hosts no such receiver
+	frameResult    = 'R' // resultFrame → (nothing); never refused
+	frameHeartbeat = 'B' // heartbeatFrame, no answer
 )
 
 // pushFrame is one boundary transfer to one reserved receiver task. It
@@ -47,9 +45,6 @@ type pushSection struct {
 }
 
 func writePushFrame(e *data.Encoder, f *pushFrame) error {
-	if err := e.Byte(framePush); err != nil {
-		return err
-	}
 	e.Varint(int64(f.Job))
 	e.Varint(int64(f.Stage))
 	e.Varint(int64(f.Gen))
@@ -60,19 +55,7 @@ func writePushFrame(e *data.Encoder, f *pushFrame) error {
 		e.Varint(int64(c.Index))
 		e.Varint(int64(c.Attempt))
 	}
-	e.Uvarint(uint64(len(f.Sections)))
-	for _, s := range f.Sections {
-		e.String(s.Tag)
-		b := byte(0)
-		if s.Aggregated {
-			b = 1
-		}
-		e.Byte(b)
-		if err := e.Bytes(s.Payload); err != nil {
-			return err
-		}
-	}
-	return e.Flush()
+	return writeSections(e, f.Sections)
 }
 
 func readPushFrame(d *data.Decoder) (*pushFrame, error) {
@@ -105,8 +88,8 @@ func readPushFrame(d *data.Decoder) (*pushFrame, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("runtime: push cover %d too large", n)
 	}
-	f.Cover = make([]senderRef, n)
-	for i := range f.Cover {
+	f.Cover = make([]senderRef, 0, min(n, data.MaxPrealloc))
+	for i := uint64(0); i < n; i++ {
 		idx, err := d.Varint()
 		if err != nil {
 			return nil, err
@@ -115,17 +98,46 @@ func readPushFrame(d *data.Decoder) (*pushFrame, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Cover[i] = senderRef{Index: int(idx), Attempt: int(at)}
+		f.Cover = append(f.Cover, senderRef{Index: int(idx), Attempt: int(at)})
 	}
-	ns, err := d.Uvarint()
+	if f.Sections, err = readSections(d); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// writeSections / readSections are the one codec of a section list: the
+// tail of a push frame, a task commit's chunk and a pull-mode task's parked
+// output are the same bytes. The latter two deliberately stop there: a
+// pushFrame's head is job, generation and attempt — run-specific identity
+// that would pollute content addresses and defeat cross-run dedup — so a
+// receiver that pulls sections rebuilds the head from the commit message.
+func writeSections(e *data.Encoder, secs []pushSection) error {
+	e.Uvarint(uint64(len(secs)))
+	for _, s := range secs {
+		e.String(s.Tag)
+		b := byte(0)
+		if s.Aggregated {
+			b = 1
+		}
+		e.Byte(b)
+		if err := e.Bytes(s.Payload); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func readSections(d *data.Decoder) ([]pushSection, error) {
+	n, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if ns > 1<<16 {
-		return nil, fmt.Errorf("runtime: push sections %d too large", ns)
+	if n > 1<<16 {
+		return nil, fmt.Errorf("runtime: %d sections too large", n)
 	}
-	f.Sections = make([]pushSection, ns)
-	for i := range f.Sections {
+	secs := make([]pushSection, 0, min(n, data.MaxPrealloc))
+	for i := uint64(0); i < n; i++ {
 		tag, err := d.String()
 		if err != nil {
 			return nil, err
@@ -138,33 +150,30 @@ func readPushFrame(d *data.Decoder) (*pushFrame, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Sections[i] = pushSection{Tag: tag, Aggregated: agg == 1, Payload: payload}
+		secs = append(secs, pushSection{Tag: tag, Aggregated: agg == 1, Payload: payload})
 	}
-	return f, nil
+	return secs, nil
+}
+
+// sectionsBlock is writeSections into a block.
+func sectionsBlock(secs []pushSection) ([]byte, error) {
+	return data.Encoded(func(e *data.Encoder) error { return writeSections(e, secs) })
 }
 
 // sendPush delivers a frame to the receiver's executor node and waits for
 // the acknowledgement.
 func sendPush(t storage.Transport, to string, f *pushFrame) error {
-	return t.Do("push", to, func(e *data.Encoder, d *data.Decoder) error {
-		if err := writePushFrame(e, f); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("push to %s (stage %d recv %d): %w", to, f.Stage, f.RecvIdx, errPushRejected)
-		}
-		return nil
-	})
+	err := storage.Call(t, "push", to, framePush,
+		func(e *data.Encoder) error { return writePushFrame(e, f) }, nil, errPushRejected)
+	if errors.Is(err, errPushRejected) {
+		return fmt.Errorf("push to %s (stage %d recv %d): %w", to, f.Stage, f.RecvIdx, err)
+	}
+	return err
 }
 
-// errPushRejected marks a push to an executor that no longer hosts the
-// receiver — a benign race with stage restarts or recovery, answered by a
-// healthy peer.
-var errPushRejected = storage.Reply(errors.New("runtime: push rejected"))
+// errPushRejected is the refusal of a push by an executor that no longer
+// hosts the receiver — a benign race with stage restarts or recovery.
+var errPushRejected = errors.New("runtime: push rejected")
 
 // resultFrame is a terminal-transient stage's output push to the master.
 type resultFrame struct {
@@ -177,31 +186,20 @@ type resultFrame struct {
 }
 
 func sendResult(t storage.Transport, masterID string, f *resultFrame) error {
-	return t.Do("collect", masterID, func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(frameResult); err != nil {
-			return err
-		}
-		e.Varint(int64(f.Job))
-		e.Varint(int64(f.Stage))
-		e.Varint(int64(f.Gen))
-		e.Varint(int64(f.Index))
-		e.Varint(int64(f.Attempt))
-		if err := e.Bytes(f.Payload); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("runtime: result push rejected")
-		}
-		return nil
-	})
+	return storage.Call(t, "collect", masterID, frameResult,
+		func(e *data.Encoder) error { return writeResultFrame(e, f) }, nil, errResultRejected)
 }
+
+func writeResultFrame(e *data.Encoder, f *resultFrame) error {
+	e.Varint(int64(f.Job))
+	e.Varint(int64(f.Stage))
+	e.Varint(int64(f.Gen))
+	e.Varint(int64(f.Index))
+	e.Varint(int64(f.Attempt))
+	return e.Bytes(f.Payload)
+}
+
+var errResultRejected = errors.New("runtime: result push rejected")
 
 func readResultFrame(d *data.Decoder) (*resultFrame, error) {
 	f := &resultFrame{}
@@ -279,12 +277,14 @@ func readHeartbeat(d *data.Decoder) (*heartbeatFrame, error) {
 		return nil, fmt.Errorf("runtime: heartbeat with %d open dests", n)
 	}
 	if n > 0 {
-		f.Open = make([]string, n)
-		for i := range f.Open {
-			if f.Open[i], err = d.String(); err != nil {
-				return nil, err
-			}
+		f.Open = make([]string, 0, min(n, data.MaxPrealloc))
+	}
+	for i := uint64(0); i < n; i++ {
+		dest, err := d.String()
+		if err != nil {
+			return nil, err
 		}
+		f.Open = append(f.Open, dest)
 	}
 	return f, nil
 }

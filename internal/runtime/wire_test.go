@@ -16,6 +16,11 @@ import (
 	"pado/internal/storage/blocktest"
 )
 
+// frameBytes is what follows the op byte of a push round.
+func frameBytes(f *pushFrame) ([]byte, error) {
+	return data.Encoded(func(e *data.Encoder) error { return writePushFrame(e, f) })
+}
+
 func TestPushFrameRoundTrip(t *testing.T) {
 	in := &pushFrame{
 		Stage: 3, Gen: 2, RecvIdx: 1, Frag: 0,
@@ -25,17 +30,11 @@ func TestPushFrameRoundTrip(t *testing.T) {
 			{Tag: "side", Aggregated: false, Payload: nil},
 		},
 	}
-	var buf bytes.Buffer
-	e := data.NewEncoder(&buf)
-	if err := writePushFrame(e, in); err != nil {
+	blob, err := frameBytes(in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := data.NewDecoder(bytes.NewReader(buf.Bytes()))
-	op, err := d.Byte()
-	if err != nil || op != framePush {
-		t.Fatalf("frame type %v, %v", op, err)
-	}
-	out, err := readPushFrame(d)
+	out, err := readPushFrame(data.NewDecoder(bytes.NewReader(blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +57,11 @@ func TestPushFrameRoundTripProperty(t *testing.T) {
 			in.Cover = append(in.Cover, senderRef{Index: int(v), Attempt: i % 3})
 		}
 		in.Sections = []pushSection{{Tag: "t", Payload: payload}}
-		var buf bytes.Buffer
-		e := data.NewEncoder(&buf)
-		if writePushFrame(e, in) != nil {
+		blob, err := frameBytes(in)
+		if err != nil {
 			return false
 		}
-		d := data.NewDecoder(bytes.NewReader(buf.Bytes()))
-		if op, err := d.Byte(); err != nil || op != framePush {
-			return false
-		}
-		out, err := readPushFrame(d)
+		out, err := readPushFrame(data.NewDecoder(bytes.NewReader(blob)))
 		if err != nil {
 			return false
 		}
@@ -81,27 +75,11 @@ func TestPushFrameRoundTripProperty(t *testing.T) {
 
 func TestResultFrameRoundTrip(t *testing.T) {
 	in := &resultFrame{Job: 3, Stage: 4, Gen: 2, Index: 7, Attempt: 1, Payload: []byte{1, 2, 3}}
-	var buf bytes.Buffer
-	e := data.NewEncoder(&buf)
-	if err := e.Byte(frameResult); err != nil {
+	blob, err := data.Encoded(func(e *data.Encoder) error { return writeResultFrame(e, in) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.Varint(int64(in.Job))
-	e.Varint(int64(in.Stage))
-	e.Varint(int64(in.Gen))
-	e.Varint(int64(in.Index))
-	e.Varint(int64(in.Attempt))
-	if err := e.Bytes(in.Payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	d := data.NewDecoder(bytes.NewReader(buf.Bytes()))
-	if op, _ := d.Byte(); op != frameResult {
-		t.Fatal("wrong frame type")
-	}
-	out, err := readResultFrame(d)
+	out, err := readResultFrame(data.NewDecoder(bytes.NewReader(blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,25 +88,39 @@ func TestResultFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameBlockRoundTrip(t *testing.T) {
-	in := &pushFrame{
-		Stage: 1, Gen: 1, RecvIdx: 0, Frag: 0,
-		Cover:    []senderRef{{Index: 2, Attempt: 1}},
-		Sections: []pushSection{{Tag: "", Payload: []byte("xyz")}},
+// TestSectionsCodecRoundTrip pins the one section-list codec: a task
+// commit's chunk and a pull-mode task's parked block decode back to the
+// sections, and are byte for byte the tail of the push frame that carries
+// the same sections.
+func TestSectionsCodecRoundTrip(t *testing.T) {
+	secs := []pushSection{
+		{Tag: "", Aggregated: false, Payload: []byte("hello")},
+		{Tag: "side", Aggregated: true, Payload: nil},
+		{Tag: "x", Aggregated: false, Payload: []byte{0, 1, 2, 255}},
 	}
-	blob, err := encodeFrameBlock(in)
+	block, err := sectionsBlock(secs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeFrameBlock(blob)
+	got, err := readSections(data.NewDecoder(bytes.NewReader(block)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
-		t.Errorf("got %+v, want %+v", out, in)
+	if len(got) != len(secs) {
+		t.Fatalf("got %d sections, want %d", len(got), len(secs))
 	}
-	if _, err := decodeFrameBlock([]byte{'X'}); err == nil {
-		t.Error("expected error on bad block")
+	for i, s := range secs {
+		g := got[i]
+		if g.Tag != s.Tag || g.Aggregated != s.Aggregated || string(g.Payload) != string(s.Payload) {
+			t.Errorf("section %d: got %+v want %+v", i, g, s)
+		}
+	}
+	frame, err := frameBytes(&pushFrame{Job: 4, Stage: 1, Gen: 2, Cover: []senderRef{{Index: 2, Attempt: 1}}, Sections: secs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(frame, block) {
+		t.Error("a sections block is not the tail of the push frame carrying the same sections")
 	}
 }
 

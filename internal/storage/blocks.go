@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,23 +10,73 @@ import (
 	"pado/internal/simnet"
 )
 
-// The block protocol: every store in the system — a container's local
-// store behind its node host, a stable-storage node, a Spark-like
-// executor's shuffle store — answers the same two framed operations over
-// a simnet stream, and every reader and writer uses FetchBlock and
-// StoreBlock over a Transport. What differs between engines is which
-// stores exist and who calls them when, not how bytes move.
+// The wire envelope: every replying operation on the data plane is one
+// round — op byte, request, flush; verdict byte, answer — written once on
+// each side, by Call and Answer. What an op sends and what a refusal means
+// is the op's own business (DESIGN.md §6 has the table); that a refusal is
+// a Reply, which keeps the stream pooled and costs no retry, is decided
+// here for all of them.
 const (
-	opGet  = 'G' // key → respOK payload | respNo
-	opPut  = 'P' // key, payload → respOK
 	respOK = 'K'
 	respNo = 'N'
 )
 
-// OpHandler serves one request/response round whose op byte has already
-// been read. A non-nil error tears the stream down (codec failure,
-// unknown op); application-level refusals answer on the stream and
-// return nil, keeping it usable.
+// Call runs one round of op against node `to` through t. writeRequest
+// writes what follows the op byte and readAnswer reads what follows a
+// positive verdict; either may be nil when there is nothing there. A
+// negative verdict returns refused marked as a Reply. name is the label
+// Transport.Do accounts the round under.
+func Call(t Transport, name, to string, op byte,
+	writeRequest func(*data.Encoder) error, readAnswer func(*data.Decoder) error, refused error) error {
+	return t.Do(name, to, func(e *data.Encoder, d *data.Decoder) error {
+		if err := e.Byte(op); err != nil {
+			return err
+		}
+		if writeRequest != nil {
+			if err := writeRequest(e); err != nil {
+				return err
+			}
+		}
+		if err := e.Flush(); err != nil {
+			return err
+		}
+		verdict, err := d.Byte()
+		switch {
+		case err != nil:
+			return err
+		case verdict == respNo:
+			return Reply(refused)
+		case verdict != respOK:
+			return fmt.Errorf("storage: op %q answered with verdict byte %q", op, verdict)
+		case readAnswer == nil:
+			return nil
+		}
+		return readAnswer(d)
+	})
+}
+
+// Answer writes the serving side of a round: a positive verdict followed
+// by writeBody's output (nil = the verdict is the whole answer), or a
+// refusal.
+func Answer(e *data.Encoder, ok bool, writeBody func(*data.Encoder) error) error {
+	verdict := byte(respOK)
+	if !ok {
+		verdict, writeBody = respNo, nil
+	}
+	if err := e.Byte(verdict); err != nil {
+		return err
+	}
+	if writeBody != nil {
+		if err := writeBody(e); err != nil {
+			return err
+		}
+	}
+	return e.Flush()
+}
+
+// OpHandler serves one round whose op byte has already been read. A
+// non-nil error tears the stream down (codec failure, unknown op);
+// refusals go out through Answer and return nil, keeping it usable.
 type OpHandler func(op byte, e *data.Encoder, d *data.Decoder) error
 
 // Serve accepts streams on l until stop closes (nil = until the node goes
@@ -50,12 +101,30 @@ func Serve(l *simnet.Listener, stop <-chan struct{}, handle OpHandler) {
 	}
 }
 
+// The block protocol: every store in the system — a container's local
+// store behind its node host, a stable-storage node, a Spark-like
+// executor's shuffle store, the commit store's chunk space — answers the
+// same two operations, and every reader and writer uses FetchBlock and
+// StoreBlock over a Transport. What differs between engines is which
+// stores exist and who calls them when, not how bytes move.
+const (
+	opGet = 'G' // key → payload; refused = no such block
+	opPut = 'P' // key, payload → (nothing); refused = the store will not take it under that key
+)
+
+// BlockStore is what ServeBlocks serves: LocalStore takes every block,
+// the commit store's chunk space only a payload under its own hash.
+type BlockStore interface {
+	Put(key string, b []byte) bool
+	Get(key string) ([]byte, bool)
+}
+
 // ServeBlocks serves the block protocol against store. disk, when
 // non-nil, charges every stored and served payload to a disk-bandwidth
 // limiter (stable storage writes through disk; local stores are memory).
 // Ops outside the block protocol go to other; with other nil they close
 // the stream.
-func ServeBlocks(l *simnet.Listener, store *LocalStore, disk *simnet.Limiter, stop <-chan struct{}, other OpHandler) {
+func ServeBlocks(l *simnet.Listener, store BlockStore, disk *simnet.Limiter, stop <-chan struct{}, other OpHandler) {
 	throttle := func(n int) error {
 		if disk == nil {
 			return nil
@@ -76,27 +145,19 @@ func ServeBlocks(l *simnet.Listener, store *LocalStore, disk *simnet.Limiter, st
 			if err := throttle(len(payload)); err != nil {
 				return err
 			}
-			store.Put(key, payload)
-			return respond(e, respOK)
+			return Answer(e, store.Put(key, payload), nil)
 		case opGet:
 			key, err := d.String()
 			if err != nil {
 				return err
 			}
 			payload, ok := store.Get(key)
-			if !ok {
-				return respond(e, respNo)
+			if ok {
+				if err := throttle(len(payload)); err != nil {
+					return err
+				}
 			}
-			if err := throttle(len(payload)); err != nil {
-				return err
-			}
-			if err := e.Byte(respOK); err != nil {
-				return err
-			}
-			if err := e.Bytes(payload); err != nil {
-				return err
-			}
-			return e.Flush()
+			return Answer(e, ok, func(e *data.Encoder) error { return e.Bytes(payload) })
 		default:
 			if other == nil {
 				return fmt.Errorf("storage: unknown block op %q", op)
@@ -106,38 +167,17 @@ func ServeBlocks(l *simnet.Listener, store *LocalStore, disk *simnet.Limiter, st
 	})
 }
 
-// respond writes a bare one-byte response.
-func respond(e *data.Encoder, resp byte) error {
-	if err := e.Byte(resp); err != nil {
-		return err
-	}
-	return e.Flush()
-}
+// errRejected is the refusal of ops whose request either lands or does not.
+var errRejected = errors.New("rejected")
 
 // FetchBlock gets block id from owner's store through t. A miss is an
 // ErrNotFound; every failure carries the block and owner.
 func FetchBlock(t Transport, op, owner, id string) ([]byte, error) {
 	var payload []byte
-	err := t.Do(op, owner, func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opGet); err != nil {
-			return err
-		}
-		if err := e.String(id); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return ErrNotFound{Key: id}
-		}
-		payload, err = d.Bytes(0)
-		return err
-	})
+	err := Call(t, op, owner, opGet,
+		func(e *data.Encoder) error { return e.String(id) },
+		func(d *data.Decoder) (err error) { payload, err = d.Bytes(0); return err },
+		ErrNotFound{Key: id})
 	if err != nil {
 		return nil, fmt.Errorf("fetch %q from %s: %w", id, owner, err)
 	}
@@ -146,28 +186,12 @@ func FetchBlock(t Transport, op, owner, id string) ([]byte, error) {
 
 // StoreBlock puts a block into owner's store through t.
 func StoreBlock(t Transport, op, owner, id string, payload []byte) error {
-	err := t.Do(op, owner, func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opPut); err != nil {
-			return err
-		}
+	err := Call(t, op, owner, opPut, func(e *data.Encoder) error {
 		if err := e.String(id); err != nil {
 			return err
 		}
-		if err := e.Bytes(payload); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("rejected")
-		}
-		return nil
-	})
+		return e.Bytes(payload)
+	}, nil, errRejected)
 	if err != nil {
 		return fmt.Errorf("store %q on %s: %w", id, owner, err)
 	}

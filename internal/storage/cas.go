@@ -3,6 +3,7 @@ package storage
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,13 +25,12 @@ import (
 // CommitService, which is what makes cross-run incremental re-execution
 // possible.
 
-// Commit-store wire protocol op codes (client → service).
+// The commit service's manifest ops. Chunks need none of their own: a
+// chunk is a block whose key is its content hash (chunkBlocks).
 const (
-	opChunkPut = 'C'
-	opChunkGet = 'H'
-	opCommit   = 'M'
-	opResolve  = 'R'
-	opUnpin    = 'U'
+	opCommit  = 'M' // manifest → (nothing); refused = a referenced chunk is not stored
+	opResolve = 'R' // key, pin byte → manifest; refused = no commit under key
+	opUnpin   = 'U' // key → (nothing); never refused
 )
 
 // HashChunk returns the content address of a chunk: the lowercase hex
@@ -107,16 +107,37 @@ func NewCommitStore() *CommitStore {
 // first.
 func (s *CommitStore) PutChunk(b []byte) string {
 	h := HashChunk(b)
+	s.putChunkAt(h, b)
+	return h
+}
+
+// putChunkAt stores b under h, which the caller has computed from b.
+func (s *CommitStore) putChunkAt(h string, b []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.chunks[h]; ok {
 		s.dedup++
-		return h
+		return
 	}
 	s.chunks[h] = &chunkEntry{data: append([]byte(nil), b...)}
 	s.used += int64(len(b))
-	return h
 }
+
+// chunkBlocks is a CommitStore's chunk space as a BlockStore, which is how
+// the service serves it. The store recomputes the address of every put: a
+// client that mishashed (or a corrupted transfer) must not poison the
+// content space.
+type chunkBlocks struct{ s *CommitStore }
+
+func (c chunkBlocks) Put(hash string, b []byte) bool {
+	if HashChunk(b) != hash {
+		return false
+	}
+	c.s.putChunkAt(hash, b)
+	return true
+}
+
+func (c chunkBlocks) Get(hash string) ([]byte, bool) { return c.s.GetChunk(hash) }
 
 // GetChunk returns the chunk stored under the content address.
 func (s *CommitStore) GetChunk(hash string) ([]byte, bool) {
@@ -311,7 +332,7 @@ func (s *CommitService) Start() error {
 		if err != nil {
 			return fmt.Errorf("storage: commit node %s: %w", n.ID(), err)
 		}
-		go Serve(l, s.stop, s.handleOp)
+		go ServeBlocks(l, chunkBlocks{s.store}, nil, s.stop, s.handleManifestOp)
 	}
 	return nil
 }
@@ -329,67 +350,16 @@ func (s *CommitService) Close() {
 	}
 }
 
-// handleOp serves one request/response round; a non-nil error tears the
-// connection down (codec failure), while application-level misses answer
-// respNo and keep the connection usable.
-func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) error {
+// handleManifestOp serves the ops ServeBlocks hands on: the three that
+// touch manifests.
+func (s *CommitService) handleManifestOp(op byte, e *data.Encoder, d *data.Decoder) error {
 	switch op {
-	case opChunkPut:
-		hash, err := d.String()
-		if err != nil {
-			return err
-		}
-		payload, err := d.Bytes(0)
-		if err != nil {
-			return err
-		}
-		// The service recomputes the address: a client that mishashed
-		// (or a corrupted transfer) must not poison the content space.
-		if HashChunk(payload) != hash {
-			if err := e.Byte(respNo); err != nil {
-				return err
-			}
-			return e.Flush()
-		}
-		s.store.PutChunk(payload)
-		if err := e.Byte(respOK); err != nil {
-			return err
-		}
-		return e.Flush()
-	case opChunkGet:
-		hash, err := d.String()
-		if err != nil {
-			return err
-		}
-		payload, ok := s.store.GetChunk(hash)
-		if !ok {
-			if err := e.Byte(respNo); err != nil {
-				return err
-			}
-			return e.Flush()
-		}
-		if err := e.Byte(respOK); err != nil {
-			return err
-		}
-		if err := e.Bytes(payload); err != nil {
-			return err
-		}
-		return e.Flush()
 	case opCommit:
 		m, err := readManifest(d)
 		if err != nil {
 			return err
 		}
-		if err := s.store.Commit(m); err != nil {
-			if err := e.Byte(respNo); err != nil {
-				return err
-			}
-			return e.Flush()
-		}
-		if err := e.Byte(respOK); err != nil {
-			return err
-		}
-		return e.Flush()
+		return Answer(e, s.store.Commit(m) == nil, nil)
 	case opResolve:
 		key, err := d.String()
 		if err != nil {
@@ -400,29 +370,14 @@ func (s *CommitService) handleOp(op byte, e *data.Encoder, d *data.Decoder) erro
 			return err
 		}
 		m := s.store.Resolve(key, pin == 1)
-		if m == nil {
-			if err := e.Byte(respNo); err != nil {
-				return err
-			}
-			return e.Flush()
-		}
-		if err := e.Byte(respOK); err != nil {
-			return err
-		}
-		if err := writeManifest(e, m); err != nil {
-			return err
-		}
-		return e.Flush()
+		return Answer(e, m != nil, func(e *data.Encoder) error { return writeManifest(e, m) })
 	case opUnpin:
 		key, err := d.String()
 		if err != nil {
 			return err
 		}
 		s.store.Unpin(key)
-		if err := e.Byte(respOK); err != nil {
-			return err
-		}
-		return e.Flush()
+		return Answer(e, true, nil)
 	default:
 		return fmt.Errorf("storage: unknown commit op %q", op)
 	}
@@ -460,8 +415,8 @@ func readManifest(d *data.Decoder) (*Manifest, error) {
 	if np > 1<<20 {
 		return nil, fmt.Errorf("storage: manifest with %d parts", np)
 	}
-	m := &Manifest{Key: key, Parts: make([][]string, np)}
-	for i := range m.Parts {
+	m := &Manifest{Key: key, Parts: make([][]string, 0, min(np, data.MaxPrealloc))}
+	for i := uint64(0); i < np; i++ {
 		nc, err := d.Uvarint()
 		if err != nil {
 			return nil, err
@@ -469,12 +424,15 @@ func readManifest(d *data.Decoder) (*Manifest, error) {
 		if nc > 1<<20 {
 			return nil, fmt.Errorf("storage: manifest part with %d chunks", nc)
 		}
-		m.Parts[i] = make([]string, nc)
-		for j := range m.Parts[i] {
-			if m.Parts[i][j], err = d.String(); err != nil {
+		part := make([]string, 0, min(nc, data.MaxPrealloc))
+		for j := uint64(0); j < nc; j++ {
+			h, err := d.String()
+			if err != nil {
 				return nil, err
 			}
+			part = append(part, h)
 		}
+		m.Parts = append(m.Parts, part)
 	}
 	return m, nil
 }
@@ -502,30 +460,8 @@ func (c *CommitClient) nodeFor(key string) string {
 // re-putting stored content is acknowledged without rewriting.
 func (c *CommitClient) PutChunk(payload []byte) (string, error) {
 	hash := HashChunk(payload)
-	err := c.t.Do("casput", c.nodeFor(hash), func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opChunkPut); err != nil {
-			return err
-		}
-		if err := e.String(hash); err != nil {
-			return err
-		}
-		if err := e.Bytes(payload); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("chunk rejected")
-		}
-		return nil
-	})
-	if err != nil {
-		return "", fmt.Errorf("storage chunk put %.12s…: %w", hash, err)
+	if err := StoreBlock(c.t, "casput", c.nodeFor(hash), hash, payload); err != nil {
+		return "", err
 	}
 	return hash, nil
 }
@@ -533,73 +469,28 @@ func (c *CommitClient) PutChunk(payload []byte) (string, error) {
 // GetChunk fetches a chunk by content address. Missing chunks return
 // ErrNotFound.
 func (c *CommitClient) GetChunk(hash string) ([]byte, error) {
-	var payload []byte
-	err := c.t.Do("casget", c.nodeFor(hash), func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opChunkGet); err != nil {
-			return err
-		}
-		if err := e.String(hash); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return ErrNotFound{Key: hash}
-		}
-		payload, err = d.Bytes(0)
-		return err
-	})
-	if err != nil {
-		if IsReply(err) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("storage chunk get %.12s…: %w", hash, err)
-	}
-	return payload, nil
+	return FetchBlock(c.t, "casget", c.nodeFor(hash), hash)
 }
 
 // Commit records a manifest. Every referenced chunk must already be
 // stored.
 func (c *CommitClient) Commit(m *Manifest) error {
-	err := c.t.Do("commit", c.nodeFor(m.Key), func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opCommit); err != nil {
-			return err
-		}
-		if err := writeManifest(e, m); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("rejected (dangling chunk?)")
-		}
-		return nil
-	})
+	err := Call(c.t, "commit", c.nodeFor(m.Key), opCommit,
+		func(e *data.Encoder) error { return writeManifest(e, m) }, nil, errDangling)
 	if err != nil {
 		return fmt.Errorf("storage commit %q: %w", m.Key, err)
 	}
 	return nil
 }
 
+var errDangling = errors.New("rejected (dangling chunk?)")
+
 // Resolve returns the manifest committed under key, or nil when none
 // exists (a miss is not an error). With pin set the commit is pinned on
 // the store until Unpin.
 func (c *CommitClient) Resolve(key string, pin bool) (*Manifest, error) {
 	var m *Manifest
-	err := c.t.Do("resolve", c.nodeFor(key), func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opResolve); err != nil {
-			return err
-		}
+	err := Call(c.t, "resolve", c.nodeFor(key), opResolve, func(e *data.Encoder) error {
 		if err := e.String(key); err != nil {
 			return err
 		}
@@ -607,23 +498,9 @@ func (c *CommitClient) Resolve(key string, pin bool) (*Manifest, error) {
 		if pin {
 			p = 1
 		}
-		if err := e.Byte(p); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return nil // miss
-		}
-		m, err = readManifest(d)
-		return err
-	})
-	if err != nil {
+		return e.Byte(p)
+	}, func(d *data.Decoder) (err error) { m, err = readManifest(d); return err }, ErrNotFound{Key: key})
+	if err != nil && !errors.Is(err, ErrNotFound{}) {
 		return nil, fmt.Errorf("storage resolve %q: %w", key, err)
 	}
 	return m, nil
@@ -631,25 +508,8 @@ func (c *CommitClient) Resolve(key string, pin bool) (*Manifest, error) {
 
 // Unpin releases one pin on key.
 func (c *CommitClient) Unpin(key string) error {
-	err := c.t.Do("unpin", c.nodeFor(key), func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(opUnpin); err != nil {
-			return err
-		}
-		if err := e.String(key); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("rejected")
-		}
-		return nil
-	})
+	err := Call(c.t, "unpin", c.nodeFor(key), opUnpin,
+		func(e *data.Encoder) error { return e.String(key) }, nil, errRejected)
 	if err != nil {
 		return fmt.Errorf("storage unpin %q: %w", key, err)
 	}

@@ -26,8 +26,9 @@ func NewLocalStore() *LocalStore {
 	return &LocalStore{blocks: make(map[string][]byte)}
 }
 
-// Put stores a block, replacing any previous content under the key.
-func (s *LocalStore) Put(key string, b []byte) {
+// Put stores a block, replacing any previous content under the key. It
+// never refuses one (the result is BlockStore's).
+func (s *LocalStore) Put(key string, b []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.blocks[key]; ok {
@@ -35,6 +36,7 @@ func (s *LocalStore) Put(key string, b []byte) {
 	}
 	s.blocks[key] = b
 	s.used += int64(len(b))
+	return true
 }
 
 // Get returns the block and whether it exists.

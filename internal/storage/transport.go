@@ -44,8 +44,8 @@ func (reply) peerReply()      {}
 // Reply marks err as a negative answer from a healthy peer (a rejected
 // push, say): the stream that carried it is still aligned and stays
 // pooled, and retrying would only repeat the answer. The mark travels
-// with the error through %w wrapping, so each sentinel is marked once
-// where it is declared instead of being listed by every caller.
+// with the error through %w wrapping, and Call puts it on every refusal,
+// so no op marks its own and no caller keeps a list.
 func Reply(err error) error { return reply{err} }
 
 // IsReply reports whether err carries the Reply mark. ErrNotFound does:

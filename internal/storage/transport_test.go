@@ -16,13 +16,15 @@ import (
 
 // Ops the test server answers beyond the block protocol.
 const (
-	opReject = 'r' // answers respNo: the client marks it a peer reply
+	opReject = 'r' // refused: the envelope marks it a peer reply
 	opHang   = 'h' // never answers
 	opDrop   = 'd' // reads the request, then closes the stream
-	opFlaky  = 'f' // closes the stream the first time, answers respOK after
+	opFlaky  = 'f' // closes the stream the first time, answers after
+	opEcho   = 'e' // answers with the string it was sent
+	opBabble = 'b' // answers with a byte that is no verdict
 )
 
-var errRejected = Reply(errors.New("test: rejected"))
+var errTestRejected = errors.New("test: rejected")
 
 // poolFixture is one client pool against one block server that also
 // answers the test ops above.
@@ -50,7 +52,7 @@ func (f *poolFixture) serve(t testing.TB, blocks map[string][]byte) {
 	go ServeBlocks(l, store, nil, nil, func(op byte, e *data.Encoder, d *data.Decoder) error {
 		switch op {
 		case opReject:
-			return respond(e, respNo)
+			return Answer(e, false, nil)
 		case opHang:
 			// Blocks until the client gives up and closes the stream.
 			_, err := d.Byte()
@@ -59,7 +61,18 @@ func (f *poolFixture) serve(t testing.TB, blocks map[string][]byte) {
 			if f.flaky.CompareAndSwap(false, true) {
 				return io.EOF
 			}
-			return respond(e, respOK)
+			return Answer(e, true, nil)
+		case opEcho:
+			s, err := d.String()
+			if err != nil {
+				return err
+			}
+			return Answer(e, true, func(e *data.Encoder) error { return e.String(s) })
+		case opBabble:
+			if err := e.Byte('?'); err != nil {
+				return err
+			}
+			return e.Flush()
 		default: // opDrop and garbage
 			return io.EOF
 		}
@@ -87,25 +100,22 @@ func (f *poolFixture) idle() int {
 	return len(f.pool.idle["server"])
 }
 
-// send runs a one-byte test op and reports how often the pool invoked it.
+// deadlined is the fixture's pool with a per-attempt deadline, as a
+// Transport.
+type deadlined struct {
+	pool     *PoolTransport
+	deadline time.Duration
+}
+
+func (t deadlined) Do(_, to string, fn func(*data.Encoder, *data.Decoder) error) error {
+	return t.pool.Attempt(to, t.deadline, fn)
+}
+
+// send runs a one-byte test op through the envelope and reports how often
+// the pool invoked it.
 func (f *poolFixture) send(op byte, deadline time.Duration) (calls int, err error) {
-	err = f.pool.Attempt("server", deadline, func(e *data.Encoder, d *data.Decoder) error {
-		calls++
-		if err := e.Byte(op); err != nil {
-			return err
-		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
-		resp, err := d.Byte()
-		if err != nil {
-			return err
-		}
-		if resp != respOK {
-			return fmt.Errorf("op %q: %w", op, errRejected)
-		}
-		return nil
-	})
+	err = Call(deadlined{f.pool, deadline}, "test", "server", op,
+		func(*data.Encoder) error { calls++; return nil }, nil, errTestRejected)
 	return calls, err
 }
 
@@ -140,7 +150,7 @@ func TestPoolReplyKeepsStream(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	calls, err := f.send(opReject, 0)
-	if !errors.Is(err, errRejected) || !IsReply(err) || calls != 1 {
+	if !errors.Is(err, errTestRejected) || !IsReply(err) || calls != 1 {
 		t.Fatalf("reject: err = %v, %d calls; want one call and a marked reply", err, calls)
 	}
 	if f.dials() != 1 || f.idle() != 1 {
@@ -152,6 +162,44 @@ func TestPoolReplyKeepsStream(t *testing.T) {
 	}
 	if f.idle() != 0 {
 		t.Error("a stream that failed with an unmarked error was pooled again")
+	}
+}
+
+// TestEnvelope: what Call makes of each thing a round can come to. An
+// answer, with or without a body, and a refusal leave the stream aligned
+// and pooled; a body that does not decode and a verdict byte that is none
+// are failures of the stream, which is dropped.
+func TestEnvelope(t *testing.T) {
+	f := newPoolFixture(t, nil)
+	ping := func(e *data.Encoder) error { return e.String("ping") }
+
+	var got string
+	err := Call(f.pool, "test", "server", opEcho, ping,
+		func(d *data.Decoder) (err error) { got, err = d.String(); return err }, errTestRejected)
+	if err != nil || got != "ping" {
+		t.Fatalf("echo = %q, %v", got, err)
+	}
+	err = Call(f.pool, "test", "server", opReject, nil, nil, errTestRejected)
+	if !errors.Is(err, errTestRejected) || !IsReply(err) {
+		t.Fatalf("refusal: err = %v, want errTestRejected marked as a reply", err)
+	}
+	if f.dials() != 1 || f.idle() != 1 {
+		t.Fatalf("after an answer and a refusal: %d dials, %d idle; want the one stream, pooled", f.dials(), f.idle())
+	}
+
+	errBody := errors.New("test: body does not decode")
+	reads := 0
+	err = Call(f.pool, "test", "server", opEcho, ping,
+		func(*data.Decoder) error { reads++; return errBody }, errTestRejected)
+	if !errors.Is(err, errBody) || IsReply(err) {
+		t.Fatalf("undecodable body: err = %v, want errBody unmarked", err)
+	}
+	if reads != 2 || f.dials() != 2 || f.idle() != 0 {
+		t.Errorf("undecodable body: %d reads, %d dials, %d idle; want the reused stream and one fresh one, both dropped",
+			reads, f.dials(), f.idle())
+	}
+	if err := Call(f.pool, "test", "server", opBabble, nil, nil, errTestRejected); err == nil || IsReply(err) || f.idle() != 0 {
+		t.Errorf("verdict byte '?': err = %v, %d idle; want an unmarked error and the stream dropped", err, f.idle())
 	}
 }
 
@@ -219,7 +267,7 @@ func TestPoolSkipsDeadIdleStream(t *testing.T) {
 	if f.dials() != 2 || f.reuses() != 0 {
 		t.Errorf("dials = %d, reuses = %d; want 2 and 0 (dead idle stream skipped, not reused)", f.dials(), f.reuses())
 	}
-	if _, err := f.send(opReject, 0); !errors.Is(err, errRejected) {
+	if _, err := f.send(opReject, 0); !errors.Is(err, errTestRejected) {
 		t.Fatalf("reply from restarted peer: err = %v", err)
 	}
 }
