@@ -16,9 +16,10 @@ import (
 
 // dispatchBoundaries encodes a finished fragment task's boundary outputs
 // for the stage's reserved tasks: folded into per-receiver accumulator
-// tables that join the executor's aggregation buffer (§3.2.7), or raw
+// tables (§3.2.7) — which join the executor's aggregation buffer, or, for a
+// content-addressable task, leave alone under the task's own cover — or raw
 // frames with one section per boundary edge. Everything after the encoding
-// — push, failure, commit — is pushFrames, for both.
+// — push, failure, commit — is pushFrames, for all three.
 func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, spec taskSpec,
 	outs map[dag.VertexID][]data.Record) {
 
@@ -32,20 +33,20 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 		return
 	}
 
-	// Partial aggregation applies when the stage root is a combine with
-	// an accumulator coder and the fragment has exactly one boundary
-	// carrying the combine's main input. A content-addressable task keeps
-	// the raw encoding: its sections become a "task/" commit, and a buffer
-	// merges whichever covers happened to meet, which is not content-stable
-	// across runs (DESIGN.md §14).
+	// The combiner applies when the stage root is a combine with an
+	// accumulator coder and the fragment has exactly one boundary carrying
+	// the combine's main input. A content-addressable task always takes it,
+	// alone: its sections become a "task/" commit, which must be a pure
+	// function of the task's input, and a buffer merges whichever covers
+	// happened to meet (DESIGN.md §14). Every other task joins the buffer
+	// unless the configuration turned the buffer off.
 	rootOp, _ := g.Vertex(ps.Root).Op.(*dataflow.CombineOp)
+	combinable := rootOp != nil && rootOp.AccCoder != nil &&
+		len(frag.Boundaries) == 1 && frag.Boundaries[0].Tag == ""
 	addressable := spec.TaskKey != "" && ex.cas != nil
-	aggregable := !ex.cfg.DisablePartialAggregation && !addressable &&
-		rootOp != nil && rootOp.AccCoder != nil &&
-		len(frag.Boundaries) == 1 && frag.Boundaries[0].Tag == "" &&
-		!ex.cfg.PullBoundaries
+	buffered := !addressable && !ex.cfg.DisablePartialAggregation && !ex.cfg.PullBoundaries
 
-	if aggregable {
+	if combinable && (addressable || buffered) {
 		b := frag.Boundaries[0]
 		perRecv := make([]*exec.AccTable, nRecv)
 		for i := range perRecv {
@@ -54,7 +55,16 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 		for _, r := range outs[b.From] {
 			perRecv[boundaryPartition(b.Dep, r, spec.Index, nRecv)].AddRecord(r)
 		}
-		ex.aggBufferFor(spec, rootOp.AccCoder).deposit(cover[0], perRecv)
+		if buffered {
+			ex.aggBufferFor(spec, rootOp.AccCoder).deposit(cover[0], perRecv)
+			return
+		}
+		sections, err := accSections(rootOp.AccCoder, perRecv)
+		if err != nil {
+			ex.failCover(spec, cover, err, true)
+			return
+		}
+		ex.pushFrames(spec, cover, sections)
 		return
 	}
 

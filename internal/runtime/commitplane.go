@@ -30,9 +30,11 @@ import (
 //     the sections from the CAS (receiver.pull) instead of accepting pushes;
 //   - on the write side, receivers put their finalized partitions as
 //     chunks (evReservedTaskDone.Chunk) and the master commits the
-//     assembled stage manifest; content-addressable tasks push raw
-//     sections, put them as per-receiver chunks and commit task manifests
-//     (every other task keeps aggregating). All writes are
+//     assembled stage manifest; a content-addressable task pushes its
+//     sections under its own cover — its output combined per receiver
+//     where the stage root is a combine, raw otherwise — puts them as
+//     per-receiver chunks and commits a task manifest (every other task
+//     joins the executor's aggregation buffer). All writes are
 //     best-effort: a failed put or commit only forfeits future reuse.
 //
 // Exactly-once survives unchanged: skipped stages never schedule, skipped
@@ -367,10 +369,11 @@ func (jm *JobManager) unpinCommits(j *jobRun) {
 }
 
 // commitTaskChunks writes a finished content-addressable task's
-// per-receiver section payloads as CAS chunks and commits the task
-// manifest. Such a task always takes the raw encoding (dispatchBoundaries):
-// aggregation buffers merge nondeterministic task covers, so their
-// payloads are not content-stable across runs. Best-effort.
+// per-receiver section lists as CAS chunks and commits the task manifest.
+// The sections are the task's alone (dispatchBoundaries keeps it out of the
+// aggregation buffer, whose covers differ from run to run), combined or
+// raw: the section codec marks which, so a reader needs no version and a
+// store written with either keeps resolving. Best-effort.
 func (ex *Executor) commitTaskChunks(taskKey string, sections [][]pushSection) {
 	parts := make([][]string, len(sections))
 	written := ex.met.Counter(metrics.NameCASBytesWritten)

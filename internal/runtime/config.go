@@ -44,9 +44,13 @@ type Config struct {
 	// job: its virtual clock starts when the tracer is created.
 	Tracer *obs.Tracer
 
-	// PartialAggregation enables §3.2.7 task output partial
-	// aggregation on combiner stages (on by default; Disable* fields
-	// exist so the zero value enables the paper's defaults).
+	// DisablePartialAggregation turns off the executor-level aggregation
+	// buffer of §3.2.7, which merges the combined outputs of tasks that
+	// share an executor before they are pushed (on by default; Disable*
+	// fields exist so the zero value enables the paper's defaults). It
+	// governs only that cross-task buffer: a content-addressable task
+	// under a commit store never joins it and still combines its own
+	// output per receiver either way (DESIGN.md §14).
 	DisablePartialAggregation bool
 	// AggMaxTasks bounds how many task outputs may be merged in an
 	// executor-level aggregation buffer before it must flush (§3.2.7's

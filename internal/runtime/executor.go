@@ -229,7 +229,7 @@ type Executor struct {
 	// cas is the executor's commit-store client (nil when the manager has
 	// no commit plane), sharing the transport above: receivers put
 	// finalized partitions and pull skipped-task sections through it,
-	// senders put raw-path task chunks (commitplane.go).
+	// senders put content-addressable tasks' sections (commitplane.go).
 	cas *storage.CommitClient
 
 	stop     chan struct{}
@@ -396,10 +396,11 @@ type taskSpec struct {
 	// output is pushed to the master collector.
 	Terminal bool
 	// TaskKey, when non-empty, is the task's deterministic commit-store
-	// key: after a successful raw-path push the executor writes the
-	// pushed sections as a "task/<key>" commit so a later run can skip
-	// this task (commitplane.go). Empty when the commit plane is off or
-	// the task is not content-addressable.
+	// key: the task pushes under its own cover — combined accumulator
+	// sections where the stage root allows, raw ones otherwise — and after
+	// the acknowledged push writes those sections as a "task/<key>" commit
+	// so a later run can skip this task (commitplane.go). Empty when the
+	// commit plane is off or the task is not content-addressable.
 	TaskKey string
 }
 
@@ -710,14 +711,25 @@ func (b *aggBuffer) flushLocked() {
 	if len(cover) == 0 {
 		return // the timer raced a count-triggered flush
 	}
+	sections, err := accSections(b.accCoder, tables)
+	if err != nil {
+		b.ex.failCover(b.spec, cover, err, true)
+		return
+	}
+	b.ex.pushFrames(b.spec, cover, sections)
+}
+
+// accSections encodes per-receiver accumulator tables as one aggregated
+// section each, in the tables' insertion order: for one task's tables the
+// payload is a pure function of the task's input.
+func accSections(accCoder data.Coder, tables []*exec.AccTable) ([][]pushSection, error) {
 	sections := make([][]pushSection, len(tables))
 	for i, t := range tables {
-		payload, err := data.EncodeAll(b.accCoder, t.AccRecords())
+		payload, err := data.EncodeAll(accCoder, t.AccRecords())
 		if err != nil {
-			b.ex.failCover(b.spec, cover, err, true)
-			return
+			return nil, err
 		}
 		sections[i] = []pushSection{{Aggregated: true, Payload: payload}}
 	}
-	b.ex.pushFrames(b.spec, cover, sections)
+	return sections, nil
 }
