@@ -226,22 +226,32 @@ func attributeBytes(total int64, n int) []int64 {
 }
 
 // fetchBlock is the one block read of the runtime: commit-store chunk
-// `chunk` when the location names one (a skipped stage's partition, a
-// skipped task's sections), counted into cas_bytes_served, and block id in
-// owner's local store otherwise.
+// `chunk` when the location names one (a skipped stage's partition), and
+// block id in owner's local store otherwise.
 func fetchBlock(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, owner, id, chunk string) ([]byte, error) {
 	if chunk == "" {
 		return storage.FetchBlock(dp, "fetch", owner, id)
 	}
+	payloads, errs := fetchChunks(cas, met, []string{chunk})
+	return payloads[0], errs[0]
+}
+
+// fetchChunks reads chunks of the commit store in batched rounds (a
+// skipped task's sections for each receiver that merges them), counted
+// into cas_bytes_served. A chunk that could not be had has its own error.
+func fetchChunks(cas *storage.CommitClient, met *metrics.Job, chunks []string) ([][]byte, []error) {
 	if cas == nil {
-		return nil, fmt.Errorf("runtime: chunk %.12s… is in the commit store but this executor has no commit plane", chunk)
+		errs := make([]error, len(chunks))
+		for i, c := range chunks {
+			errs[i] = fmt.Errorf("runtime: chunk %.12s… is in the commit store but this executor has no commit plane", c)
+		}
+		return make([][]byte, len(chunks)), errs
 	}
-	payload, err := cas.GetChunk(chunk)
-	if err != nil {
-		return nil, err
+	payloads, errs := cas.GetChunks(chunks)
+	for _, p := range payloads {
+		met.Counter(metrics.NameCASBytesServed).Add(int64(len(p)))
 	}
-	met.Counter(metrics.NameCASBytesServed).Add(int64(len(payload)))
-	return payload, nil
+	return payloads, errs
 }
 
 // fetchStage is the one inbound boundary path: every task, receiver and

@@ -339,7 +339,8 @@ func TestFetchStage(t *testing.T) {
 // skipped task's chunk — and the case that hung the pull ablation when
 // pulls were first batched: another receiver's failed pull has already had
 // a sender relaunched, so one batch carries the dead attempt's commit and
-// the new attempt's. The failed pull must drop only its own commit.
+// the new attempt's. The failed pull must drop only its own commit, and so
+// must the pull of a chunk the store no longer has.
 func TestReceiverPull(t *testing.T) {
 	const job, stage, gen, recvIdx = 2, 1, 3, 0
 	net := simnet.New(simnet.Config{})
@@ -389,22 +390,31 @@ func TestReceiverPull(t *testing.T) {
 	dead := msgCommit{Frag: 0, Index: 7, Attempt: 0, Exec: "t0"} // t0 went with its eviction
 	live := msgCommit{Frag: 0, Index: 7, Attempt: 1, Exec: "t1"}
 	skip := msgCommit{Frag: 0, Index: 8, Chunk: chunk}
+	lost := msgCommit{Frag: 0, Index: 9, Chunk: storage.HashChunk([]byte("collected under the job"))}
 	r.committed[fragSender{Index: 7}] = live // the batch's bookkeeping kept the newer attempt
 	r.committed[fragSender{Index: 8}] = skip
-	if !r.pull([]msgCommit{dead, live, skip}) {
+	r.committed[fragSender{Index: 9}] = lost
+	// The lost chunk is refused in the middle of the round that also
+	// carries the stored one.
+	if !r.pull([]msgCommit{dead, lost, live, skip}) {
 		t.Fatal("pull reported a stopping executor")
 	}
 
 	if got := r.committed[fragSender{Index: 7}]; got != live {
 		t.Errorf("after the dead attempt's pull failed, task 7 is committed as %+v, want the live attempt %+v", got, live)
 	}
-	select {
-	case ev := <-events:
-		if f, ok := ev.(evPullFailed); !ok || f.ref.Index != 7 || f.ref.Attempt != 0 {
-			t.Errorf("event %+v, want evPullFailed for task 7 attempt 0", ev)
+	if _, ok := r.committed[fragSender{Index: 9}]; ok {
+		t.Error("task 9 is still committed although its chunk is gone")
+	}
+	for _, want := range []taskRef{{Index: 7, Attempt: 0}, {Index: 9, Attempt: 0}} {
+		select {
+		case ev := <-events:
+			if f, ok := ev.(evPullFailed); !ok || f.ref.Index != want.Index || f.ref.Attempt != want.Attempt {
+				t.Errorf("event %+v, want evPullFailed for task %d attempt %d", ev, want.Index, want.Attempt)
+			}
+		default:
+			t.Errorf("the failed pull of task %d was not reported", want.Index)
 		}
-	default:
-		t.Error("the failed pull was not reported")
 	}
 	var got []string
 	for _, f := range r.staged {

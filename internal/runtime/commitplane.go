@@ -135,19 +135,15 @@ func singleChunkParts(m *storage.Manifest) bool {
 	return true
 }
 
-// casProbeFanout bounds how many probe round trips run concurrently at
-// submission. The probes are tiny manifest reads, so latency, not
-// bandwidth, dominates; running them in parallel keeps the submission
-// delay near one round trip instead of one per plan task.
-const casProbeFanout = 16
-
 // probeCommits probes the commit store for every cacheable stage of a
 // newly built job and applies the resulting skips. It runs on the
 // submitter's goroutine after initSched and BEFORE the job is published
 // to the event loop, so it may freely mutate scheduling state; the
-// network round trips therefore never block the manager loop. Resolves
-// run concurrently (the store is safe for concurrent use); the state
-// mutation passes stay on this goroutine.
+// network round trips therefore never block the manager loop. The resolves
+// of a level travel in batched rounds (CommitClient.ResolveAll), so the
+// submission delay is one round trip for the stages and one for the tasks
+// whatever the plan's size; the state mutation passes stay on this
+// goroutine.
 func (jm *JobManager) probeCommits(j *jobRun) {
 	cp := jm.commits
 	if cp == nil {
@@ -166,14 +162,11 @@ func (jm *JobManager) probeCommits(j *jobRun) {
 	if len(cacheable) == 0 {
 		return
 	}
-	found := make([]*storage.Manifest, len(cacheable))
-	_ = storage.Fanout(len(cacheable), casProbeFanout, func(i int) error {
-		m, err := cp.client.Resolve(stageCommitKey(cacheable[i].ps.CacheKey), true)
-		if err == nil {
-			found[i] = m
-		}
-		return nil
-	})
+	keys := make([]string, len(cacheable))
+	for i, s := range cacheable {
+		keys[i] = stageCommitKey(s.ps.CacheKey)
+	}
+	found := cp.client.ResolveAll(keys, true)
 	var missed []*stageRun
 	for i, s := range cacheable {
 		probes.Add(1)
@@ -195,12 +188,10 @@ func (jm *JobManager) probeCommits(j *jobRun) {
 }
 
 // taskProbe is one per-task resolve of the submission probe: where the
-// key lives in the stage's fragment/task grid, and what came back.
+// key lives in the stage's fragment/task grid.
 type taskProbe struct {
 	s      *stageRun
 	fi, ti int
-	key    string
-	m      *storage.Manifest
 }
 
 // probeTaskCommits resolves per-task commits for the stages whose
@@ -208,37 +199,30 @@ type taskProbe struct {
 func (jm *JobManager) probeTaskCommits(j *jobRun, stages []*stageRun, probes, hits, misses *metrics.Counter) {
 	cp := jm.commits
 	var work []taskProbe
+	var keys []string
 	for _, s := range stages {
-		for fi, keys := range s.ps.TaskKeys {
-			for ti, key := range keys {
-				work = append(work, taskProbe{s: s, fi: fi, ti: ti, key: key})
+		for fi, fragKeys := range s.ps.TaskKeys {
+			for ti, key := range fragKeys {
+				work = append(work, taskProbe{s: s, fi: fi, ti: ti})
+				keys = append(keys, taskCommitKey(key))
 			}
 		}
 	}
-	if len(work) == 0 {
-		return
-	}
-	_ = storage.Fanout(len(work), casProbeFanout, func(i int) error {
-		m, err := cp.client.Resolve(taskCommitKey(work[i].key), true)
-		if err == nil {
-			work[i].m = m
-		}
-		return nil
-	})
-	for _, w := range work {
+	for i, m := range cp.client.ResolveAll(keys, true) {
+		w := work[i]
 		probes.Add(1)
 		ps := w.s.ps
-		if w.m == nil {
+		if m == nil {
 			misses.Add(1)
 			continue
 		}
-		if len(w.m.Parts) != ps.RootParallelism || !singleChunkParts(w.m) {
-			_ = cp.client.Unpin(w.m.Key)
+		if len(m.Parts) != ps.RootParallelism || !singleChunkParts(m) {
+			_ = cp.client.Unpin(m.Key)
 			misses.Add(1)
 			continue
 		}
-		chunks := make([]string, len(w.m.Parts))
-		for ri, p := range w.m.Parts {
+		chunks := make([]string, len(m.Parts))
+		for ri, p := range m.Parts {
 			chunks[ri] = p[0]
 		}
 		if w.s.taskHits == nil {
@@ -248,7 +232,7 @@ func (jm *JobManager) probeTaskCommits(j *jobRun, stages []*stageRun, probes, hi
 			w.s.taskHits[w.fi] = make([][]string, len(ps.TaskKeys[w.fi]))
 		}
 		w.s.taskHits[w.fi][w.ti] = chunks
-		j.pinned = append(j.pinned, w.m.Key)
+		j.pinned = append(j.pinned, m.Key)
 		hits.Add(1)
 	}
 }

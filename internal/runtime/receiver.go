@@ -182,46 +182,52 @@ func (r *receiver) run() {
 
 // pull is the receiver's one way to fetch what was not pushed to it: for
 // every commit it gets the block the commit names — the chunk of a skipped
-// task, or the output a pull-mode sender parked in its local store —
-// concurrently, reads the sections, and stages them under the frame head
-// the commit implies, exactly as if the sender had pushed (same Cover
-// bookkeeping, so drainStaged and the exactly-once dedup cannot tell). A
-// failed pull drops that commit and reports evPullFailed — the block is
-// gone with its evicted container, or the skip must be reverted — and the
-// master relaunches the sender; the rest of the batch is unaffected.
-// Returns false when the executor is stopping.
+// task, all of those in batched rounds (fetchChunks), or the output a
+// pull-mode sender parked in its local store — reads the sections, and
+// stages them under the frame head the commit implies, exactly as if the
+// sender had pushed (same Cover bookkeeping, so drainStaged and the
+// exactly-once dedup cannot tell). A failed pull drops that commit and
+// reports evPullFailed — the block is gone with its evicted container, or
+// the skip must be reverted — and the master relaunches the sender; the
+// rest of the batch is unaffected. Returns false when the executor is
+// stopping.
 func (r *receiver) pull(commits []msgCommit) bool {
-	frames := make([]*pushFrame, len(commits))
+	payloads := make([][]byte, len(commits))
+	errs := make([]error, len(commits))
+	evs := make([]obs.Event, len(commits))
+	var chunks []string
+	var chunkAt []int // chunks[k] is the chunk of commits[chunkAt[k]]
+	for i, c := range commits {
+		evs[i] = obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
+			Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: "pull"}
+		if c.Chunk != "" {
+			evs[i].Note = "cas"
+			chunks, chunkAt = append(chunks, c.Chunk), append(chunkAt, i)
+		}
+		r.ex.tr.Emit(evs[i])
+	}
+	got, gotErrs := fetchChunks(r.ex.cas, r.ex.met, chunks)
+	for k, i := range chunkAt {
+		payloads[i], errs[i] = got[k], gotErrs[k]
+	}
 	_ = storage.Fanout(len(commits), storage.MaxFetchWorkers, func(i int) error {
-		c := commits[i]
-		note, id := "cas", ""
-		if c.Chunk == "" {
-			note, id = "pull", taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
+		if c := commits[i]; c.Chunk == "" {
+			id := taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
+			if payloads[i], errs[i] = storage.FetchBlock(r.ex.dp, "fetch", c.Exec, id); errs[i] == nil {
+				r.ex.met.BytesFetched.Add(int64(len(payloads[i])))
+			}
 		}
-		ev := obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
-			Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: note}
-		r.ex.tr.Emit(ev)
-		payload, err := fetchBlock(r.ex.dp, r.ex.cas, r.ex.met, c.Exec, id, c.Chunk)
-		if err != nil {
-			return nil
-		}
-		if c.Chunk == "" {
-			r.ex.met.BytesFetched.Add(int64(len(payload)))
-		}
-		ev.Kind, ev.Bytes = obs.FetchDone, int64(len(payload))
-		r.ex.tr.Emit(ev)
-		secs, err := readSections(data.NewDecoder(bytes.NewReader(payload)))
-		if err != nil {
-			return nil
-		}
-		frames[i] = &pushFrame{Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen, RecvIdx: r.spec.Index,
-			Frag: c.Frag, Cover: []senderRef{{Index: c.Index, Attempt: c.Attempt}}, Sections: secs}
 		return nil
 	})
 	for i, c := range commits {
-		if frames[i] != nil {
-			r.staged = append(r.staged, frames[i])
-			continue
+		if errs[i] == nil {
+			evs[i].Kind, evs[i].Bytes = obs.FetchDone, int64(len(payloads[i]))
+			r.ex.tr.Emit(evs[i])
+			if secs, err := readSections(data.NewDecoder(bytes.NewReader(payloads[i]))); err == nil {
+				r.staged = append(r.staged, &pushFrame{Job: r.ex.job, Stage: r.spec.Stage, Gen: r.spec.Gen,
+					RecvIdx: r.spec.Index, Frag: c.Frag, Cover: []senderRef{{Index: c.Index, Attempt: c.Attempt}}, Sections: secs})
+				continue
+			}
 		}
 		if r.ex.stopped() {
 			return false

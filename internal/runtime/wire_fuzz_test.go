@@ -40,6 +40,16 @@ func FuzzReadSections(f *testing.F) {
 		_, err := readSections(data.NewDecoder(r))
 		return err
 	}, fuzzSeed(f, func(e *data.Encoder) error { return writeSections(e, fuzzSections) }),
+		// A combined task commit's chunk: one aggregated section of
+		// (key, accumulator) records.
+		fuzzSeed(f, func(e *data.Encoder) error {
+			acc, err := data.EncodeAll(data.KVCoder{K: data.StringCoder, V: data.Int64Coder},
+				[]data.Record{data.KV("w001", int64(7)), data.KV("w002", int64(11))})
+			if err != nil {
+				return err
+			}
+			return writeSections(e, []pushSection{{Aggregated: true, Payload: acc}})
+		}),
 		// One section whose payload claims 256 MiB and delivers nothing.
 		fuzzSeed(f, func(e *data.Encoder) error {
 			e.Uvarint(1)

@@ -21,38 +21,97 @@ const (
 	respNo = 'N'
 )
 
-// Call runs one round of op against node `to` through t. writeRequest
-// writes what follows the op byte and readAnswer reads what follows a
-// positive verdict; either may be nil when there is nothing there. A
-// negative verdict returns refused marked as a Reply. name is the label
-// Transport.Do accounts the round under.
-func Call(t Transport, name, to string, op byte,
-	writeRequest func(*data.Encoder) error, readAnswer func(*data.Decoder) error, refused error) error {
-	return t.Do(name, to, func(e *data.Encoder, d *data.Decoder) error {
-		if err := e.Byte(op); err != nil {
-			return err
+// Round is one round of the envelope. Request writes what follows the op
+// byte and Answer reads what follows a positive verdict; either may be nil
+// when there is nothing there. Refused is what a negative verdict means.
+type Round struct {
+	Op      byte
+	Request func(*data.Encoder) error
+	Answer  func(*data.Decoder) error
+	Refused error
+}
+
+// exchange runs rounds on one stream: every request, one flush, then the
+// verdicts in order. A refusal goes to verdicts[i], marked as a Reply, and
+// the stream stays aligned for the rounds behind it. The count returned is
+// how many rounds were answered when err, a failure of the stream itself,
+// cut the exchange short.
+func exchange(e *data.Encoder, d *data.Decoder, rounds []Round, verdicts []error) (int, error) {
+	for _, r := range rounds {
+		if err := e.Byte(r.Op); err != nil {
+			return 0, err
 		}
-		if writeRequest != nil {
-			if err := writeRequest(e); err != nil {
-				return err
+		if r.Request != nil {
+			if err := r.Request(e); err != nil {
+				return 0, err
 			}
 		}
-		if err := e.Flush(); err != nil {
-			return err
-		}
+	}
+	if err := e.Flush(); err != nil {
+		return 0, err
+	}
+	for i, r := range rounds {
 		verdict, err := d.Byte()
 		switch {
 		case err != nil:
-			return err
+			return i, err
 		case verdict == respNo:
-			return Reply(refused)
+			verdicts[i] = Reply(r.Refused)
 		case verdict != respOK:
-			return fmt.Errorf("storage: op %q answered with verdict byte %q", op, verdict)
-		case readAnswer == nil:
-			return nil
+			return i, fmt.Errorf("storage: op %q answered with verdict byte %q", r.Op, verdict)
+		case r.Answer != nil:
+			if err := r.Answer(d); err != nil {
+				return i, err
+			}
 		}
-		return readAnswer(d)
+	}
+	return len(rounds), nil
+}
+
+// Call runs one round of op against node `to` through t: writeRequest and
+// readAnswer are the round's Request and Answer, and a negative verdict
+// returns refused marked as a Reply. name is the label Transport.Do
+// accounts the round under.
+func Call(t Transport, name, to string, op byte,
+	writeRequest func(*data.Encoder) error, readAnswer func(*data.Decoder) error, refused error) error {
+	return call(t, name, to, Round{op, writeRequest, readAnswer, refused})
+}
+
+func call(t Transport, name, to string, r Round) error {
+	return t.Do(name, to, func(e *data.Encoder, d *data.Decoder) error {
+		var verdict [1]error
+		if _, err := exchange(e, d, []Round{r}, verdict[:]); err != nil {
+			return err
+		}
+		return verdict[0]
 	})
+}
+
+// MaxRounds caps what a caller should hand to one Calls. The requests of a
+// batch are all written before the first answer is read, so they must fit
+// what a stream buffers, and where the transport sets a per-attempt deadline
+// one attempt has to move every answer of the batch inside it: 32 rounds of
+// the commit plane's kilobyte-sized chunks are some 10 ms of a reserved
+// node's link, the order of a single large block.
+const MaxRounds = 32
+
+// Calls runs rounds against node `to` through t as one batch on one
+// stream, so that N small rounds cost one round trip. It returns one error
+// per round: nil, the round's refusal marked as a Reply, or — for the rounds
+// a dying stream left unanswered — that stream's error. When the transport
+// retries, the batch resumes behind the last answered round.
+func Calls(t Transport, name, to string, rounds []Round) []error {
+	errs := make([]error, len(rounds))
+	answered := 0
+	err := t.Do(name, to, func(e *data.Encoder, d *data.Decoder) error {
+		n, err := exchange(e, d, rounds[answered:], errs[answered:])
+		answered += n
+		return err
+	})
+	for i := answered; i < len(errs); i++ {
+		errs[i] = err
+	}
+	return errs
 }
 
 // Answer writes the serving side of a round: a positive verdict followed
@@ -170,15 +229,19 @@ func ServeBlocks(l *simnet.Listener, store BlockStore, disk *simnet.Limiter, sto
 // errRejected is the refusal of ops whose request either lands or does not.
 var errRejected = errors.New("rejected")
 
+// getRound is the block get of id, which stores the payload through dst.
+func getRound(id string, dst *[]byte) Round {
+	return Round{opGet,
+		func(e *data.Encoder) error { return e.String(id) },
+		func(d *data.Decoder) (err error) { *dst, err = d.Bytes(0); return err },
+		ErrNotFound{Key: id}}
+}
+
 // FetchBlock gets block id from owner's store through t. A miss is an
 // ErrNotFound; every failure carries the block and owner.
 func FetchBlock(t Transport, op, owner, id string) ([]byte, error) {
 	var payload []byte
-	err := Call(t, op, owner, opGet,
-		func(e *data.Encoder) error { return e.String(id) },
-		func(d *data.Decoder) (err error) { payload, err = d.Bytes(0); return err },
-		ErrNotFound{Key: id})
-	if err != nil {
+	if err := call(t, op, owner, getRound(id, &payload)); err != nil {
 		return nil, fmt.Errorf("fetch %q from %s: %w", id, owner, err)
 	}
 	return payload, nil

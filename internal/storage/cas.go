@@ -472,6 +472,31 @@ func (c *CommitClient) GetChunk(hash string) ([]byte, error) {
 	return FetchBlock(c.t, "casget", c.nodeFor(hash), hash)
 }
 
+// GetChunks fetches many chunks in batched rounds (calls). A chunk that
+// could not be had — collected, or behind a stream that died — has a nil
+// payload and its own error; the rest of the batch is unaffected.
+func (c *CommitClient) GetChunks(hashes []string) ([][]byte, []error) {
+	payloads := make([][]byte, len(hashes))
+	return payloads, c.calls("casget", hashes, func(i int) Round { return getRound(hashes[i], &payloads[i]) })
+}
+
+// calls runs one round per key in batches of MaxRounds, concurrently. Every
+// serving node answers for the whole store, so a batch goes to the node of
+// its first key; round builds key i's round, and its error comes back at i.
+func (c *CommitClient) calls(name string, keys []string, round func(i int) Round) []error {
+	errs := make([]error, len(keys))
+	_ = Fanout((len(keys)+MaxRounds-1)/MaxRounds, MaxFetchWorkers, func(b int) error {
+		lo := b * MaxRounds
+		rounds := make([]Round, min(MaxRounds, len(keys)-lo))
+		for i := range rounds {
+			rounds[i] = round(lo + i)
+		}
+		copy(errs[lo:], Calls(c.t, name, c.nodeFor(keys[lo]), rounds))
+		return nil
+	})
+	return errs
+}
+
 // Commit records a manifest. Every referenced chunk must already be
 // stored.
 func (c *CommitClient) Commit(m *Manifest) error {
@@ -485,12 +510,9 @@ func (c *CommitClient) Commit(m *Manifest) error {
 
 var errDangling = errors.New("rejected (dangling chunk?)")
 
-// Resolve returns the manifest committed under key, or nil when none
-// exists (a miss is not an error). With pin set the commit is pinned on
-// the store until Unpin.
-func (c *CommitClient) Resolve(key string, pin bool) (*Manifest, error) {
-	var m *Manifest
-	err := Call(c.t, "resolve", c.nodeFor(key), opResolve, func(e *data.Encoder) error {
+// resolveRound is the resolve of key, which stores the manifest through dst.
+func resolveRound(key string, pin bool, dst **Manifest) Round {
+	return Round{opResolve, func(e *data.Encoder) error {
 		if err := e.String(key); err != nil {
 			return err
 		}
@@ -499,11 +521,28 @@ func (c *CommitClient) Resolve(key string, pin bool) (*Manifest, error) {
 			p = 1
 		}
 		return e.Byte(p)
-	}, func(d *data.Decoder) (err error) { m, err = readManifest(d); return err }, ErrNotFound{Key: key})
+	}, func(d *data.Decoder) (err error) { *dst, err = readManifest(d); return err }, ErrNotFound{Key: key}}
+}
+
+// Resolve returns the manifest committed under key, or nil when none
+// exists (a miss is not an error). With pin set the commit is pinned on
+// the store until Unpin.
+func (c *CommitClient) Resolve(key string, pin bool) (*Manifest, error) {
+	var m *Manifest
+	err := call(c.t, "resolve", c.nodeFor(key), resolveRound(key, pin, &m))
 	if err != nil && !errors.Is(err, ErrNotFound{}) {
 		return nil, fmt.Errorf("storage resolve %q: %w", key, err)
 	}
 	return m, nil
+}
+
+// ResolveAll resolves many keys in batched rounds (calls). The manifest of
+// a key is nil when there is none or the store could not be asked, which
+// to a prober are the same miss.
+func (c *CommitClient) ResolveAll(keys []string, pin bool) []*Manifest {
+	found := make([]*Manifest, len(keys))
+	c.calls("resolve", keys, func(i int) Round { return resolveRound(keys[i], pin, &found[i]) })
+	return found
 }
 
 // Unpin releases one pin on key.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pado/internal/data"
+	"pado/internal/metrics"
 	"pado/internal/simnet"
 )
 
@@ -145,6 +146,71 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if h != HashChunk([]byte("wire chunk")) || !store.HasChunk(h) {
 		t.Fatalf("wire put landed under wrong address %s", h)
+	}
+}
+
+// TestCommitClientBatches: GetChunks and ResolveAll carry more keys than
+// one batch holds to a two-node service in a handful of streams, and a
+// chunk collected under the reader — or a key never committed — costs
+// only itself.
+func TestCommitClientBatches(t *testing.T) {
+	const n = 2*MaxRounds + 7
+	store := NewCommitStore()
+	net := simnet.New(simnet.Config{})
+	for _, id := range []string{"client", "cas0", "cas1"} {
+		if _, err := net.AddNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := NewCommitService(store, []*simnet.Node{net.Node("cas0"), net.Node("cas1")})
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	met := &metrics.Job{}
+	pt := NewPoolTransport(net, "client").Counting(met)
+	defer pt.Close()
+	c := NewCommitClient(pt, svc.NodeIDs())
+
+	hashes, keys := make([]string, n), make([]string, n)
+	for i := range hashes {
+		hashes[i] = store.PutChunk([]byte(fmt.Sprintf("chunk %d", i)))
+		keys[i] = fmt.Sprintf("task/%d", i)
+		if err := store.Commit(&Manifest{Key: keys[i], Parts: [][]string{{hashes[i]}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const gone = MaxRounds + 3 // in the middle of the second batch
+	if err := store.Delete(keys[gone]); err != nil {
+		t.Fatal(err)
+	}
+	if collected, _ := store.GC(); collected != 1 {
+		t.Fatalf("GC collected %d chunks, want the one of the deleted commit", collected)
+	}
+
+	payloads, errs := c.GetChunks(hashes)
+	for i := range hashes {
+		if i == gone {
+			if !errors.Is(errs[i], ErrNotFound{}) || payloads[i] != nil {
+				t.Errorf("collected chunk: %q, %v; want ErrNotFound", payloads[i], errs[i])
+			}
+		} else if errs[i] != nil || string(payloads[i]) != fmt.Sprintf("chunk %d", i) {
+			t.Errorf("chunk %d = %q, %v", i, payloads[i], errs[i])
+		}
+	}
+	for i, m := range c.ResolveAll(keys, true) {
+		if i == gone {
+			if m != nil {
+				t.Errorf("deleted commit resolved to %+v", m)
+			}
+		} else if m == nil || m.Key != keys[i] || m.Parts[0][0] != hashes[i] {
+			t.Errorf("key %d resolved to %+v", i, m)
+		} else if err := store.Delete(keys[i]); err == nil {
+			t.Errorf("key %d was resolved with pin set but could be deleted", i)
+		}
+	}
+	if ops := met.Counter(metrics.NameConnDials).Load() + met.Counter(metrics.NameConnReuses).Load(); ops != 6 {
+		t.Errorf("%d streams checked out for %d chunks and %d keys, want one per batch of %d: 6", ops, n, n, MaxRounds)
 	}
 }
 

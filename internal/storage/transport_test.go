@@ -203,6 +203,93 @@ func TestEnvelope(t *testing.T) {
 	}
 }
 
+// TestBatchedRounds: what Calls makes of a batch. A refusal in the middle —
+// a miss among gets, a collected chunk — is that round's own error and the
+// stream stays aligned for the rounds behind it and pooled afterwards; a
+// stream that dies after k answers fails only the unanswered rounds; and
+// when the pool retries on a fresh stream the batch resumes behind the last
+// answered round instead of asking again for what it has.
+func TestBatchedRounds(t *testing.T) {
+	f := newPoolFixture(t, map[string][]byte{"a": []byte("A"), "b": []byte("B"), "d": []byte("D")})
+	ids := []string{"a", "b", "c", "d"}
+	payloads := make([][]byte, len(ids))
+	rounds := make([]Round, len(ids))
+	for i, id := range ids {
+		rounds[i] = getRound(id, &payloads[i])
+	}
+	errs := Calls(f.pool, "fetch", "server", rounds)
+	for i, want := range []string{"A", "B", "", "D"} {
+		if miss := want == ""; miss != errors.Is(errs[i], ErrNotFound{}) || miss != IsReply(errs[i]) || string(payloads[i]) != want {
+			t.Errorf("get %q = %q, %v; want %q and an ErrNotFound reply only for the miss", ids[i], payloads[i], errs[i], want)
+		}
+	}
+	if f.dials() != 1 || f.idle() != 1 {
+		t.Fatalf("after a batch with a miss: %d dials, %d idle; want the one stream, aligned and pooled", f.dials(), f.idle())
+	}
+	f.fetch(t, "d")
+	if f.dials() != 1 || f.reuses() != 1 {
+		t.Errorf("the next op: %d dials, %d reuses; want the batch's stream reused", f.dials(), f.reuses())
+	}
+
+	// echo, echo, drop, echo: the peer dies after two answers.
+	asked := make([]int, 4)
+	answers := make([]string, 4)
+	round := func(i int, op byte) Round {
+		r := Round{Op: op, Request: func(*data.Encoder) error { asked[i]++; return nil }, Refused: errTestRejected}
+		if op == opEcho { // the only one of the test ops with a request and an answer body
+			r.Request = func(e *data.Encoder) error { asked[i]++; return e.String(fmt.Sprint("r", i)) }
+			r.Answer = func(d *data.Decoder) (err error) { answers[i], err = d.String(); return err }
+		}
+		return r
+	}
+	errs = Calls(f.pool, "test", "server", []Round{round(0, opEcho), round(1, opEcho), round(2, opDrop), round(3, opEcho)})
+	if errs[0] != nil || errs[1] != nil || answers[0] != "r0" || answers[1] != "r1" {
+		t.Errorf("rounds answered before the peer died: %v, %v, answers %q", errs[0], errs[1], answers[:2])
+	}
+	for i := 2; i < 4; i++ {
+		if !errors.Is(errs[i], io.EOF) || IsReply(errs[i]) || !IsTransient(errs[i]) {
+			t.Errorf("round %d behind the dead peer: err = %v, want the stream's io.EOF, unmarked", i, errs[i])
+		}
+	}
+	// The stream was a reused one, so the pool tried once more on a fresh
+	// dial — with rounds 2 and 3 only.
+	if want := []int{1, 1, 2, 2}; fmt.Sprint(asked) != fmt.Sprint(want) {
+		t.Errorf("requests written per round = %v, want %v", asked, want)
+	}
+	if f.idle() != 0 {
+		t.Error("a stream that died mid-batch was pooled")
+	}
+
+	// echo, flaky, echo on a reused stream: the retry finishes the batch.
+	f.fetch(t, "a")
+	asked, answers = make([]int, 3), make([]string, 3)
+	errs = Calls(f.pool, "test", "server", []Round{round(0, opEcho), round(1, opFlaky), round(2, opEcho)})
+	if errs[0] != nil || errs[1] != nil || errs[2] != nil || answers[0] != "r0" || answers[2] != "r2" {
+		t.Errorf("batch over a flaky peer: errs %v, answers %q; want it completed by the retry", errs, answers)
+	}
+	if want := []int{1, 2, 2}; fmt.Sprint(asked) != fmt.Sprint(want) {
+		t.Errorf("requests written per round = %v, want %v", asked, want)
+	}
+	if f.idle() != 1 {
+		t.Errorf("idle = %d after the batch completed on the retry, want 1", f.idle())
+	}
+
+	// A deadline that fires mid-batch fails the rounds it cut off, no more.
+	f.fetch(t, "a")
+	asked, answers = make([]int, 3), make([]string, 3)
+	errs = Calls(deadlined{f.pool, 20 * time.Millisecond}, "test", "server",
+		[]Round{round(0, opEcho), round(1, opEcho), round(2, opHang)})
+	if errs[0] != nil || errs[1] != nil || answers[1] != "r1" || !errors.Is(errs[2], ErrDeadline) {
+		t.Errorf("batch over a hanging peer: errs %v, want two rounds answered and ErrDeadline on the third", errs)
+	}
+
+	// Nothing reached: every round carries the dial's error.
+	errs = Calls(f.pool, "test", "nowhere", []Round{round(0, opEcho), round(1, opEcho)})
+	if !errors.Is(errs[0], simnet.ErrNoSuchNode) || !errors.Is(errs[1], simnet.ErrNoSuchNode) {
+		t.Errorf("batch to an unknown node: errs %v", errs)
+	}
+}
+
 func TestPoolConcurrentCheckout(t *testing.T) {
 	// Hammer one destination from many goroutines; every operation gets
 	// an exclusive stream, so all fetches must succeed and the race
