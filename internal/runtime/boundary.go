@@ -16,8 +16,8 @@ import (
 
 // dispatchBoundaries encodes a finished fragment task's boundary outputs
 // for the stage's reserved tasks: folded into per-receiver accumulator
-// tables (§3.2.7) — which join the executor's aggregation buffer, or, for a
-// content-addressable task, leave alone under the task's own cover — or raw
+// tables (§3.2.7), which join the executor's aggregation buffer or, for a
+// content-addressable task, go out alone under the task's own cover; or raw
 // frames with one section per boundary edge. Everything after the encoding
 // — push, failure, commit — is pushFrames, for all three.
 func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, spec taskSpec,
@@ -236,9 +236,10 @@ func fetchBlock(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, owne
 	return payloads[0], errs[0]
 }
 
-// fetchChunks reads chunks of the commit store in batched rounds (a
-// skipped task's sections for each receiver that merges them), counted
-// into cas_bytes_served. A chunk that could not be had has its own error.
+// fetchChunks reads chunks of the commit store in batched rounds — the
+// sections of every skipped task a receiver was told of in one mailbox
+// batch — counted into cas_bytes_served. A chunk that could not be had has
+// its own error.
 func fetchChunks(cas *storage.CommitClient, met *metrics.Job, chunks []string) ([][]byte, []error) {
 	if cas == nil {
 		errs := make([]error, len(chunks))
@@ -248,9 +249,11 @@ func fetchChunks(cas *storage.CommitClient, met *metrics.Job, chunks []string) (
 		return make([][]byte, len(chunks)), errs
 	}
 	payloads, errs := cas.GetChunks(chunks)
+	var served int64
 	for _, p := range payloads {
-		met.Counter(metrics.NameCASBytesServed).Add(int64(len(p)))
+		served += int64(len(p))
 	}
+	met.Counter(metrics.NameCASBytesServed).Add(served)
 	return payloads, errs
 }
 

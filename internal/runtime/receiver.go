@@ -196,13 +196,15 @@ func (r *receiver) pull(commits []msgCommit) bool {
 	errs := make([]error, len(commits))
 	evs := make([]obs.Event, len(commits))
 	var chunks []string
-	var chunkAt []int // chunks[k] is the chunk of commits[chunkAt[k]]
+	var chunkAt, parked []int // commits[chunkAt[k]] names chunks[k]; commits[parked[k]] a parked block
 	for i, c := range commits {
 		evs[i] = obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
 			Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: "pull"}
 		if c.Chunk != "" {
 			evs[i].Note = "cas"
 			chunks, chunkAt = append(chunks, c.Chunk), append(chunkAt, i)
+		} else {
+			parked = append(parked, i)
 		}
 		r.ex.tr.Emit(evs[i])
 	}
@@ -210,12 +212,11 @@ func (r *receiver) pull(commits []msgCommit) bool {
 	for k, i := range chunkAt {
 		payloads[i], errs[i] = got[k], gotErrs[k]
 	}
-	_ = storage.Fanout(len(commits), storage.MaxFetchWorkers, func(i int) error {
-		if c := commits[i]; c.Chunk == "" {
-			id := taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
-			if payloads[i], errs[i] = storage.FetchBlock(r.ex.dp, "fetch", c.Exec, id); errs[i] == nil {
-				r.ex.met.BytesFetched.Add(int64(len(payloads[i])))
-			}
+	_ = storage.Fanout(len(parked), storage.MaxFetchWorkers, func(k int) error {
+		i, c := parked[k], commits[parked[k]]
+		id := taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
+		if payloads[i], errs[i] = storage.FetchBlock(r.ex.dp, "fetch", c.Exec, id); errs[i] == nil {
+			r.ex.met.BytesFetched.Add(int64(len(payloads[i])))
 		}
 		return nil
 	})

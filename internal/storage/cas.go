@@ -477,7 +477,13 @@ func (c *CommitClient) GetChunk(hash string) ([]byte, error) {
 // payload and its own error; the rest of the batch is unaffected.
 func (c *CommitClient) GetChunks(hashes []string) ([][]byte, []error) {
 	payloads := make([][]byte, len(hashes))
-	return payloads, c.calls("casget", hashes, func(i int) Round { return getRound(hashes[i], &payloads[i]) })
+	errs := c.calls("casget", hashes, func(i int) Round { return getRound(hashes[i], &payloads[i]) })
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("get chunk %.12s…: %w", hashes[i], err)
+		}
+	}
+	return payloads, errs
 }
 
 // calls runs one round per key in batches of MaxRounds, concurrently. Every
