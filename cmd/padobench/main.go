@@ -24,8 +24,6 @@ import (
 	"pado/internal/metrics"
 	"pado/internal/profile"
 	"pado/internal/runtime"
-	"pado/internal/storage"
-	"pado/internal/trace"
 	"pado/internal/vtime"
 )
 
@@ -115,29 +113,22 @@ func main() {
 		}
 	}
 
+	if err := base.SetCell(*engine, *workload, *rate); err != nil {
+		fatalf("%v", err)
+	}
+
 	if *jobs > 0 {
-		runJobs(base, *jobs, *mix, *rate, *stagger, *requireSpeedup)
+		runJobs(base, *jobs, *mix, *stagger, *requireSpeedup)
 		return
 	}
 
 	if *incr {
-		runIncr(base, *rate, *incrDelta)
+		runIncr(base, *incrDelta)
 		return
 	}
 
 	if *single {
-		p := base
-		var ok bool
-		if p.Engine, ok = parseEngine(*engine); !ok {
-			fatalf("unknown engine %q", *engine)
-		}
-		if p.Workload, ok = parseWorkload(*workload); !ok {
-			fatalf("unknown workload %q", *workload)
-		}
-		if p.Rate, ok = parseRate(*rate); !ok {
-			fatalf("unknown rate %q", *rate)
-		}
-		out, err := harness.Run(p)
+		out, err := harness.Run(base)
 		if err != nil {
 			fatalf("run: %v", err)
 		}
@@ -147,7 +138,7 @@ func main() {
 			fmt.Printf("  report: %s\n", out.ReportPath)
 		}
 		if out.TimedOut {
-			fatalf("FAIL: run timed out after %.0f paper minutes", p.TimeoutMinutes)
+			fatalf("FAIL: run timed out after %.0f paper minutes", base.TimeoutMinutes)
 		}
 		if out.Chaos != nil && !out.Chaos.OK() {
 			fatalf("FAIL: %d invariant violation(s)", len(out.Chaos.Violations))
@@ -190,53 +181,28 @@ func main() {
 // gate is the tentpole's acceptance bound — the rerun may launch fewer
 // than 10% of the priming run's tasks; everything else is served from
 // the store.
-func runIncr(base harness.Params, rate string, delta float64) {
+func runIncr(base harness.Params, delta float64) {
 	p := base
 	p.Engine = harness.EnginePado
 	p.Workload = harness.WorkloadMR
-	p.Repeats = 1 // repeats reseed the input, which would defeat the store
 	// The launch gate needs the traced obs.task_launched counter:
 	// OriginalTasks counts a stage's full task total at schedule time,
 	// before skips are applied, so it is blind to incremental reruns.
 	p.ForceTrace = true
-	var ok bool
-	if p.Rate, ok = parseRate(rate); !ok {
-		fatalf("unknown rate %q", rate)
-	}
-	store := storage.NewCommitStore()
-	p.CommitStore = store
-
-	prime := p
-	prime.ReportDir = "" // the cell's report is the rerun's
-	out1, err := harness.Run(prime)
+	inc, err := harness.RunIncremental(p, delta)
 	if err != nil {
-		fatalf("priming run: %v", err)
+		fatalf("%v", err)
 	}
-	st := store.Stats()
-	fmt.Printf("prime: %s\n  store: %d manifests, %d chunks, %d bytes\n", out1, st.Manifests, st.Chunks, st.UsedBytes)
-	if out1.TimedOut {
-		fatalf("FAIL: priming run timed out")
-	}
-
-	p.InputDelta = delta
-	p.DeltaSalt = 1
-	out2, err := harness.Run(p)
-	if err != nil {
-		fatalf("delta rerun: %v", err)
-	}
-	m := out2.Metrics.Named
-	launched1 := out1.Metrics.Named["obs.task_launched"]
+	m := inc.Rerun.Metrics.Named
+	launched1 := inc.Prime.Metrics.Named["obs.task_launched"]
 	launched2 := m["obs.task_launched"]
-	fmt.Printf("rerun: %s\n", out2)
-	fmt.Printf("  delta=%.1f%%: launched %d of %d tasks; %d/%d probes hit, %d stages + %d tasks skipped, %dB served\n",
-		delta*100, launched2, launched1,
-		m[metrics.NameCommitHits], m[metrics.NameCommitProbes],
-		m[metrics.NameStagesSkipped], m[metrics.NameTasksSkipped], m[metrics.NameCASBytesServed])
-	if out2.ReportPath != "" {
-		fmt.Printf("  report: %s\n", out2.ReportPath)
+	fmt.Printf("prime: %s\nrerun: %s\n%s\n  launched %d of %d tasks\n",
+		inc.Prime, inc.Rerun, inc, launched2, launched1)
+	if inc.Rerun.ReportPath != "" {
+		fmt.Printf("  report: %s\n", inc.Rerun.ReportPath)
 	}
-	if out2.TimedOut {
-		fatalf("FAIL: delta rerun timed out")
+	if inc.Prime.TimedOut || inc.Rerun.TimedOut {
+		fatalf("FAIL: a run of the delta-rerun cell timed out")
 	}
 	if m[metrics.NameTasksSkipped]+m[metrics.NameStagesSkipped] == 0 {
 		fatalf("FAIL: delta rerun skipped nothing")
@@ -249,13 +215,9 @@ func runIncr(base harness.Params, rate string, delta float64) {
 
 // runJobs drives the multi-job path: n concurrent jobs drawn round-robin
 // from the mix cycle, all sharing one cluster under the job manager.
-func runJobs(base harness.Params, n int, mix, rate string, stagger, requireSpeedup float64) {
+func runJobs(base harness.Params, n int, mix string, stagger, requireSpeedup float64) {
 	p := base
 	p.Engine = harness.EnginePado
-	var ok bool
-	if p.Rate, ok = parseRate(rate); !ok {
-		fatalf("unknown rate %q", rate)
-	}
 	cycle := strings.Split(mix, ",")
 	for i := 0; i < n; i++ {
 		name := strings.TrimSpace(cycle[i%len(cycle)])
@@ -266,9 +228,9 @@ func runJobs(base harness.Params, n int, mix, rate string, stagger, requireSpeed
 			}
 			name = name[:at]
 		}
-		w, ok := parseWorkload(name)
-		if !ok {
-			fatalf("unknown workload %q in -mix", name)
+		w, err := harness.ParseWorkload(name)
+		if err != nil {
+			fatalf("-mix: %v", err)
 		}
 		p.Jobs = append(p.Jobs, harness.JobSpec{
 			Workload:       w,
@@ -305,44 +267,6 @@ func runJobs(base harness.Params, n int, mix, rate string, stagger, requireSpeed
 			fatalf("FAIL: speedup %.2fx below required %.2fx", sp, requireSpeedup)
 		}
 	}
-}
-
-func parseEngine(s string) (harness.Engine, bool) {
-	switch strings.ToLower(s) {
-	case "spark":
-		return harness.EngineSpark, true
-	case "spark-checkpoint", "ck", "checkpoint":
-		return harness.EngineSparkCheckpoint, true
-	case "pado":
-		return harness.EnginePado, true
-	}
-	return 0, false
-}
-
-func parseWorkload(s string) (harness.Workload, bool) {
-	switch strings.ToLower(s) {
-	case "als":
-		return harness.WorkloadALS, true
-	case "mlr":
-		return harness.WorkloadMLR, true
-	case "mr":
-		return harness.WorkloadMR, true
-	}
-	return 0, false
-}
-
-func parseRate(s string) (trace.Rate, bool) {
-	switch strings.ToLower(s) {
-	case "none":
-		return trace.RateNone, true
-	case "low":
-		return trace.RateLow, true
-	case "medium", "med":
-		return trace.RateMedium, true
-	case "high":
-		return trace.RateHigh, true
-	}
-	return 0, false
 }
 
 func fatalf(format string, args ...any) {

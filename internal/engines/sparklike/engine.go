@@ -683,14 +683,20 @@ func (m *master) schedule() {
 	m.checkDone()
 }
 
+// pickExecutor prefers an executor holding one of the task's cached reads
+// (ties broken by lowest executor id, as in the Pado master, so placement
+// does not depend on map order), then round-robins over free slots.
 func (m *master) pickExecutor(ps *SStage, taskIdx int) string {
 	for _, opID := range ps.Ops {
 		if rd, ok := m.plan.Graph.Vertex(opID).Op.(*dataflow.ReadOp); ok && rd.Cached {
-			key := recache.Key{Vertex: opID, Partition: taskIdx}
-			for exID := range m.cacheIndex[key] {
-				if m.slotsFree[exID] > 0 {
-					return exID
+			best := ""
+			for exID := range m.cacheIndex[recache.Key{Vertex: opID, Partition: taskIdx}] {
+				if m.slotsFree[exID] > 0 && (best == "" || exID < best) {
+					best = exID
 				}
+			}
+			if best != "" {
+				return best
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"pado/internal/core"
 	"pado/internal/dag"
+	"pado/internal/recache"
 	"pado/internal/workloads"
 )
 
@@ -115,5 +116,45 @@ func TestPlanParentChildLinks(t *testing.T) {
 	}
 	if len(plan.TerminalStages()) != 1 {
 		t.Errorf("terminal stages = %v", plan.TerminalStages())
+	}
+}
+
+// Among several executors caching a task's read, the master picks the
+// lowest id with a free slot, every time: Go's map order must not decide
+// a placement (the Pado master has the same rule).
+func TestPickExecutorCachedTieBreak(t *testing.T) {
+	cfg := workloads.MLRConfig{Partitions: 4, SamplesPerPart: 4, Features: 8,
+		Classes: 2, NonZeros: 2, Iterations: 1, LearningRate: 0.1, Seed: 1}
+	plan, err := BuildPlan(workloads.MLR(cfg).Graph(), core.PlanConfig{ReduceParallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grad *SStage
+	for _, s := range plan.Stages {
+		if plan.Graph.Vertex(s.Root).Name == "compute-gradient-1" {
+			grad = s
+		}
+	}
+	if grad == nil {
+		t.Fatal("no gradient stage")
+	}
+	const task = 3
+	m := &master{
+		plan:       plan,
+		slotsFree:  map[string]int{"t7": 1, "t2": 1, "t5": 1},
+		cacheIndex: map[recache.Key]map[string]bool{},
+	}
+	// The stage's first op is its fused, cached read.
+	m.cacheIndex[recache.Key{Vertex: grad.Ops[0], Partition: task}] = map[string]bool{"t7": true, "t2": true, "t5": true}
+	for i := 0; i < 50; i++ {
+		if got := m.pickExecutor(grad, task); got != "t2" {
+			t.Fatalf("call %d picked %q, want t2", i, got)
+		}
+	}
+	m.slotsFree["t2"] = 0
+	for i := 0; i < 50; i++ {
+		if got := m.pickExecutor(grad, task); got != "t5" {
+			t.Fatalf("call %d with t2 full picked %q, want t5", i, got)
+		}
 	}
 }

@@ -21,6 +21,8 @@ import (
 	"pado/internal/chaos"
 	"pado/internal/cluster"
 	"pado/internal/core"
+	"pado/internal/dag"
+	"pado/internal/data"
 	"pado/internal/dataflow"
 	"pado/internal/engines/sparklike"
 	"pado/internal/introspect"
@@ -80,6 +82,43 @@ func (w Workload) String() string {
 	default:
 		return fmt.Sprintf("Workload(%d)", int(w))
 	}
+}
+
+// The names the command-line tools accept for a cell's coordinates.
+var (
+	engineNames = map[string]Engine{
+		"spark": EngineSpark, "pado": EnginePado,
+		"spark-checkpoint": EngineSparkCheckpoint, "checkpoint": EngineSparkCheckpoint, "ck": EngineSparkCheckpoint,
+	}
+	workloadNames = map[string]Workload{"als": WorkloadALS, "mlr": WorkloadMLR, "mr": WorkloadMR}
+	rateNames     = map[string]trace.Rate{
+		"none": trace.RateNone, "low": trace.RateLow,
+		"medium": trace.RateMedium, "med": trace.RateMedium, "high": trace.RateHigh,
+	}
+)
+
+func parseName[T any](what, s string, names map[string]T) (T, error) {
+	v, ok := names[strings.ToLower(s)]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q", what, s)
+	}
+	return v, nil
+}
+
+// ParseWorkload maps a workload's flag spelling to its value.
+func ParseWorkload(s string) (Workload, error) { return parseName("workload", s, workloadNames) }
+
+// SetCell parses a cell's coordinates, as the command-line tools spell
+// them, into p.
+func (p *Params) SetCell(engine, workload, rate string) (err error) {
+	if p.Engine, err = parseName("engine", engine, engineNames); err != nil {
+		return err
+	}
+	if p.Workload, err = ParseWorkload(workload); err != nil {
+		return err
+	}
+	p.Rate, err = parseName("rate", rate, rateNames)
+	return err
 }
 
 // Params configures one experiment run.
@@ -165,16 +204,18 @@ type Params struct {
 	ReportDir string
 
 	// ForceTrace enables event tracing even when no TraceDir/ReportDir/
-	// Chaos asks for it. RunJobsSerial sets it so the serial baseline
-	// pays the same tracing overhead the (always-traced) multi-job run
-	// does; without it the speedup comparison is skewed.
+	// Chaos asks for it, for callers that read Outcome.Events or
+	// Outcome.Report themselves. RunJobsSerial sets it so the serial
+	// baseline pays the same tracing overhead the (always-traced)
+	// multi-job run does; without it the speedup comparison is skewed.
 	ForceTrace bool
 
 	// HTTPAddr, when non-empty, serves the live introspection plane
 	// (internal/introspect: /metrics, /state, /events, ...) on that
 	// address for the duration of the run and forces event tracing on
-	// (the /events stream taps the tracer's fan-out). Pado engine only:
-	// the Spark baselines have no JobManager to inspect. The bound
+	// (the /events stream taps the tracer's fan-out). The plane attaches
+	// to the manager the cell was started with, so it is Pado only: the
+	// Spark baselines have no JobManager to inspect. The bound
 	// address is printed to stderr ("HTTP :0" picks a free port).
 	HTTPAddr string
 
@@ -218,13 +259,31 @@ type Outcome struct {
 	TimedOut   bool
 	Metrics    metrics.Snapshot
 
+	// RelaunchRatio is relaunched over original tasks and Evictions the
+	// containers lost; with Repeats > 1 both are means over the repeats
+	// (Metrics is then the last repeat's).
+	RelaunchRatio float64
+	Evictions     int64
+
+	// Outputs maps each terminal vertex to the job's result records, and
+	// Digest fingerprints them in canonical order together with the
+	// invariant verdict, when there is one: equal across runs of one seed,
+	// and across engines and fault schedules for one input.
+	Outputs map[dag.VertexID][]data.Record
+	Digest  string
+
+	// Events is the run's merged event stream and Report the analyzer's
+	// report over it (traced runs only; see Params.ForceTrace).
+	Events []obs.Event
+	Report *analyze.Report
+
 	// Chaos carries the invariant checker's report (Pado engine under a
-	// chaos plan only; nil otherwise).
+	// chaos plan, and every job of a multi-job run; nil otherwise).
 	Chaos *chaos.Report
 	// Injections lists the faults the chaos engine applied.
 	Injections []chaos.Injection
-	// ReportPath is the analyzer report written for this run (ReportDir
-	// set only; the last repeat's path when averaging).
+	// ReportPath is where Report was written (ReportDir set only; the last
+	// repeat's path when averaging).
 	ReportPath string
 }
 
@@ -237,7 +296,7 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("%-17s %-4s %-7s %-13s %2dT+%dR jct=%6s min relaunched=%5.0f%% evictions=%d",
 		o.Params.Engine, o.Params.Workload, o.Params.Rate, o.Params.policyLabel(),
 		o.Params.Transient, o.Params.Reserved, jct,
-		o.Metrics.RelaunchRatio()*100, o.Metrics.Evictions)
+		o.RelaunchRatio*100, o.Evictions)
 }
 
 // policyLabel is the placement policy for display: the Pado engine's
@@ -336,8 +395,180 @@ func (p Params) clusterConfig() cluster.Config {
 	}
 }
 
-func (p Params) newCluster() (*cluster.Cluster, error) {
-	return cluster.New(p.clusterConfig())
+// wantsTrace is the one rule for when a cell records events: an export,
+// a fault schedule (the chaos engine triggers off the stream), the live
+// plane's /events, a caller that reads Outcome.Events, or several jobs
+// (per-job invariant checks need the merged stream).
+func (p Params) wantsTrace() bool {
+	return p.TraceDir != "" || p.ReportDir != "" || p.Chaos != nil || p.ForceTrace ||
+		len(p.Jobs) > 0 || (p.HTTPAddr != "" && p.Engine == EnginePado)
+}
+
+// cell is one assembled experiment: the calibrated cluster, the optional
+// tracer and chaos engine and, on the Pado engine, the job manager with
+// the live plane attached. Every run of every engine starts here.
+type cell struct {
+	cl     *cluster.Cluster
+	tracer *obs.Tracer
+	chaos  *chaos.Engine
+
+	// Pado only. met is the manager's registry; the single path hands it
+	// to its one job too, as runtime.RunPlan does, so that job's snapshot
+	// carries the fleet counters.
+	jm  *runtime.JobManager
+	met *metrics.Job
+	srv *introspect.Server
+
+	// events is the run's merged stream, frozen by stop.
+	events  []obs.Event
+	stopped bool
+}
+
+// start assembles p's cell. With p.Jobs set the manager arbitrates the
+// cell's reserved-slot budget between the jobs; a lone job is admitted at
+// once, as under runtime.Run.
+func (p Params) start() (*cell, error) {
+	cl, err := cluster.New(p.clusterConfig())
+	if err != nil {
+		return nil, err
+	}
+	c := &cell{cl: cl}
+	if p.wantsTrace() {
+		c.tracer = obs.New()
+	}
+	if p.Chaos != nil {
+		c.chaos = chaos.NewEngine(p.Chaos, cl)
+		c.chaos.Attach(c.tracer)
+	}
+	if p.Engine != EnginePado {
+		return c, nil
+	}
+	c.met = &metrics.Job{}
+	c.tracer.FeedCounters(c.met)
+	mcfg := runtime.ManagerConfig{
+		Tracer: c.tracer, Metrics: c.met, Failure: p.Failure, Commits: p.CommitStore,
+	}
+	if len(p.Jobs) > 0 {
+		mcfg.Env = p.clusterConfig().PlacementEnv()
+	}
+	if c.jm, err = runtime.NewJobManager(cl, mcfg); err != nil {
+		c.stop()
+		return nil, err
+	}
+	c.srv, err = introspect.Start(introspect.Options{Addr: p.HTTPAddr, Manager: c.jm, Tracer: c.tracer})
+	if err != nil {
+		c.stop()
+		return nil, err
+	}
+	if c.srv != nil {
+		fmt.Fprintf(os.Stderr, "introspection plane listening on http://%s\n", c.srv.Addr())
+	}
+	return c, nil
+}
+
+// stop ends the run — no further faults, the live plane down, the manager
+// and its cluster closed — and freezes the event stream that outcomes are
+// built from. Only the first call does anything.
+func (c *cell) stop() {
+	if c.stopped {
+		return
+	}
+	c.stopped = true
+	if c.chaos != nil {
+		c.chaos.Stop()
+	}
+	c.srv.Close()
+	if c.jm != nil {
+		c.jm.Close()
+	}
+	c.events = c.tracer.Events()
+}
+
+// finished is what either engine hands back for one job.
+type finished struct {
+	outputs map[dag.VertexID][]data.Record
+	snap    metrics.Snapshot
+	parents map[int][]int // stage id -> parent stage ids
+}
+
+// runPado submits q's pipeline to the cell's manager and waits for it. The
+// result is nil when the job produced none; the manager's job id is
+// returned even then.
+func (c *cell) runPado(ctx context.Context, q Params, opts runtime.JobOptions) (*finished, int, error) {
+	cfg, err := q.PadoRuntimeConfig(c.tracer, c.chaos)
+	if err != nil {
+		return nil, 0, err
+	}
+	h, err := c.jm.Submit(q.pipeline().Graph(), cfg, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := h.Wait(ctx)
+	if res == nil {
+		return nil, h.ID(), err
+	}
+	f := &finished{res.Outputs, res.Metrics, make(map[int][]int, len(res.Plan.Stages))}
+	for _, ps := range res.Plan.Stages {
+		f.parents[ps.ID] = ps.Parents
+	}
+	return f, h.ID(), err
+}
+
+// runSpark runs p's pipeline on the Spark-like baseline, which owns the
+// cell's cluster from here.
+func (c *cell) runSpark(ctx context.Context, p Params) (*finished, error) {
+	res, err := sparklike.Run(ctx, c.cl, p.pipeline().Graph(), p.SparkConfig(c.tracer))
+	if err != nil {
+		return nil, err
+	}
+	f := &finished{res.Outputs, res.Metrics, make(map[int][]int, len(res.Plan.Stages))}
+	for _, ps := range res.Plan.Stages {
+		f.parents[ps.ID] = ps.Parents
+	}
+	return f, nil
+}
+
+// outcome summarizes one finished job of a stopped cell. job scopes the
+// invariant check and the report to one job of a shared stream; 0 is the
+// single path, whose stream holds one job. label suffixes the report's
+// file name.
+func (c *cell) outcome(q Params, f *finished, job int, label string) (Outcome, error) {
+	out := Outcome{
+		Params: q, JCTMinutes: q.Scale.Minutes(f.snap.JCT), TimedOut: f.snap.TimedOut,
+		Metrics: f.snap, RelaunchRatio: f.snap.RelaunchRatio(), Evictions: f.snap.Evictions,
+		Outputs: f.outputs,
+	}
+	if out.TimedOut {
+		out.JCTMinutes = q.TimeoutMinutes
+	}
+	if c.chaos != nil {
+		out.Injections = c.chaos.Injections()
+	}
+	// Jobs sharing a cluster are always checked, a lone job when a fault
+	// schedule asks for it; the checker knows the Pado protocol only.
+	switch {
+	case job > 0:
+		out.Chaos = chaos.CheckJob(c.events, job, f.parents)
+	case q.Chaos != nil && q.Engine == EnginePado:
+		out.Chaos = chaos.Check(c.events, f.parents)
+	}
+	verdict := out.Chaos
+	if verdict == nil {
+		verdict = &chaos.Report{} // the digest is then of the output alone
+	}
+	out.Digest = verdict.Digest(chaos.Canonical(f.outputs))
+	if c.tracer == nil {
+		return out, nil
+	}
+	out.Events = c.events
+	out.Report = q.analysis(c.events, f.parents, f.snap, job, false)
+	if q.ReportDir != "" {
+		var err error
+		if out.ReportPath, err = q.saveReport(out.Report, exportBase(q)+label); err != nil {
+			return Outcome{}, err
+		}
+	}
+	return out, nil
 }
 
 // Run executes one experiment, averaging over p.Repeats seeds.
@@ -357,127 +588,110 @@ func Run(p Params) (Outcome, error) {
 			return Outcome{}, err
 		}
 		jct += out.JCTMinutes
-		relaunch += out.Metrics.RelaunchRatio()
-		evictions += float64(out.Metrics.Evictions)
+		relaunch += out.RelaunchRatio
+		evictions += float64(out.Evictions)
 		if out.TimedOut {
 			timedOut++
 		}
 		sum = out
 	}
+	// Everything but the averages below is the last repeat's.
 	n := float64(p.Repeats)
 	sum.Params = p
 	sum.JCTMinutes = jct / n
 	sum.TimedOut = timedOut*2 > p.Repeats // majority timed out
-	sum.Metrics.Evictions = int64(evictions / n)
-	sum.Metrics.OriginalTasks = 1000
-	sum.Metrics.RelaunchedTasks = int64(relaunch / n * 1000)
+	sum.RelaunchRatio = relaunch / n
+	sum.Evictions = int64(evictions / n)
 	return sum, nil
 }
 
+// Incremental is the outcome of a delta-rerun cell.
+type Incremental struct {
+	Prime, Rerun Outcome
+	// Delta is the fraction of input partitions changed between the two.
+	Delta float64
+	// Primed is the commit store as the priming run left it.
+	Primed storage.CommitStats
+}
+
+// RunIncremental runs p's cell twice against one commit store (p's, or a
+// fresh one): a priming run on the clean input, then the rerun with delta
+// of the MR input partitions changed, which is served from the store
+// wherever its input did not change (DESIGN.md §14). Exports, the fault
+// schedule and the live plane belong to the rerun; the priming run keeps
+// only ForceTrace, for callers that compare the two runs' event counters.
+func RunIncremental(p Params, delta float64) (Incremental, error) {
+	if p.Engine != EnginePado {
+		return Incremental{}, fmt.Errorf("harness: incremental reruns need the Pado engine (the baselines have no commit store)")
+	}
+	p.Repeats = 1 // repeats reseed the input, which would defeat the store
+	if p.CommitStore == nil {
+		p.CommitStore = storage.NewCommitStore()
+	}
+	prime := p
+	prime.TraceDir, prime.ReportDir, prime.Chaos, prime.HTTPAddr = "", "", nil, ""
+	inc := Incremental{Delta: delta}
+	var err error
+	if inc.Prime, err = Run(prime); err != nil {
+		return Incremental{}, fmt.Errorf("priming run: %w", err)
+	}
+	inc.Primed = p.CommitStore.Stats()
+	p.InputDelta, p.DeltaSalt = delta, 1
+	if inc.Rerun, err = Run(p); err != nil {
+		return Incremental{}, fmt.Errorf("delta rerun: %w", err)
+	}
+	return inc, nil
+}
+
+// String renders what the priming run stored and what the rerun reused.
+func (i Incremental) String() string {
+	m := i.Rerun.Metrics.Named
+	return fmt.Sprintf("primed commit store: %d manifests, %d chunks, %d bytes\n"+
+		"incremental rerun (delta=%.1f%%): %d/%d probes hit, %d stages + %d tasks skipped, "+
+		"%d tasks of compute avoided, %dB served from the commit store",
+		i.Primed.Manifests, i.Primed.Chunks, i.Primed.UsedBytes, i.Delta*100,
+		m[metrics.NameCommitHits], m[metrics.NameCommitProbes],
+		m[metrics.NameStagesSkipped], m[metrics.NameTasksSkipped],
+		m[metrics.NameComputeAvoidedTasks], m[metrics.NameCASBytesServed])
+}
+
 func runOnce(p Params) (Outcome, error) {
-	pipe := p.pipeline()
-	cl, err := p.newCluster()
+	c, err := p.start()
 	if err != nil {
 		return Outcome{}, err
 	}
+	defer c.stop()
 	ctx, cancel := context.WithTimeout(context.Background(), p.Scale.Wall(p.TimeoutMinutes))
 	defer cancel()
 
-	var tracer *obs.Tracer
-	if p.TraceDir != "" || p.ReportDir != "" || p.Chaos != nil || p.ForceTrace ||
-		(p.HTTPAddr != "" && p.Engine == EnginePado) {
-		tracer = obs.New()
+	var f *finished
+	if p.Engine == EnginePado {
+		f, _, err = c.runPado(ctx, p, runtime.JobOptions{Metrics: c.met})
+	} else {
+		f, err = c.runSpark(ctx, p)
 	}
-
-	var engine *chaos.Engine
-	if p.Chaos != nil {
-		engine = chaos.NewEngine(p.Chaos, cl)
-		engine.Attach(tracer)
-		defer engine.Stop()
+	if err != nil {
+		return Outcome{}, err
 	}
-
-	var snap metrics.Snapshot
-	var report *chaos.Report
-	var injections []chaos.Injection
-	var stageParents map[int][]int
-	switch p.Engine {
-	case EnginePado:
-		cfg, err := p.PadoRuntimeConfig(tracer, engine)
-		if err != nil {
-			return Outcome{}, err
-		}
-		if p.HTTPAddr != "" {
-			// The single-job manager only exists inside runtime.Run;
-			// OnManager hands it to the introspection plane as soon as it
-			// starts, and the server comes down with the run.
-			var srv *introspect.Server
-			defer func() { srv.Close() }()
-			prev := cfg.OnManager
-			cfg.OnManager = func(jm *runtime.JobManager) {
-				if prev != nil {
-					prev(jm)
-				}
-				var err error
-				srv, err = introspect.Start(introspect.Options{
-					Addr: p.HTTPAddr, Manager: jm, Tracer: tracer,
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "harness: introspection plane: %v\n", err)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "introspection plane listening on http://%s\n", srv.Addr())
-			}
-		}
-		res, err := runtime.Run(ctx, cl, pipe.Graph(), cfg)
-		if err != nil {
-			return Outcome{}, err
-		}
-		snap = res.Metrics
-		stageParents = make(map[int][]int, len(res.Plan.Stages))
-		for _, ps := range res.Plan.Stages {
-			stageParents[ps.ID] = ps.Parents
-		}
-		if engine != nil {
-			engine.Stop()
-			injections = engine.Injections()
-			report = chaos.Check(tracer.Events(), stageParents)
-		}
-	default:
-		res, err := sparklike.Run(ctx, cl, pipe.Graph(), p.SparkConfig(tracer))
-		if err != nil {
-			return Outcome{}, err
-		}
-		snap = res.Metrics
-		stageParents = make(map[int][]int, len(res.Plan.Stages))
-		for _, ps := range res.Plan.Stages {
-			stageParents[ps.ID] = ps.Parents
-		}
-		if engine != nil {
-			engine.Stop()
-			injections = engine.Injections()
-		}
-	}
-
+	c.stop()
 	if p.TraceDir != "" {
-		if err := writeTraces(p, tracer); err != nil {
+		if err := writeTraces(p, c.events); err != nil {
 			return Outcome{}, err
 		}
 	}
+	return c.outcome(p, f, 0, "")
+}
 
-	var reportPath string
-	if p.ReportDir != "" {
-		var err error
-		if reportPath, err = writeReport(p, tracer, stageParents, snap); err != nil {
-			return Outcome{}, err
-		}
+// Plan compiles the cell's pipeline as the Pado engine would run it,
+// without running it.
+func (p Params) Plan() (*core.Plan, error) {
+	p = p.withDefaults()
+	p.Engine = EnginePado
+	cfg, err := p.PadoRuntimeConfig(nil, nil)
+	if err != nil {
+		return nil, err
 	}
-
-	jct := p.Scale.Minutes(snap.JCT)
-	if snap.TimedOut {
-		jct = p.TimeoutMinutes
-	}
-	return Outcome{Params: p, JCTMinutes: jct, TimedOut: snap.TimedOut, Metrics: snap,
-		Chaos: report, Injections: injections, ReportPath: reportPath}, nil
+	return core.Compile(p.pipeline().Graph(), cfg.Plan)
 }
 
 // SparkConfig assembles the Spark-like baseline's configuration for one
@@ -498,8 +712,7 @@ func (p Params) SparkConfig(tracer *obs.Tracer) sparklike.Config {
 // experiment cell: reduce parallelism tracking the reserved pool, the
 // named placement policy against the cell's capacity env, and the
 // paper-time partial-aggregation escape delay (§3.2.7, pinned to 0.1
-// paper minutes at the current scale). engine may be nil. Both this and
-// SparkConfig are exported so cmd/padorun runs what the harness runs.
+// paper minutes at the current scale). engine may be nil.
 func (p Params) PadoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (runtime.Config, error) {
 	cfg := runtime.Config{Tracer: tracer}
 	if engine != nil {
@@ -523,14 +736,12 @@ func (p Params) PadoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (run
 	return cfg, nil
 }
 
-// writeReport analyzes one run's event stream and writes the report
-// JSON under p.ReportDir, returning the written path.
-func writeReport(p Params, tracer *obs.Tracer, stageParents map[int][]int, snap metrics.Snapshot) (string, error) {
-	if err := os.MkdirAll(p.ReportDir, 0o755); err != nil {
-		return "", err
-	}
+// analysis renders the analyzer report of one traced run. job > 0 scopes
+// a shared stream to one job; fleet marks the whole-stream aggregate of a
+// multi-job run, which belongs to no one workload or policy.
+func (p Params) analysis(events []obs.Event, parents map[int][]int, snap metrics.Snapshot, job int, fleet bool) *analyze.Report {
 	opts := analyze.Options{
-		StageParents: stageParents,
+		StageParents: parents,
 		Scale:        analyze.ScaleInfo{WallPerMinute: p.Scale.WallPerMinute},
 		JCT:          snap.JCT,
 		TimedOut:     snap.TimedOut,
@@ -538,13 +749,25 @@ func writeReport(p Params, tracer *obs.Tracer, stageParents map[int][]int, snap 
 		Workload:     strings.ToLower(p.Workload.String()),
 		Rate:         p.Rate.String(),
 		Seed:         p.Seed,
+		Job:          job,
 		Snapshot:     &snap,
 	}
-	if p.Engine == EnginePado {
+	switch {
+	case fleet:
+		opts.Workload = "multi"
+	case p.Engine == EnginePado:
 		opts.Policy = p.policyLabel()
 	}
-	rep := analyze.Analyze(tracer.Events(), opts)
-	path := filepath.Join(p.ReportDir, exportBase(p)+".report.json")
+	return analyze.Analyze(events, opts)
+}
+
+// saveReport writes rep as <ReportDir>/<base>.report.json and returns the
+// path.
+func (p Params) saveReport(rep *analyze.Report, base string) (string, error) {
+	if err := os.MkdirAll(p.ReportDir, 0o755); err != nil {
+		return "", fmt.Errorf("harness: report dir: %w", err)
+	}
+	path := filepath.Join(p.ReportDir, base+".report.json")
 	return path, rep.Save(path)
 }
 
@@ -568,11 +791,10 @@ func exportBase(p Params) string {
 
 // writeTraces exports one run's event stream as a Chrome trace and a text
 // timeline under p.TraceDir.
-func writeTraces(p Params, tracer *obs.Tracer) error {
+func writeTraces(p Params, events []obs.Event) error {
 	if err := os.MkdirAll(p.TraceDir, 0o755); err != nil {
 		return err
 	}
-	events := tracer.Events()
 	base := exportBase(p)
 	chrome, err := os.Create(filepath.Join(p.TraceDir, base+".trace.json"))
 	if err != nil {

@@ -3,17 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
 	"pado/internal/chaos"
-	"pado/internal/introspect"
 	"pado/internal/metrics"
-	"pado/internal/obs"
-	"pado/internal/obs/analyze"
 	"pado/internal/runtime"
 )
 
@@ -62,18 +57,11 @@ type JobOutcome struct {
 	Name  string
 	JobID int
 
-	JCTMinutes float64
-	TimedOut   bool
-	Metrics    metrics.Snapshot
-
-	// Chaos is the per-job invariant verdict (CheckJob over the shared
-	// trace) and Digest its determinism fingerprint (verdict + canonical
-	// output).
-	Chaos  *chaos.Report
-	Digest string
-
-	// ReportPath is this job's analyzer report (ReportDir set only).
-	ReportPath string
+	// Outcome is the job's own: its Chaos is the per-job invariant
+	// verdict (CheckJob over the shared trace), its Digest that verdict
+	// plus the canonical output, its Report scoped to the job's events.
+	// Zero when the job never produced a result.
+	Outcome
 
 	// Err is the job's failure (abort, rejection, manager shutdown).
 	Err error
@@ -145,7 +133,7 @@ func (m MultiOutcome) String() string {
 			status = fmt.Sprintf("%d invariant violation(s)", len(j.Chaos.Violations))
 		}
 		fmt.Fprintf(&b, "job %-8s id=%d jct=%6s min relaunched=%5.0f%% %s\n",
-			j.Name, j.JobID, jct, j.Metrics.RelaunchRatio()*100, status)
+			j.Name, j.JobID, jct, j.RelaunchRatio*100, status)
 	}
 	fmt.Fprintf(&b, "makespan=%.1f min total-jct=%.1f min", m.MakespanMinutes, m.TotalJCTMinutes())
 	return b.String()
@@ -165,63 +153,27 @@ func RunJobs(p Params) (MultiOutcome, error) {
 	if p.Engine != EnginePado {
 		return MultiOutcome{}, fmt.Errorf("harness: multi-job mode requires the Pado engine")
 	}
-
-	cl, err := p.newCluster()
+	c, err := p.start()
 	if err != nil {
 		return MultiOutcome{}, err
 	}
-	tracer := obs.New()
-	fleet := &metrics.Job{}
-	tracer.FeedCounters(fleet)
+	defer c.stop()
 
-	var engine *chaos.Engine
-	if p.Chaos != nil {
-		engine = chaos.NewEngine(p.Chaos, cl)
-		engine.Attach(tracer)
-		defer engine.Stop()
-	}
-
-	env := p.clusterConfig().PlacementEnv()
 	// Specs without an explicit demand get an even carve of the cell's
 	// reserved-slot budget: left to the manager's default, every job
 	// would demand the whole budget and the batch would serialize.
 	share := 0
-	if env.ReservedSlotBudget > 0 {
-		share = env.ReservedSlotBudget / len(p.Jobs)
-		if share < 1 {
-			share = 1
-		}
-	}
-
-	jm, err := runtime.NewJobManager(cl, runtime.ManagerConfig{
-		Env:     env,
-		Tracer:  tracer,
-		Metrics: fleet,
-		Failure: p.Failure,
-	})
-	if err != nil {
-		return MultiOutcome{}, err
-	}
-	defer jm.Close()
-
-	if p.HTTPAddr != "" {
-		srv, err := introspect.Start(introspect.Options{
-			Addr: p.HTTPAddr, Manager: jm, Tracer: tracer,
-		})
-		if err != nil {
-			return MultiOutcome{}, err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "introspection plane listening on http://%s\n", srv.Addr())
+	if budget := p.clusterConfig().PlacementEnv().ReservedSlotBudget; budget > 0 {
+		share = max(budget/len(p.Jobs), 1)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), p.Scale.Wall(p.TimeoutMinutes))
 	defer cancel()
 
 	type jobRes struct {
-		res    *runtime.Result
-		handle *runtime.JobHandle
-		err    error
+		f   *finished
+		id  int
+		err error
 	}
 	results := make([]jobRes, len(p.Jobs))
 	start := time.Now()
@@ -230,125 +182,57 @@ func RunJobs(p Params) (MultiOutcome, error) {
 		wg.Add(1)
 		go func(i int, spec JobSpec) {
 			defer wg.Done()
+			r := &results[i]
 			if spec.StaggerMinutes > 0 {
 				select {
 				case <-time.After(p.Scale.Wall(spec.StaggerMinutes)):
 				case <-ctx.Done():
-					results[i].err = ctx.Err()
+					r.err = ctx.Err()
 					return
 				}
 			}
-			q := p.jobParams(spec)
-			cfg, err := q.PadoRuntimeConfig(tracer, engine)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			met := &metrics.Job{}
 			demand := spec.ReservedSlots
 			if demand == 0 {
 				demand = share
 			}
-			h, err := jm.Submit(q.pipeline().Graph(), cfg, runtime.JobOptions{
+			r.f, r.id, r.err = c.runPado(ctx, p.jobParams(spec), runtime.JobOptions{
 				Name:          spec.name(i),
 				Weight:        spec.Weight,
 				Priority:      spec.Priority,
 				ReservedSlots: demand,
-				Metrics:       met,
+				Metrics:       &metrics.Job{},
 			})
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].handle = h
-			results[i].res, results[i].err = h.Wait(ctx)
 		}(i, spec)
 	}
 	wg.Wait()
 	makespan := time.Since(start)
-
-	if engine != nil {
-		engine.Stop()
-	}
-	events := tracer.Events()
+	c.stop()
 
 	out := MultiOutcome{Params: p, MakespanMinutes: p.Scale.Minutes(makespan)}
-	if engine != nil {
-		out.Injections = engine.Injections()
+	if c.chaos != nil {
+		out.Injections = c.chaos.Injections()
 	}
 	for i, spec := range p.Jobs {
-		jo := JobOutcome{Spec: spec, Name: spec.name(i), Err: results[i].err}
-		if h := results[i].handle; h != nil {
-			jo.JobID = h.ID()
-		}
-		if res := results[i].res; res != nil {
-			jo.Metrics = res.Metrics
-			jo.TimedOut = res.Metrics.TimedOut
-			jo.JCTMinutes = p.Scale.Minutes(res.Metrics.JCT)
-			if jo.TimedOut {
-				jo.JCTMinutes = p.TimeoutMinutes
-			}
-			parents := make(map[int][]int, len(res.Plan.Stages))
-			for _, ps := range res.Plan.Stages {
-				parents[ps.ID] = ps.Parents
-			}
-			jo.Chaos = chaos.CheckJob(events, jo.JobID, parents)
-			jo.Digest = jo.Chaos.Digest(chaos.Canonical(res.Outputs))
-			if p.ReportDir != "" {
-				q := p.jobParams(spec)
-				path, err := writeJobReport(q, events, parents, res.Metrics, jo.JobID, jo.Name)
-				if err != nil {
-					return MultiOutcome{}, err
-				}
-				jo.ReportPath = path
+		r := results[i]
+		jo := JobOutcome{Spec: spec, Name: spec.name(i), JobID: r.id, Err: r.err}
+		if r.f != nil {
+			if jo.Outcome, err = c.outcome(p.jobParams(spec), r.f, r.id, "-"+jo.Name); err != nil {
+				return MultiOutcome{}, err
 			}
 		}
 		out.Jobs = append(out.Jobs, jo)
 	}
 
 	if p.ReportDir != "" {
-		snap := fleet.Snapshot(makespan, false)
-		path, err := writeJobReport(p, events, nil, snap, 0, "aggregate")
-		if err != nil {
+		// The aggregate spans workloads; exportBase's single-workload name
+		// would mislabel it.
+		rep := p.analysis(c.events, nil, c.met.Snapshot(makespan, false), 0, true)
+		base := strings.ToLower(fmt.Sprintf("%s-multi-%s-seed%d-aggregate", p.Engine, p.Rate, p.Seed))
+		if out.AggregatePath, err = p.saveReport(rep, base); err != nil {
 			return MultiOutcome{}, err
 		}
-		out.AggregatePath = path
 	}
 	return out, nil
-}
-
-// writeJobReport writes one job-scoped (or, with job 0, fleet-aggregate)
-// analyzer report into p.ReportDir.
-func writeJobReport(p Params, events []obs.Event, stageParents map[int][]int, snap metrics.Snapshot, job int, label string) (string, error) {
-	opts := analyze.Options{
-		StageParents: stageParents,
-		Scale:        analyze.ScaleInfo{WallPerMinute: p.Scale.WallPerMinute},
-		JCT:          snap.JCT,
-		TimedOut:     snap.TimedOut,
-		Engine:       strings.ToLower(p.Engine.String()),
-		Workload:     strings.ToLower(p.Workload.String()),
-		Rate:         p.Rate.String(),
-		Seed:         p.Seed,
-		Job:          job,
-		Policy:       p.policyLabel(),
-		Snapshot:     &snap,
-	}
-	if job == 0 {
-		opts.Workload = "multi"
-		opts.Policy = ""
-	}
-	rep := analyze.Analyze(events, opts)
-	if err := os.MkdirAll(p.ReportDir, 0o755); err != nil {
-		return "", fmt.Errorf("harness: report dir: %w", err)
-	}
-	base := exportBase(p)
-	if job == 0 {
-		// The aggregate spans workloads; exportBase's single-workload
-		// name would mislabel it.
-		base = strings.ToLower(fmt.Sprintf("%s-multi-%s-seed%d", p.Engine, p.Rate, p.Seed))
-	}
-	path := filepath.Join(p.ReportDir, base+"-"+label+".report.json")
-	return path, rep.Save(path)
 }
 
 // RunJobsSerial runs the same specs one after another, each on a fresh

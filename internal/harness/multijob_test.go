@@ -1,10 +1,15 @@
 package harness
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"pado/internal/dag"
+	"pado/internal/data"
+	"pado/internal/metrics"
+	"pado/internal/storage"
 	"pado/internal/trace"
 	"pado/internal/vtime"
 )
@@ -108,5 +113,69 @@ func TestRunJobsValidation(t *testing.T) {
 	p.Engine = EngineSpark
 	if _, err := RunJobs(p); err == nil {
 		t.Error("RunJobs on a non-Pado engine should fail")
+	}
+}
+
+// TestRunJobsWithCommitStore: the multi-job path hands Params.CommitStore
+// to its manager, so a second round of the same jobs against the same
+// store is served from it, and arrives at the same outputs.
+func TestRunJobsWithCommitStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-job harness run skipped in short mode")
+	}
+	p := multiParams(t)
+	p.Jobs = []JobSpec{{Workload: WorkloadMR}, {Workload: WorkloadMLR}}
+	p.CommitStore = storage.NewCommitStore()
+
+	round := func() MultiOutcome {
+		t.Helper()
+		out, err := RunJobs(p)
+		if err != nil {
+			t.Fatalf("RunJobs: %v", err)
+		}
+		if !out.OK() {
+			t.Fatalf("multi-job run not OK:\n%s", out)
+		}
+		return out
+	}
+	first, second := round(), round()
+	if st := p.CommitStore.Stats(); st.Manifests == 0 {
+		t.Fatalf("two rounds left the store empty: %+v", st)
+	}
+	mr := second.Jobs[0].Metrics.Named
+	if skipped := mr[metrics.NameTasksSkipped] + mr[metrics.NameStagesSkipped]; skipped == 0 {
+		t.Errorf("round two's MR job skipped nothing: %v", mr)
+	}
+	// MR sums integers, so its output is exact under any schedule and the
+	// digests must agree. MLR sums floats in arrival order: on the real
+	// clock its model repeats to rounding only, with or without a store.
+	if a, b := first.Jobs[0].Digest, second.Jobs[0].Digest; a != b {
+		t.Errorf("MR job: digest %s in round one, %s in round two", a, b)
+	}
+	sameModel(t, first.Jobs[1].Outputs, second.Jobs[1].Outputs)
+}
+
+// sameModel checks that two MLR runs arrived at one model up to float
+// rounding (the bound the integration suite holds every engine to against
+// the reference implementation).
+func sameModel(t *testing.T, a, b map[dag.VertexID][]data.Record) {
+	t.Helper()
+	model := func(outputs map[dag.VertexID][]data.Record) []float64 {
+		for _, recs := range outputs {
+			if len(recs) == 1 {
+				return recs[0].Value.([]float64)
+			}
+		}
+		t.Fatalf("no single-record model among %d output vertices", len(outputs))
+		return nil
+	}
+	want, got := model(a), model(b)
+	if len(got) != len(want) {
+		t.Fatalf("MLR model sizes %d and %d", len(want), len(got))
+	}
+	for i := range got {
+		if math.Abs(got[i]-want[i]) > 1e-6+1e-4*math.Abs(want[i]) {
+			t.Fatalf("MLR model[%d]: %g and %g", i, want[i], got[i])
+		}
 	}
 }

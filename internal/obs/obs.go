@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"pado/internal/metrics"
-	"pado/internal/vtime"
 )
 
 // Kind classifies trace events.
@@ -206,8 +205,8 @@ const ReservedFrag = -1
 // via the emit helpers only where ambiguity matters — emitters set the
 // fields they know).
 type Event struct {
-	// T is the event's virtual timestamp: time elapsed on the tracer's
-	// vtime clock since the tracer was created (job start).
+	// T is the event's timestamp: time elapsed since the tracer was
+	// created (job start).
 	T time.Duration
 	// Kind classifies the event.
 	Kind Kind
@@ -239,7 +238,6 @@ type Event struct {
 // and merges them on demand. The zero value is not useful; use New. A
 // nil *Tracer is the disabled tracer: every method is a nil-safe no-op.
 type Tracer struct {
-	clock vtime.Clock
 	start time.Time
 
 	// sink mirrors per-kind event counts into a metrics registry; wired
@@ -259,15 +257,10 @@ type Tracer struct {
 	bufs []*Buf
 }
 
-// New returns a Tracer timestamping against the real clock, starting
-// now.
-func New() *Tracer { return NewWithClock(vtime.Real()) }
-
-// NewWithClock returns a Tracer timestamping against clk (a vtime.Fake
-// in tests makes event times deterministic).
-func NewWithClock(clk vtime.Clock) *Tracer {
-	return &Tracer{clock: clk, start: clk.Now()}
-}
+// New returns a Tracer timestamping against package time, starting now
+// (inside a testing/synctest bubble that is the bubble's fake clock, which
+// makes event times exact).
+func New() *Tracer { return &Tracer{start: time.Now()} }
 
 // FeedCounters mirrors every subsequently emitted event into reg as a
 // named counter ("obs.task_launched", "obs.container_evicted", ...), so
@@ -373,14 +366,14 @@ type Buf struct {
 	evs []Event
 }
 
-// Emit records ev, stamping it with the tracer's virtual clock and — for
-// job-scoped buffers — the buffer's job id when the caller left ev.Job
-// zero. The caller leaves ev.T zero. Nil-safe.
+// Emit records ev, stamping it with the time since the tracer started
+// and — for job-scoped buffers — the buffer's job id when the caller left
+// ev.Job zero. The caller leaves ev.T zero. Nil-safe.
 func (b *Buf) Emit(ev Event) {
 	if b == nil {
 		return
 	}
-	ev.T = b.t.clock.Since(b.t.start)
+	ev.T = time.Since(b.t.start)
 	if ev.Job == 0 {
 		ev.Job = b.job
 	}

@@ -155,22 +155,6 @@ func TestEventsWhileEmitting(t *testing.T) {
 	}
 }
 
-func TestFakeClockTimestamps(t *testing.T) {
-	clk := vtime.NewFake(time.Unix(0, 0))
-	tr := NewWithClock(clk)
-	b := tr.Buf()
-	b.Emit(Event{Kind: StageScheduled, Stage: 0})
-	clk.Advance(3 * time.Second)
-	b.Emit(Event{Kind: StageComplete, Stage: 0})
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d events", len(evs))
-	}
-	if evs[0].T != 0 || evs[1].T != 3*time.Second {
-		t.Fatalf("timestamps = %v, %v; want 0, 3s", evs[0].T, evs[1].T)
-	}
-}
-
 func TestFeedCounters(t *testing.T) {
 	reg := &metrics.Job{}
 	tr := New()

@@ -83,13 +83,6 @@ type Config struct {
 	// enables both with conservative defaults; see FailureConfig.
 	Failure FailureConfig
 
-	// OnManager, when non-nil, is called with the single-job manager
-	// right after it starts, before the job is submitted. Run/RunPlan
-	// construct their JobManager internally; this hook is how callers
-	// (padorun's -http flag) attach the live introspection plane to it.
-	// The manager is valid until Run/RunPlan returns.
-	OnManager func(*JobManager)
-
 	// Commits, when non-nil, enables incremental re-execution: the
 	// manager serves this content-addressed commit store over dedicated
 	// simnet nodes, probes it with the plan's stage/task cache keys at

@@ -59,9 +59,6 @@ func RunPlan(ctx context.Context, cl *cluster.Cluster, plan *core.Plan, cfg Conf
 		return nil, err
 	}
 	defer jm.Close()
-	if cfg.OnManager != nil {
-		cfg.OnManager(jm)
-	}
 	h, err := jm.SubmitPlan(plan, cfg, JobOptions{Metrics: met})
 	if err != nil {
 		return nil, err

@@ -10,16 +10,12 @@
 // compute time vs. transfer time) are preserved because every duration in
 // an experiment goes through the same Scale.
 //
-// The package also provides a Clock interface with a real implementation
-// and a manually advanced Fake used to unit-test timer-driven components
-// (eviction drivers, caches) deterministically.
+// Nothing here abstracts the clock itself: everything reads package time,
+// and tests that need time to be exact run inside a testing/synctest
+// bubble, which fakes package time for the whole simulated cluster.
 package vtime
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // Scale maps paper time (minutes) to wall-clock time. The zero value is
 // not useful; use NewScale or the DefaultScale.
@@ -49,106 +45,4 @@ func (s Scale) Minutes(wall time.Duration) float64 {
 		return 0
 	}
 	return float64(wall) / float64(s.WallPerMinute)
-}
-
-// Clock abstracts the subset of package time used by timer-driven
-// components so they can be tested with a Fake clock.
-type Clock interface {
-	Now() time.Time
-	Sleep(d time.Duration)
-	// After returns a channel that receives the current time after d has
-	// elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
-	Since(t time.Time) time.Duration
-}
-
-// Real returns a Clock backed by the system clock.
-func Real() Clock { return realClock{} }
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
-
-// Fake is a manually advanced Clock. The zero value starts at the zero
-// time; NewFake starts at a given instant. Advance moves time forward and
-// fires any matured timers. Fake is safe for concurrent use.
-type Fake struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// NewFake returns a Fake clock whose current time is start.
-func NewFake(start time.Time) *Fake {
-	return &Fake{now: start}
-}
-
-// Now returns the fake current time.
-func (f *Fake) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-// Since reports the fake time elapsed since t.
-func (f *Fake) Since(t time.Time) time.Duration {
-	return f.Now().Sub(t)
-}
-
-// After returns a channel that fires when the fake clock has been advanced
-// by at least d.
-func (f *Fake) After(d time.Duration) <-chan time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	w := &fakeWaiter{at: f.now.Add(d), ch: make(chan time.Time, 1)}
-	if d <= 0 {
-		w.ch <- f.now
-		return w.ch
-	}
-	f.waiters = append(f.waiters, w)
-	return w.ch
-}
-
-// Sleep blocks until the fake clock is advanced past d.
-func (f *Fake) Sleep(d time.Duration) {
-	<-f.After(d)
-}
-
-// Advance moves the fake clock forward by d, firing matured timers in
-// deadline order.
-func (f *Fake) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	now := f.now
-	var fire []*fakeWaiter
-	rest := f.waiters[:0]
-	for _, w := range f.waiters {
-		if !w.at.After(now) {
-			fire = append(fire, w)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	f.waiters = rest
-	f.mu.Unlock()
-
-	sort.Slice(fire, func(i, j int) bool { return fire[i].at.Before(fire[j].at) })
-	for _, w := range fire {
-		w.ch <- now
-	}
-}
-
-// PendingTimers reports how many timers are waiting on the fake clock.
-func (f *Fake) PendingTimers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.waiters)
 }

@@ -35,104 +35,3 @@ func TestDefaultScale(t *testing.T) {
 		t.Errorf("unexpected default scale %v", DefaultScale().WallPerMinute)
 	}
 }
-
-func TestRealClock(t *testing.T) {
-	c := Real()
-	t0 := c.Now()
-	c.Sleep(time.Millisecond)
-	if c.Since(t0) <= 0 {
-		t.Error("real clock did not advance")
-	}
-	select {
-	case <-c.After(0):
-	case <-time.After(time.Second):
-		t.Error("After(0) did not fire")
-	}
-}
-
-func TestFakeClockAdvance(t *testing.T) {
-	start := time.Date(2017, 4, 23, 0, 0, 0, 0, time.UTC)
-	f := NewFake(start)
-	if !f.Now().Equal(start) {
-		t.Fatalf("Now = %v, want %v", f.Now(), start)
-	}
-
-	ch := f.After(10 * time.Minute)
-	select {
-	case <-ch:
-		t.Fatal("timer fired before Advance")
-	default:
-	}
-	if f.PendingTimers() != 1 {
-		t.Fatalf("pending = %d, want 1", f.PendingTimers())
-	}
-
-	f.Advance(9 * time.Minute)
-	select {
-	case <-ch:
-		t.Fatal("timer fired early")
-	default:
-	}
-
-	f.Advance(time.Minute)
-	select {
-	case at := <-ch:
-		if !at.Equal(start.Add(10 * time.Minute)) {
-			t.Errorf("fired at %v", at)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("timer did not fire after Advance")
-	}
-	if f.PendingTimers() != 0 {
-		t.Errorf("pending = %d, want 0", f.PendingTimers())
-	}
-}
-
-func TestFakeClockImmediateAfter(t *testing.T) {
-	f := NewFake(time.Unix(0, 0))
-	select {
-	case <-f.After(0):
-	default:
-		t.Error("After(0) should fire immediately")
-	}
-	select {
-	case <-f.After(-time.Second):
-	default:
-		t.Error("negative After should fire immediately")
-	}
-}
-
-func TestFakeClockSleepUnblocks(t *testing.T) {
-	f := NewFake(time.Unix(0, 0))
-	done := make(chan struct{})
-	go func() {
-		f.Sleep(time.Hour)
-		close(done)
-	}()
-	// Wait for the sleeper to register.
-	for f.PendingTimers() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	f.Advance(time.Hour)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Sleep did not unblock")
-	}
-}
-
-func TestFakeClockFiresInDeadlineOrder(t *testing.T) {
-	f := NewFake(time.Unix(0, 0))
-	a := f.After(time.Minute)
-	b := f.After(2 * time.Minute)
-	f.Advance(3 * time.Minute)
-	ta := <-a
-	tb := <-b
-	if !ta.Equal(tb) {
-		// Both deliver the post-advance now; ordering is internal.
-		t.Errorf("timers delivered different times: %v vs %v", ta, tb)
-	}
-	if f.Since(time.Unix(0, 0)) != 3*time.Minute {
-		t.Errorf("Since = %v", f.Since(time.Unix(0, 0)))
-	}
-}
