@@ -47,7 +47,9 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) (err error) {
-	fs := flag.NewFlagSet("padorun", flag.ContinueOnError)
+	// ExitOnError: the flag package reports a bad flag once and exits 2,
+	// and -h exits 0, as with the default flag set.
+	fs := flag.NewFlagSet("padorun", flag.ExitOnError)
 	engine := fs.String("engine", "pado", "engine: pado, spark, spark-checkpoint")
 	workload := fs.String("workload", "mr", "workload: mr, mlr, als")
 	rate := fs.String("rate", "medium", "eviction rate: none, low, medium, high")
@@ -81,9 +83,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	delta := fs.Float64("delta", 0,
 		"with -incremental: fraction of the MR input partitions changed between the priming "+
 			"run and the rerun (0 = identical input)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	if *delta != 0 && !*incremental {
 		return fmt.Errorf("-delta only makes sense with -incremental")
 	}

@@ -507,11 +507,8 @@ func (c *cell) runPado(ctx context.Context, q Params, opts runtime.JobOptions) (
 	if res == nil {
 		return nil, h.ID(), err
 	}
-	f := &finished{res.Outputs, res.Metrics, make(map[int][]int, len(res.Plan.Stages))}
-	for _, ps := range res.Plan.Stages {
-		f.parents[ps.ID] = ps.Parents
-	}
-	return f, h.ID(), err
+	parents := stageParents(res.Plan.Stages, func(s *core.PhysStage) (int, []int) { return s.ID, s.Parents })
+	return &finished{res.Outputs, res.Metrics, parents}, h.ID(), err
 }
 
 // runSpark runs p's pipeline on the Spark-like baseline, which owns the
@@ -521,11 +518,19 @@ func (c *cell) runSpark(ctx context.Context, p Params) (*finished, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &finished{res.Outputs, res.Metrics, make(map[int][]int, len(res.Plan.Stages))}
-	for _, ps := range res.Plan.Stages {
-		f.parents[ps.ID] = ps.Parents
+	parents := stageParents(res.Plan.Stages, func(s *sparklike.SStage) (int, []int) { return s.ID, s.Parents })
+	return &finished{res.Outputs, res.Metrics, parents}, nil
+}
+
+// stageParents maps each stage id of either engine's plan to its parent
+// stage ids.
+func stageParents[S any](stages []S, of func(S) (id int, parents []int)) map[int][]int {
+	m := make(map[int][]int, len(stages))
+	for _, s := range stages {
+		id, parents := of(s)
+		m[id] = parents
 	}
-	return f, nil
+	return m
 }
 
 // outcome summarizes one finished job of a stopped cell. job scopes the
