@@ -69,9 +69,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	heartbeat := fs.Duration("heartbeat", 0, "executor heartbeat period for the failure detector (0 = default 100ms)")
 	suspectAfter := fs.Duration("suspect-after", 0, "heartbeat staleness that marks a node suspect (0 = 4x heartbeat)")
 	deadAfter := fs.Duration("dead-after", 0, "heartbeat staleness that declares a node dead and triggers recovery; raise on loaded hosts to avoid false positives (0 = 15x heartbeat)")
-	rpcDeadline := fs.Duration("rpc-deadline", 0, "per-attempt deadline on data-plane RPCs (0 = no deadline; recovery then relies on heartbeats)")
-	noDetector := fs.Bool("no-detector", false, "disable heartbeats and the failure detector (announced failures only)")
-	noRPCPolicy := fs.Bool("no-rpc-policy", false, "disable the RPC retry/backoff/breaker layer")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	httpAddr := fs.String("http", "",
@@ -105,12 +102,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		Policy:         *policy, Seed: *seed, HTTPAddr: *httpAddr,
 		ForceTrace: *traceOut != "" || *timelineOut != "" || *reportOut != "",
 		Failure: runtime.FailureConfig{
-			DisableDetector:  *noDetector,
-			HeartbeatEvery:   *heartbeat,
-			SuspectAfter:     *suspectAfter,
-			DeadAfter:        *deadAfter,
-			DisableRPCPolicy: *noRPCPolicy,
-			RPCDeadline:      *rpcDeadline,
+			HeartbeatEvery: *heartbeat,
+			SuspectAfter:   *suspectAfter,
+			DeadAfter:      *deadAfter,
 		},
 	}
 	if err := p.SetCell(*engine, *workload, *rate); err != nil {

@@ -53,6 +53,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-delta", "0.1"},
 		{"-incremental", "-engine", "spark"},
 		{"-chaos", "no-such-plan.json"},
+		{"-heartbeat", "100ms", "-dead-after", "50ms"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded", args)

@@ -25,7 +25,6 @@ func tightDetector() runtime.FailureConfig {
 		HeartbeatEvery: 10 * time.Millisecond,
 		SuspectAfter:   40 * time.Millisecond,
 		DeadAfter:      150 * time.Millisecond,
-		GrayAfter:      60 * time.Millisecond,
 	}
 }
 

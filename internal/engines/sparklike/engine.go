@@ -3,6 +3,7 @@ package sparklike
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"pado/internal/cluster"
@@ -313,7 +314,7 @@ func (m *master) onGone(c *cluster.Container) {
 	}
 	delete(m.execs, c.ID)
 	delete(m.slotsFree, c.ID)
-	m.order = removeString(m.order, c.ID)
+	m.order = slices.DeleteFunc(m.order, func(x string) bool { return x == c.ID })
 	for key, set := range m.cacheIndex {
 		delete(set, c.ID)
 		if len(set) == 0 {
@@ -345,16 +346,6 @@ func (m *master) onGone(c *cluster.Container) {
 			}
 		}
 	}
-}
-
-func removeString(s []string, v string) []string {
-	out := s[:0]
-	for _, x := range s {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 func (m *master) requeue(stage, index int, t *sTask) {
@@ -595,7 +586,8 @@ func allPartsOf(dep dag.DepType, taskIdx, parentParts int) []int {
 // incomplete stages. Spark recomputes lost partitions lazily, on demand,
 // which is exactly what serializes cascading recomputations (§2.2): a
 // lost partition is only rebuilt when a consumer needs it, and the
-// consumer waits.
+// consumer waits. Stage ids are topological (a parent's id is below its
+// child's), so one pass from the last stage down reaches every ancestor.
 func (m *master) demanded() []bool {
 	d := make([]bool, len(m.stages))
 	complete := make([]bool, len(m.stages))
@@ -607,7 +599,6 @@ func (m *master) demanded() []bool {
 				break
 			}
 		}
-		_ = s
 	}
 	for i := len(m.stages) - 1; i >= 0; i-- {
 		s := m.stages[i]
@@ -617,21 +608,6 @@ func (m *master) demanded() []bool {
 		if d[i] && !complete[i] {
 			for _, pid := range s.ps.Parents {
 				d[pid] = true
-			}
-		}
-	}
-	// Propagate demand down chains of incomplete parents.
-	changed := true
-	for changed {
-		changed = false
-		for i := len(m.stages) - 1; i >= 0; i-- {
-			if d[i] && !complete[i] {
-				for _, pid := range m.stages[i].ps.Parents {
-					if !d[pid] {
-						d[pid] = true
-						changed = true
-					}
-				}
 			}
 		}
 	}

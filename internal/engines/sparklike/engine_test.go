@@ -189,3 +189,44 @@ func TestExecutorServesBlockProtocol(t *testing.T) {
 		t.Errorf("executor store holds %q, %v after the table", got, ok)
 	}
 }
+
+// TestDemanded pins lazy lineage demand: an incomplete terminal stage
+// demands its parents, an incomplete demanded stage demands its own, and a
+// complete stage stops the walk however incomplete the stages above it are.
+func TestDemanded(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		parents  [][]int // per stage id; ids are topological
+		complete []bool
+		want     []bool
+	}{
+		{"chain, all incomplete", [][]int{nil, {0}, {1}, {2}},
+			[]bool{false, false, false, false}, []bool{true, true, true, true}},
+		{"chain, complete middle", [][]int{nil, {0}, {1}, {2}},
+			[]bool{false, true, false, false}, []bool{false, true, true, true}},
+		{"chain, complete terminal", [][]int{nil, {0}, {1}},
+			[]bool{false, false, true}, []bool{false, false, false}},
+		{"diamond, one branch complete", [][]int{nil, {0}, {0}, {1, 2}},
+			[]bool{false, true, false, false}, []bool{true, true, true, true}},
+		{"diamond, both branches complete", [][]int{nil, {0}, {0}, {1, 2}},
+			[]bool{false, true, true, false}, []bool{false, true, true, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &master{}
+			for id, parents := range tc.parents {
+				ps := &SStage{ID: id, Parents: parents}
+				for _, p := range parents {
+					m.stages[p].ps.Children = append(m.stages[p].ps.Children, id)
+				}
+				st := tWaiting
+				if tc.complete[id] {
+					st = tDone
+				}
+				m.stages = append(m.stages, &sStageRun{ps: ps, tasks: []*sTask{{state: tDone}, {state: st}}})
+			}
+			if got := m.demanded(); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("demanded = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

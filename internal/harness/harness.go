@@ -159,9 +159,8 @@ type Params struct {
 	// reports 5-run averages). Default 1.
 	Repeats int
 
-	// Failure tunes the failure-handling plane (heartbeat detector and
-	// RPC retry/backoff policy) on the Pado engine. The zero value means
-	// defaults-on; see runtime.FailureConfig for the knobs and their
+	// Failure sets the heartbeat detector's timing on the Pado engine.
+	// The zero value is the defaults; see runtime.FailureConfig for the
 	// false-positive trade-offs.
 	Failure runtime.FailureConfig
 

@@ -67,7 +67,10 @@ const (
 	NameBreakerOpens      = "breaker_opens"
 	NameRPCRetries        = "rpc_retries"
 	NameRPCBackoffNS      = "rpc_backoff_wait_ns"
-	NameRPCDeadlineHits   = "rpc_deadline_hits"
+	// NameRPCDeadlineHits is never counted: the runtime sets no
+	// per-attempt deadlines (heartbeats find hung peers). The name stays
+	// because bench/ledger reads it for one of its rows, which reads 0.
+	NameRPCDeadlineHits = "rpc_deadline_hits"
 
 	// NameRPCRetryCausePrefix prefixes the per-cause retry breakdown:
 	// the op kind that needed the retry ("push", "fetch", "store",

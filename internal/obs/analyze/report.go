@@ -153,9 +153,8 @@ type FailureDetection struct {
 
 	// Retry/backoff waste bucket, from the run's counters: attempts and
 	// wall time the RPC policy burned on retries instead of progress.
-	RPCRetries      int64 `json:"rpc_retries"`
-	RPCBackoffNS    int64 `json:"rpc_backoff_ns"`
-	RPCDeadlineHits int64 `json:"rpc_deadline_hits"`
+	RPCRetries   int64 `json:"rpc_retries"`
+	RPCBackoffNS int64 `json:"rpc_backoff_ns"`
 }
 
 // Cache is the incremental re-execution section: what the run's probe
@@ -296,7 +295,6 @@ func detectionSection(m *model, snap *metrics.Snapshot) *FailureDetection {
 	if snap != nil {
 		d.RPCRetries = snap.Named[metrics.NameRPCRetries]
 		d.RPCBackoffNS = snap.Named[metrics.NameRPCBackoffNS]
-		d.RPCDeadlineHits = snap.Named[metrics.NameRPCDeadlineHits]
 	}
 	for _, dr := range m.declared {
 		det := Detection{Exec: dr.exec, Note: dr.note, AtNS: int64(dr.t), LatencyNS: -1}
@@ -307,7 +305,7 @@ func detectionSection(m *model, snap *metrics.Snapshot) *FailureDetection {
 	}
 	if len(d.Declared) == 0 && d.HeartbeatsMissed == 0 && d.SuspicionsRaised == 0 &&
 		d.SuspicionsCleared == 0 && d.BreakerOpens == 0 &&
-		d.RPCRetries == 0 && d.RPCBackoffNS == 0 && d.RPCDeadlineHits == 0 {
+		d.RPCRetries == 0 && d.RPCBackoffNS == 0 {
 		return nil
 	}
 	return d
@@ -809,9 +807,9 @@ func (r *Report) WriteText(w io.Writer) error {
 				return err
 			}
 		}
-		if d.RPCRetries > 0 || d.RPCDeadlineHits > 0 || d.RPCBackoffNS > 0 {
-			if err := p("  rpc waste: %d retries, %d deadline hits, %s in backoff\n",
-				d.RPCRetries, d.RPCDeadlineHits, dur(d.RPCBackoffNS)); err != nil {
+		if d.RPCRetries > 0 || d.RPCBackoffNS > 0 {
+			if err := p("  rpc waste: %d retries, %s in backoff\n",
+				d.RPCRetries, dur(d.RPCBackoffNS)); err != nil {
 				return err
 			}
 		}

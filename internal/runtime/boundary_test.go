@@ -34,7 +34,7 @@ func TestCoverCommitAtomicUnderEviction(t *testing.T) {
 	// with a four-task cover.
 	cl := newTestCluster(t, 2, 2, trace.RateNone)
 	tr := obs.New()
-	jm := newManager(cl, ManagerConfig{Tracer: tr, Failure: FailureConfig{DisableDetector: true}})
+	jm := newManager(cl, ManagerConfig{Tracer: tr})
 	var err error
 	if jm.stopCollector, err = jm.startCollector(); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func newScriptedManager(t *testing.T, mk planMaker) (*JobManager, *JobHandle, *r
 	if err != nil {
 		t.Fatal(err)
 	}
-	jm := newManager(cl, ManagerConfig{Failure: FailureConfig{DisableDetector: true, DisableRPCPolicy: true}})
+	jm := newManager(cl, ManagerConfig{})
 	h, err := jm.SubmitPlan(mk(t), Config{DisableCache: true}, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func newScriptedManager(t *testing.T, mk planMaker) (*JobManager, *JobHandle, *r
 	jm.registerNode("r00", cluster.Reserved, 4)
 	jm.registerNode("t00", cluster.Transient, 16) // room for every task and its relaunch
 	h.j.execs["r00"], h.j.execs["t00"] = l, l
-	jm.handle(evDetectorTick{}) // detector off: just a scheduling pass
+	jm.handle(evDetectorTick{}) // no node is registered with the detector: just a scheduling pass
 	return jm, h, l
 }
 
@@ -282,7 +282,7 @@ func TestFetchStage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			met := &metrics.Job{}
 			tr := obs.New()
-			dp := newDataPlane(net, "client", met, FailureConfig{}, nil)
+			dp := newDataPlane(net, "client", met, nil)
 			defer dp.pool.Close()
 			recs, err := fetchStage(dp, nil, met, tr.JobBuf(job), job, tc.ev, loc, tc.parts, coder)
 			if err != nil {
@@ -323,7 +323,7 @@ func TestFetchStage(t *testing.T) {
 	t.Run("out of range", func(t *testing.T) {
 		met := &metrics.Job{}
 		tr := obs.New()
-		dp := newDataPlane(net, "client", met, FailureConfig{}, nil)
+		dp := newDataPlane(net, "client", met, nil)
 		defer dp.pool.Close()
 		if _, err := fetchStage(dp, nil, met, tr.JobBuf(job), job, obs.Event{Stage: stage}, loc, []int{nParts}, coder); err == nil {
 			t.Fatal("fetched a partition past the end of the location")
@@ -365,7 +365,7 @@ func TestReceiverPull(t *testing.T) {
 	defer svc.Close()
 
 	met := &metrics.Job{}
-	dp := newDataPlane(net, "r0", met, FailureConfig{DisableRPCPolicy: true}, nil)
+	dp := newDataPlane(net, "r0", met, nil)
 	defer dp.pool.Close()
 	events := make(chan event, 4)
 	ex := &Executor{job: job, id: "r0", dp: dp, met: met, events: events, stop: make(chan struct{}),

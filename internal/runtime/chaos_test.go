@@ -85,7 +85,8 @@ func TestChaosPullEvictionRegression(t *testing.T) {
 func TestEventQueueOverflow(t *testing.T) {
 	cl := newTestCluster(t, 2, 1, trace.RateNone)
 	met := &metrics.Job{}
-	m := newManager(cl, ManagerConfig{EventQueue: 1, Metrics: met})
+	m := newManager(cl, ManagerConfig{Metrics: met})
+	m.events = make(chan event, 1)
 
 	// Nobody drains m.events, so the first post fills the queue and the
 	// next two overflow.

@@ -76,11 +76,10 @@ type Config struct {
 	// path; pathological schedules loosen it.
 	MaxTaskFailures int
 
-	// Failure parameterizes the failure-handling plane: the heartbeat
-	// failure detector on the master and the unified RPC policy
-	// (deadlines, budgeted backoff retries, per-destination circuit
-	// breakers) on every data-plane connection pool. The zero value
-	// enables both with conservative defaults; see FailureConfig.
+	// Failure sets the timing of the heartbeat failure detector on the
+	// master. The detector and the RPC policy (budgeted backoff retries,
+	// per-destination circuit breakers) on every data-plane connection
+	// pool always run; the zero value is the defaults. See FailureConfig.
 	Failure FailureConfig
 
 	// Commits, when non-nil, enables incremental re-execution: the
@@ -119,6 +118,11 @@ const (
 	// maxStageRestarts aborts the job once a single stage has been reset
 	// this many times.
 	maxStageRestarts = 100
+	// eventQueueCap sizes the manager's event channel: room for the
+	// bursts of task, push and container events a busy cell produces
+	// between two handled events, because a full queue fails every job
+	// loudly rather than block a cluster callback.
+	eventQueueCap = 8192
 )
 
 func (c Config) aggMaxTasks() int {

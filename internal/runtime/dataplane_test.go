@@ -116,7 +116,7 @@ func TestRefusalCostsNoRetry(t *testing.T) {
 	}
 	defer svc.Close()
 	met := &metrics.Job{}
-	dp := newDataPlane(net, "client", met, FailureConfig{}, nil)
+	dp := newDataPlane(net, "client", met, nil)
 	defer dp.pool.Close()
 	cas := storage.NewCommitClient(dp, svc.NodeIDs())
 	attempts := func() int64 {
@@ -144,7 +144,7 @@ func TestRefusalCostsNoRetry(t *testing.T) {
 	if n := met.Counter(metrics.NameRPCRetries).Load(); n != 0 {
 		t.Errorf("rpc_retries = %d, want 0", n)
 	}
-	for _, b := range dp.pol.inspect() {
+	for _, b := range dp.inspect() {
 		if b.Fails != 0 || b.State != "closed" {
 			t.Errorf("breaker toward %s: %d fails, %s; a refusal is not a failure", b.Dest, b.Fails, b.State)
 		}
@@ -220,7 +220,7 @@ func TestPushEOFRelaunchesTask(t *testing.T) {
 	})
 
 	tr := obs.New()
-	jm := newManager(cl, ManagerConfig{Tracer: tr, Failure: FailureConfig{DisableDetector: true}})
+	jm := newManager(cl, ManagerConfig{Tracer: tr})
 	if jm.stopCollector, err = jm.startCollector(); err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func (h *nodeHost) openDests() []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, ex := range h.jobs {
-		for _, d := range ex.dp.pol.openDests() {
+		for _, d := range ex.dp.openDests() {
 			if !seen[d] {
 				seen[d] = true
 				out = append(out, d)
@@ -225,7 +225,7 @@ type Executor struct {
 	store *storage.LocalStore // the host's shared store
 	cache *recache.Cache
 	cpu   *simnet.Limiter // the host's limiter; nil = unlimited
-	dp    *dataPlane      // outbound data plane: pooled streams + RPC policy
+	dp    *dataPlane      // outbound data plane: pooled streams under the RPC policy
 	// cas is the executor's commit-store client (nil when the manager has
 	// no commit plane), sharing the transport above: receivers put
 	// finalized partitions and pull skipped-task sections through it,
@@ -244,10 +244,9 @@ type recvKey struct{ Stage, Gen, Index int }
 type aggKey struct{ Stage, Gen, Frag int }
 
 func newExecutor(job int, h *nodeHost, net *simnet.Network, plan *core.Plan, cfg Config,
-	met *metrics.Job, events chan<- event, masterID string, fcfg FailureConfig,
-	casNodes []string) *Executor {
+	met *metrics.Job, events chan<- event, masterID string, casNodes []string) *Executor {
 
-	dp := newDataPlane(net, h.id, met, fcfg, cfg.Tracer.JobBuf(job))
+	dp := newDataPlane(net, h.id, met, cfg.Tracer.JobBuf(job))
 	var cas *storage.CommitClient
 	if len(casNodes) > 0 {
 		cas = storage.NewCommitClient(dp, casNodes)

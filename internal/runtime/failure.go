@@ -1,14 +1,15 @@
 package runtime
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
 
 // This file is the master half of the failure-handling plane: the
-// configuration shared by the detector and the RPC policy, and the
-// heartbeat-driven failure detector itself.
+// detector's timing, the fixed settings of the detector and the RPC
+// policy, and the heartbeat-driven failure detector itself.
 //
 // The paper's runtime recovers from failures the resource manager
 // announces (container evictions, §3.2.5; reserved faults, §3.2.6). Real
@@ -19,14 +20,11 @@ import (
 // the cluster callback is demoted to a fast-path hint that merely skips
 // the detection delay.
 
-// FailureConfig parameterizes the failure-handling plane: heartbeat
-// cadence and the detector's suspicion/declaration bounds on the master
-// side, and the deadline/backoff/budget/breaker RPC policy applied by
-// every data-plane connection pool.
+// FailureConfig sets the heartbeat detector's timing: the executor beat
+// period and the staleness bounds that suspect and declare a node dead.
+// Together they trade detection latency against false positives (DESIGN.md
+// §11). Everything else in the failure plane runs at the constants below.
 type FailureConfig struct {
-	// DisableDetector turns off heartbeats and the failure detector;
-	// only announced failures recover (the pre-detector behavior).
-	DisableDetector bool
 	// HeartbeatEvery is the executor heartbeat period. Default 100ms.
 	HeartbeatEvery time.Duration
 	// SuspectAfter is the heartbeat staleness that moves a node from
@@ -38,36 +36,6 @@ type FailureConfig struct {
 	// death (false positives restart real work). Default 15x the
 	// heartbeat period.
 	DeadAfter time.Duration
-	// GrayAfter is how long a gray signal (breaker-open reports in
-	// heartbeat payloads) must persist before the implicated node is
-	// declared dead. Default 5x the heartbeat period.
-	GrayAfter time.Duration
-
-	// DisableRPCPolicy turns off the retry/backoff/budget/breaker layer
-	// on connection pools, restoring the bare retry-once pool.
-	DisableRPCPolicy bool
-	// RPCDeadline bounds each data-plane operation attempt (push,
-	// fetch, store, collect, progress). Zero (the default) disables
-	// per-op deadlines: legitimate large transfers on slow simulated
-	// links can take arbitrarily long, and hang recovery works through
-	// heartbeats alone. Chaos scenarios set it explicitly.
-	RPCDeadline time.Duration
-	// RPCMaxRetries is how many extra attempts the policy layers over
-	// the pool's reuse-retry, with exponential backoff between them.
-	// Default 2.
-	RPCMaxRetries int
-	// RPCBackoffBase and RPCBackoffMax bound the jittered exponential
-	// backoff between retries. Defaults 2ms and 20ms.
-	RPCBackoffBase time.Duration
-	RPCBackoffMax  time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// destination's circuit breaker; while open, operations fail fast
-	// with storage.ErrQuarantined and the destination is reported gray in
-	// heartbeats. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before letting
-	// probe traffic through (half-open). Default 40ms.
-	BreakerCooldown time.Duration
 }
 
 func (c FailureConfig) heartbeatEvery() time.Duration {
@@ -91,57 +59,54 @@ func (c FailureConfig) deadAfter() time.Duration {
 	return c.DeadAfter
 }
 
-func (c FailureConfig) grayAfter() time.Duration {
-	if c.GrayAfter <= 0 {
-		return 5 * c.heartbeatEvery()
+// validate rejects timings whose resolved bounds are out of order. A
+// suspicion bound within one heartbeat period suspects healthy nodes
+// between two beats, and a dead bound at or below the suspicion bound
+// declares them dead there.
+func (c FailureConfig) validate() error {
+	beat, suspect, dead := c.heartbeatEvery(), c.suspectAfter(), c.deadAfter()
+	if suspect <= beat {
+		return fmt.Errorf("runtime: SuspectAfter %v must exceed HeartbeatEvery %v", suspect, beat)
 	}
-	return c.GrayAfter
+	if dead <= suspect {
+		return fmt.Errorf("runtime: DeadAfter %v must exceed SuspectAfter %v", dead, suspect)
+	}
+	return nil
 }
 
-// grayMinDests is the minimum number of distinct live nodes a gray signal
-// must span: a reporter whose breakers are open toward at least this many
-// live destinations is itself declared gray-dead, and a destination
-// reported open by at least this many distinct live reporters is declared
-// gray-dead. One flaky link never quarantines anyone.
-const grayMinDests = 2
+// Fixed settings of the failure plane (DESIGN.md §11 quotes them).
+const (
+	// grayAfterBeats is how many heartbeat periods a gray signal
+	// (breaker-open reports in heartbeat payloads) must persist before
+	// the implicated node is declared dead.
+	grayAfterBeats = 5
+	// grayMinDests is the minimum number of distinct live nodes a gray
+	// signal must span: a reporter whose breakers are open toward at
+	// least this many live destinations is itself declared gray-dead, and
+	// a destination reported open by at least this many distinct live
+	// reporters is declared gray-dead. One flaky link never quarantines
+	// anyone.
+	grayMinDests = 2
 
-func (c FailureConfig) rpcMaxRetries() int {
-	if c.RPCMaxRetries < 0 {
-		return 0
-	}
-	if c.RPCMaxRetries == 0 {
-		return 2
-	}
-	return c.RPCMaxRetries
-}
-
-func (c FailureConfig) rpcBackoffBase() time.Duration {
-	if c.RPCBackoffBase <= 0 {
-		return 2 * time.Millisecond
-	}
-	return c.RPCBackoffBase
-}
-
-func (c FailureConfig) rpcBackoffMax() time.Duration {
-	if c.RPCBackoffMax <= 0 {
-		return 20 * time.Millisecond
-	}
-	return c.RPCBackoffMax
-}
-
-func (c FailureConfig) breakerThreshold() int {
-	if c.BreakerThreshold <= 0 {
-		return 5
-	}
-	return c.BreakerThreshold
-}
-
-func (c FailureConfig) breakerCooldown() time.Duration {
-	if c.BreakerCooldown <= 0 {
-		return 40 * time.Millisecond
-	}
-	return c.BreakerCooldown
-}
+	// rpcMaxRetries is how many extra attempts the RPC policy layers over
+	// the pool's reuse-retry, with jittered exponential backoff between
+	// them from rpcBackoffBase, capped at rpcBackoffMax.
+	rpcMaxRetries  = 2
+	rpcBackoffBase = 2 * time.Millisecond
+	rpcBackoffMax  = 20 * time.Millisecond
+	// At most rpcRetryBudget retry tokens are banked per destination and
+	// one token takes rpcBudgetRefill to refill; together they stop retry
+	// storms against a struggling peer.
+	rpcRetryBudget  = 16
+	rpcBudgetRefill = 25 * time.Millisecond
+	// breakerThreshold consecutive failures open a destination's circuit
+	// breaker; while open, operations fail fast with
+	// storage.ErrQuarantined and the destination is reported gray in
+	// heartbeats. After breakerCooldown it lets probe traffic through
+	// (half-open).
+	breakerThreshold = 5
+	breakerCooldown  = 40 * time.Millisecond
+)
 
 // fdKind classifies one detector transition.
 type fdKind int
@@ -286,7 +251,7 @@ func (fd *failureDetector) tick(now time.Time, live func(string) bool) []fdTrans
 				delete(n.openFirst, dest)
 				continue
 			}
-			if now.Sub(t0) >= fd.cfg.grayAfter() {
+			if now.Sub(t0) >= grayAfterBeats*fd.cfg.heartbeatEvery() {
 				persistent++
 				reportedBy[dest]++
 			}

@@ -3,12 +3,14 @@ package runtime
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pado/internal/chaos"
+	"pado/internal/cluster"
 	"pado/internal/metrics"
 	"pado/internal/obs"
 	"pado/internal/simnet"
@@ -27,8 +29,53 @@ func testFailureConfig() FailureConfig {
 		HeartbeatEvery: 10 * time.Millisecond,
 		SuspectAfter:   20 * time.Millisecond,
 		DeadAfter:      50 * time.Millisecond,
-		GrayAfter:      30 * time.Millisecond,
 	}
+}
+
+// TestFailureConfigValidate: detector timings whose resolved bounds are
+// out of order are refused with both values named, and NewJobManager
+// refuses them before anything starts. Defaults scale with the period.
+func TestFailureConfigValidate(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		cfg  FailureConfig
+		want string // "" = accepted
+	}{
+		{FailureConfig{}, ""},
+		{FailureConfig{HeartbeatEvery: time.Second}, ""},
+		{testFailureConfig(), ""},
+		{FailureConfig{DeadAfter: 401 * ms}, ""},
+		{FailureConfig{HeartbeatEvery: 100 * ms, DeadAfter: 50 * ms}, "DeadAfter 50ms must exceed SuspectAfter 400ms"},
+		{FailureConfig{SuspectAfter: 100 * ms}, "SuspectAfter 100ms must exceed HeartbeatEvery 100ms"},
+		{FailureConfig{HeartbeatEvery: 10 * ms, SuspectAfter: 5 * ms}, "SuspectAfter 5ms must exceed HeartbeatEvery 10ms"},
+		{FailureConfig{SuspectAfter: 2 * time.Second}, "DeadAfter 1.5s must exceed SuspectAfter 2s"},
+		{FailureConfig{SuspectAfter: 300 * ms, DeadAfter: 300 * ms}, "DeadAfter 300ms must exceed SuspectAfter 300ms"},
+	} {
+		err := tc.cfg.validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("%+v: %v, want accepted", tc.cfg, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: err = %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+
+	cl := newTestCluster(t, 1, 1, trace.RateNone)
+	bad := FailureConfig{HeartbeatEvery: 100 * ms, DeadAfter: 50 * ms}
+	if jm, err := NewJobManager(cl, ManagerConfig{Failure: bad}); err == nil {
+		jm.Close()
+		t.Fatal("NewJobManager accepted DeadAfter below SuspectAfter")
+	}
+	// Nothing was started: no container came up and the master node is
+	// free for a manager with valid timings.
+	if n := len(cl.Containers(cluster.Transient)) + len(cl.Containers(cluster.Reserved)); n != 0 {
+		t.Errorf("%d containers up after a refused manager", n)
+	}
+	jm, err := NewJobManager(cl, ManagerConfig{})
+	if err != nil {
+		t.Fatalf("manager after a refused one: %v", err)
+	}
+	jm.Close()
 }
 
 // TestDetectorConcurrentBeats hammers beat() from many goroutines while
@@ -158,10 +205,11 @@ func TestDetectorDeadThenLateBeat(t *testing.T) {
 }
 
 // TestBreakerLifecycleConcurrent drives one destination through closed →
-// open → half-open → closed under concurrent traffic: a dropped link
-// fails every fetch until the breaker opens (later callers fail fast
-// with storage.ErrQuarantined), then the link heals and post-cooldown probes
-// close it again.
+// open → half-open → closed at the shipped constants: a dropped link fails
+// every attempt, the breaker opens on exactly the breakerThreshold-th
+// consecutive failure, concurrent callers then fail fast with
+// storage.ErrQuarantined, no probe is admitted before breakerCooldown, and
+// once the link heals the first post-cooldown probe closes it again.
 func TestBreakerLifecycleConcurrent(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	if _, err := net.AddNode("client"); err != nil {
@@ -179,17 +227,40 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 	store.Put("b", []byte("payload"))
 	go storage.ServeBlocks(l, store, nil, nil, nil)
 	met := &metrics.Job{}
-	cfg := FailureConfig{
-		RPCMaxRetries:    1,
-		RPCBackoffBase:   time.Millisecond,
-		RPCBackoffMax:    2 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  20 * time.Millisecond,
-	}
-	dp := newDataPlane(net, "client", met, cfg, nil)
+	dp := newDataPlane(net, "client", met, nil)
 	defer dp.pool.Close()
+	breaker := func() BreakerState {
+		for _, b := range dp.inspect() {
+			if b.Dest == "server" {
+				return b
+			}
+		}
+		return BreakerState{Dest: "server", State: "closed"}
+	}
 
 	remove := net.InjectFault(simnet.LinkFault{From: "client", To: "server", DropEvery: 1})
+
+	// One caller at a time: each attempt through the dropped link is one
+	// consecutive failure, and the breaker stays closed until the
+	// threshold-th.
+	for breaker().State == "closed" {
+		if fails := breaker().Fails; fails >= breakerThreshold {
+			t.Fatalf("breaker still closed after %d consecutive failures", fails)
+		}
+		if _, err := storage.FetchBlock(dp, "fetch", "server", "b"); err == nil {
+			t.Fatal("fetch succeeded through a fully dropped link")
+		}
+	}
+	opened := time.Now()
+	if b := breaker(); b.State != "open" || b.Fails != breakerThreshold {
+		t.Fatalf("breaker %s after %d failures, want open after exactly %d", b.State, b.Fails, breakerThreshold)
+	}
+	if n := met.Counter(metrics.NameBreakerOpens).Load(); n != 1 {
+		t.Errorf("breaker_opens = %d, want 1", n)
+	}
+	if open := dp.openDests(); len(open) != 1 || open[0] != "server" {
+		t.Fatalf("openDests = %v, want [server]", open)
+	}
 
 	var fastFails atomic.Int64
 	var wg sync.WaitGroup
@@ -210,31 +281,31 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-
 	if fastFails.Load() == 0 {
 		t.Error("breaker never failed traffic fast while open")
 	}
-	if met.Counter(metrics.NameBreakerOpens).Load() == 0 {
-		t.Error("breaker_opens counter is zero")
-	}
-	if open := dp.pol.openDests(); len(open) != 1 || open[0] != "server" {
-		t.Fatalf("openDests = %v, want [server]", open)
-	}
 
-	// Heal the link; after the cooldown a probe succeeds and closes the
-	// breaker for everyone.
+	// Heal the link. No probe is admitted within the cooldown (a probe
+	// the concurrent callers let through reopened it later, never
+	// earlier); the first admission after it is the half-open probe,
+	// and its success closes the breaker for everyone.
 	remove()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never closed after the link healed")
-		}
-		if _, err := storage.FetchBlock(dp, "fetch", "server", "b"); err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	for !dp.admit("server") {
+		time.Sleep(time.Millisecond)
 	}
-	if open := dp.pol.openDests(); len(open) != 0 {
+	if waited := time.Since(opened); waited < breakerCooldown {
+		t.Errorf("half-open after %v, want at least the %v cooldown", waited, breakerCooldown)
+	}
+	if b := breaker(); b.State != "half-open" {
+		t.Fatalf("breaker %s after the cooldown, want half-open", b.State)
+	}
+	if _, err := storage.FetchBlock(dp, "fetch", "server", "b"); err != nil {
+		t.Fatalf("probe through the healed link: %v", err)
+	}
+	if b := breaker(); b.State != "closed" || b.Fails != 0 {
+		t.Errorf("breaker %s with %d fails after a successful probe, want closed and 0", b.State, b.Fails)
+	}
+	if open := dp.openDests(); len(open) != 0 {
 		t.Errorf("openDests = %v after recovery, want none", open)
 	}
 }

@@ -238,10 +238,7 @@ func (jm *JobManager) buildState() *ManagerState {
 	for _, exec := range jm.assignments {
 		running[exec]++
 	}
-	var fdv map[string]fdNodeView
-	if jm.fd != nil {
-		fdv = jm.fd.inspect(now)
-	}
+	fdv := jm.fd.inspect(now)
 	for _, h := range jm.hostsInOrder() {
 		n := NodeState{
 			ID:           h.id,
@@ -260,11 +257,7 @@ func (jm *JobManager) buildState() *ManagerState {
 		st.Nodes = append(st.Nodes, n)
 	}
 
-	if jm.dp.pol != nil {
-		for _, b := range jm.dp.pol.inspect() {
-			st.Breakers = append(st.Breakers, b)
-		}
-	}
+	st.Breakers = append(st.Breakers, jm.dp.inspect()...)
 
 	st.Sched = SchedState{
 		Rounds:        jm.cSchedRounds.Load(),
@@ -425,13 +418,10 @@ func (fd *failureDetector) inspect(now time.Time) map[string]fdNodeView {
 
 // inspect lists every destination with non-default breaker state or a
 // drained retry budget, sorted by destination. Safe from any goroutine.
-func (pol *rpcPolicy) inspect() []BreakerState {
-	if pol == nil {
-		return nil
-	}
-	pol.mu.Lock()
-	out := make([]BreakerState, 0, len(pol.dests))
-	for to, d := range pol.dests {
+func (dp *dataPlane) inspect() []BreakerState {
+	dp.mu.Lock()
+	out := make([]BreakerState, 0, len(dp.dests))
+	for to, d := range dp.dests {
 		out = append(out, BreakerState{
 			Dest:        to,
 			State:       breakerStateNames[d.state],
@@ -439,7 +429,7 @@ func (pol *rpcPolicy) inspect() []BreakerState {
 			RetryBudget: d.budget,
 		})
 	}
-	pol.mu.Unlock()
+	dp.mu.Unlock()
 	sortBreakers(out)
 	return out
 }

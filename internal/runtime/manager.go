@@ -43,18 +43,14 @@ type ManagerConfig struct {
 	// the event-queue overflow counter land here. Nil allocates one.
 	Metrics *metrics.Job
 
-	// EventQueue sizes the manager's event channel. Default 8192.
-	EventQueue int
-
 	// MaxQueuedJobs bounds the admission queue; once full, further jobs
 	// that don't fit the free budget are rejected instead of queued.
 	// Zero means unbounded.
 	MaxQueuedJobs int
 
-	// Failure parameterizes the failure-handling plane: the heartbeat
-	// failure detector on the manager and the RPC policy on every
-	// data-plane connection pool (the manager's own and each executor's).
-	// The zero value enables both with conservative defaults.
+	// Failure sets the heartbeat detector's timing. The detector and the
+	// RPC policy on every data-plane connection pool (the manager's own
+	// and each executor's) always run; the zero value is the defaults.
 	Failure FailureConfig
 
 	// Commits, when non-nil, enables the incremental re-execution plane
@@ -65,13 +61,6 @@ type ManagerConfig struct {
 	// outlives the manager — hand the same instance to successive
 	// managers (or runs) to carry commits across them.
 	Commits *storage.CommitStore
-}
-
-func (c ManagerConfig) eventQueue() int {
-	if c.EventQueue <= 0 {
-		return 8192
-	}
-	return c.EventQueue
 }
 
 // JobOptions carries per-job scheduling parameters for Submit.
@@ -206,9 +195,8 @@ type JobManager struct {
 	// dp carries manager-originated data-plane operations (progress
 	// replication, output collection, commit-store probes).
 	dp *dataPlane
-	// fd is the heartbeat failure detector (nil when disabled). beat()
-	// is fed by collector goroutines; register/forget/tick run on the
-	// event loop.
+	// fd is the heartbeat failure detector. beat() is fed by collector
+	// goroutines; register/forget/tick run on the event loop.
 	fd *failureDetector
 	// commits is the incremental re-execution plane (nil when
 	// ManagerConfig.Commits is unset): the served commit store, its
@@ -281,7 +269,7 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 		net:         cl.Net(),
 		met:         met,
 		tr:          mcfg.Tracer.Buf(),
-		events:      make(chan event, mcfg.eventQueue()),
+		events:      make(chan event, eventQueueCap),
 		overflow:    make(chan error, 1),
 		hosts:       make(map[string]*nodeHost),
 		kinds:       make(map[string]cluster.Kind),
@@ -290,10 +278,11 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 		jobs:        make(map[int]*jobRun),
 		budgetTotal: mcfg.Env.ReservedSlotBudget,
 		budgetFree:  mcfg.Env.ReservedSlotBudget,
+		fd:          newFailureDetector(mcfg.Failure),
 		quit:        make(chan struct{}),
 		loopDone:    make(chan struct{}),
 	}
-	jm.dp = newDataPlane(jm.net, "master", met, mcfg.Failure, jm.tr)
+	jm.dp = newDataPlane(jm.net, "master", met, jm.tr)
 	if mcfg.Commits != nil {
 		// Plane setup only fails on simnet exhaustion; the ids are
 		// process-unique, so degrade to non-incremental rather than
@@ -301,9 +290,6 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 		if cp, err := newCommitPlane(jm.net, mcfg.Commits, jm.dp); err == nil {
 			jm.commits = cp
 		}
-	}
-	if !mcfg.Failure.DisableDetector {
-		jm.fd = newFailureDetector(mcfg.Failure)
 	}
 	jm.cSchedRounds = met.Counter(metrics.NameSchedRounds)
 	jm.cTasksScanned = met.Counter(metrics.NameSchedTasksScanned)
@@ -314,8 +300,12 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 // NewJobManager starts a resident manager on cl: the cluster's
 // containers come up, the result collector listens on the master node,
 // and the event loop runs until Close. The manager owns cl's lifecycle
-// from here; Close stops it.
+// from here; Close stops it. Detector timings out of order are refused
+// before anything starts.
 func NewJobManager(cl *cluster.Cluster, mcfg ManagerConfig) (*JobManager, error) {
+	if err := mcfg.Failure.validate(); err != nil {
+		return nil, err
+	}
 	jm := newManager(cl, mcfg)
 	stop, err := jm.startCollector()
 	if err != nil {
@@ -458,24 +448,20 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 }
 
 // run is the manager event loop: the multi-job generalization of the old
-// per-job master loop. With the detector enabled a ticker drives its
-// staleness sweeps at the heartbeat period, so declarations happen on
-// the loop, serialized with the recovery they trigger.
+// per-job master loop. A ticker drives the detector's staleness sweeps at
+// the heartbeat period, so declarations happen on the loop, serialized
+// with the recovery they trigger.
 func (jm *JobManager) run() {
 	defer close(jm.loopDone)
-	var tick <-chan time.Time
-	if jm.fd != nil {
-		t := time.NewTicker(jm.cfg.Failure.heartbeatEvery())
-		defer t.Stop()
-		tick = t.C
-	}
+	tick := time.NewTicker(jm.cfg.Failure.heartbeatEvery())
+	defer tick.Stop()
 	for {
 		select {
 		case <-jm.quit:
 			return
 		case err := <-jm.overflow:
 			jm.failAll(err)
-		case <-tick:
+		case <-tick.C:
 			jm.handle(evDetectorTick{})
 		case ev := <-jm.events:
 			jm.handle(ev)
@@ -736,7 +722,7 @@ func (jm *JobManager) hostsInOrder() []*nodeHost {
 
 // attachExecutor gives job j an executor on host h.
 func (jm *JobManager) attachExecutor(j *jobRun, h *nodeHost) {
-	ex := newExecutor(j.id, h, jm.net, j.plan, j.cfg, j.met, jm.events, "master", jm.cfg.Failure, jm.casNodes())
+	ex := newExecutor(j.id, h, jm.net, j.plan, j.cfg, j.met, jm.events, "master", jm.casNodes())
 	j.execs[h.id] = ex
 	h.attach(ex)
 }
@@ -818,9 +804,7 @@ func (jm *JobManager) handleCollectorOp(op byte, e *data.Encoder, d *data.Decode
 		if err != nil {
 			return err
 		}
-		if jm.fd != nil {
-			jm.fd.beat(hb.ID, hb.Open, time.Now())
-		}
+		jm.fd.beat(hb.ID, hb.Open, time.Now())
 		return nil
 	case frameResult:
 		f, err := readResultFrame(d)

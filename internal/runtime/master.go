@@ -142,10 +142,8 @@ func (jm *JobManager) onLaunched(c *cluster.Container) {
 	for _, id := range jm.order {
 		jm.attachExecutor(jm.jobs[id], h)
 	}
-	if jm.fd != nil {
-		jm.fd.register(c.ID, time.Now())
-		h.startHeartbeats(jm.net, "master", jm.cfg.Failure.heartbeatEvery(), jm.met)
-	}
+	jm.fd.register(c.ID, time.Now())
+	h.startHeartbeats(jm.net, "master", jm.cfg.Failure.heartbeatEvery(), jm.met)
 }
 
 // registerNode adds one container to the fleet's scheduling membership:
@@ -165,9 +163,7 @@ func (jm *JobManager) registerNode(id string, kind cluster.Kind, slots int) {
 }
 
 func (jm *JobManager) dropHost(id string) {
-	if jm.fd != nil {
-		jm.fd.forget(id)
-	}
+	jm.fd.forget(id)
 	if h := jm.hosts[id]; h != nil {
 		h.shutdown()
 	}
@@ -306,9 +302,6 @@ func (jm *JobManager) recoverFailed(id string) {
 // counters and trace events for suspicion churn, full recovery for dead
 // declarations.
 func (jm *JobManager) onDetectorTick() {
-	if jm.fd == nil {
-		return
-	}
 	alive := func(id string) bool { return jm.hosts[id] != nil }
 	for _, tr := range jm.fd.tick(time.Now(), alive) {
 		switch tr.Kind {

@@ -120,9 +120,7 @@ func newBenchManager(tb testing.TB, jobs, tasksPerJob, nodes, slots int) *benchF
 	if err != nil {
 		tb.Fatalf("cluster: %v", err)
 	}
-	jm := newManager(cl, ManagerConfig{
-		Failure: FailureConfig{DisableDetector: true, DisableRPCPolicy: true},
-	})
+	jm := newManager(cl, ManagerConfig{})
 	plan := benchPlan(tb, tasksPerJob)
 	cfg := Config{DisableCache: true, MaxTaskFailures: 1 << 30}
 	fl := &benchFleet{jm: jm, ring: newRefRing(nodes*slots + jobs*tasksPerJob + 8)}

@@ -404,9 +404,7 @@ func runOracle(t *testing.T, sc oracleScript, legacy bool) (string, string) {
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	jm := newManager(cl, ManagerConfig{
-		Failure: FailureConfig{DisableDetector: true, DisableRPCPolicy: true},
-	})
+	jm := newManager(cl, ManagerConfig{})
 	d := &oracleDriver{
 		t: t, sc: sc, jm: jm, legacy: legacy,
 		byID:         make(map[int]*JobHandle),

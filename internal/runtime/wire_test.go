@@ -163,7 +163,7 @@ func TestNodeHostDataPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	met := &metrics.Job{}
-	dp := newDataPlane(net, "client", met, FailureConfig{}, nil)
+	dp := newDataPlane(net, "client", met, nil)
 	defer dp.pool.Close()
 	f := &pushFrame{Stage: 1, Gen: 7, Cover: []senderRef{{Index: 0, Attempt: 0}},
 		Sections: []pushSection{{Payload: []byte("x")}}}
@@ -176,7 +176,7 @@ func TestNodeHostDataPlane(t *testing.T) {
 	if d := met.Counter(metrics.NameConnDials).Load(); d != 1 {
 		t.Errorf("conn_dials = %d, want 1 (a rejected push must not cost the stream)", d)
 	}
-	if open := dp.pol.openDests(); len(open) != 0 {
+	if open := dp.openDests(); len(open) != 0 {
 		t.Error("rejected pushes counted against the destination's breaker")
 	}
 	if _, err := storage.FetchBlock(dp, "fetch", "nonexistent", "x"); err == nil || isFatal(err) {

@@ -89,10 +89,9 @@ func call(t Transport, name, to string, r Round) error {
 
 // MaxRounds caps what a caller should hand to one Calls. The requests of a
 // batch are all written before the first answer is read, so they must fit
-// what a stream buffers, and where the transport sets a per-attempt deadline
-// one attempt has to move every answer of the batch inside it: 32 rounds of
-// the commit plane's kilobyte-sized chunks are some 10 ms of a reserved
-// node's link, the order of a single large block.
+// what a stream buffers, and one batch should hold its stream no longer
+// than a single large block would: 32 rounds of the commit plane's
+// kilobyte-sized chunks are some 10 ms of a reserved node's link.
 const MaxRounds = 32
 
 // Calls runs rounds against node `to` through t as one batch on one

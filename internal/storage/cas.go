@@ -439,8 +439,8 @@ func readManifest(d *data.Decoder) (*Manifest, error) {
 
 // CommitClient accesses a CommitService from one cluster node through a
 // Transport — the runtime hands in its pooled, policy-wrapped transport,
-// so commit traffic gets the same connection reuse, deadlines, and
-// breaker treatment as the rest of the data plane.
+// so commit traffic gets the same connection reuse, retries, and breaker
+// treatment as the rest of the data plane.
 type CommitClient struct {
 	t     Transport
 	nodes []string

@@ -2,11 +2,8 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"pado/internal/data"
 	"pado/internal/metrics"
@@ -15,19 +12,14 @@ import (
 
 // Transport carries one framed request/response round to a destination
 // node. PoolTransport is the implementation every engine runs on; the
-// Pado runtime decorates it with its RPC policy (deadlines, budgeted
-// retries, circuit breakers), the Spark-like baseline uses it bare.
+// Pado runtime decorates it with its RPC policy (budgeted retries,
+// circuit breakers), the Spark-like baseline uses it bare.
 type Transport interface {
 	// Do runs fn as one request/response round against node `to`. op is
 	// a short label ("fetch", "ckput", "casget", ...) a decorator may use
 	// to account retries by cause.
 	Do(op, to string, fn func(e *data.Encoder, d *data.Decoder) error) error
 }
-
-// ErrDeadline marks an attempt killed by its per-attempt deadline. The
-// attempt's stream was closed to unblock it, so the error is
-// transport-shaped: retryable.
-var ErrDeadline = errors.New("storage: rpc deadline exceeded")
 
 // ErrQuarantined is returned by a Transport that refuses a destination
 // without trying it (the runtime's open circuit breaker). Callers treat
@@ -77,7 +69,7 @@ func IsTransient(err error) bool {
 
 var transportErrs = []error{simnet.ErrNodeDown, simnet.ErrNoSuchNode, simnet.ErrConnClosed,
 	simnet.ErrNotListening, simnet.ErrLimiterClosed, simnet.ErrInjected,
-	io.EOF, io.ErrUnexpectedEOF, ErrDeadline, ErrQuarantined}
+	io.EOF, io.ErrUnexpectedEOF, ErrQuarantined}
 
 // PoolTransport reuses simnet streams across the operations one node
 // issues. The receive side (Serve) loops over framed operations on a
@@ -196,27 +188,21 @@ func (p *PoolTransport) Close() {
 	}
 }
 
-// Do implements Transport: one attempt with no deadline.
+// Do implements Transport as one pool-level attempt: an operation that
+// fails with a transport error on a REUSED stream is retried exactly once
+// on a freshly dialed one — the pooled stream's peer may have gone down
+// and been replaced while it sat idle, which per-operation dialing never
+// observed. Failures on fresh streams propagate unchanged. The extra
+// attempt is safe because every operation on the data plane is: fetches
+// and stores are idempotent, pushes are deduplicated by receivers, result
+// frames by the master's task state.
 func (p *PoolTransport) Do(_, to string, fn func(e *data.Encoder, d *data.Decoder) error) error {
-	return p.Attempt(to, 0, fn)
-}
-
-// Attempt is one pool-level attempt: an operation that fails with a
-// transport error on a REUSED stream is retried exactly once on a freshly
-// dialed one — the pooled stream's peer may have gone down and been
-// replaced while it sat idle, which per-operation dialing never observed.
-// Failures on fresh streams propagate unchanged. The extra attempt is
-// safe because every operation on the data plane is: fetches and stores
-// are idempotent, pushes are deduplicated by receivers, result frames by
-// the master's task state. A positive deadline bounds each invocation of
-// fn (see runWithDeadline).
-func (p *PoolTransport) Attempt(to string, deadline time.Duration, fn func(e *data.Encoder, d *data.Decoder) error) error {
 	s, reused, err := p.checkout(to)
 	if err != nil {
 		return err
 	}
 	for {
-		err = runWithDeadline(s, deadline, fn)
+		err = fn(s.e, s.d)
 		if err == nil || IsReply(err) {
 			p.checkin(s)
 			return err
@@ -230,27 +216,4 @@ func (p *PoolTransport) Attempt(to string, deadline time.Duration, fn func(e *da
 			return err
 		}
 	}
-}
-
-// runWithDeadline bounds one operation invocation. simnet conns have no
-// native read/write deadlines (they are pipe-based), so the watchdog
-// closes the stream when the deadline fires: blocked pipe reads and
-// writes unwind with ErrConnClosed, which is rewritten to ErrDeadline so
-// a policy can count deadline hits distinctly. The stream is dead either
-// way — Attempt closes it on any transport error.
-func runWithDeadline(s *stream, d time.Duration, fn func(e *data.Encoder, d *data.Decoder) error) error {
-	if d <= 0 {
-		return fn(s.e, s.d)
-	}
-	var timedOut atomic.Bool
-	watchdog := time.AfterFunc(d, func() {
-		timedOut.Store(true)
-		s.c.Close()
-	})
-	err := fn(s.e, s.d)
-	watchdog.Stop()
-	if err != nil && timedOut.Load() {
-		return fmt.Errorf("op to %s after %v: %w", s.c.RemoteID(), d, ErrDeadline)
-	}
-	return err
 }

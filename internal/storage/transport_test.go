@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pado/internal/data"
 	"pado/internal/metrics"
@@ -17,7 +16,6 @@ import (
 // Ops the test server answers beyond the block protocol.
 const (
 	opReject = 'r' // refused: the envelope marks it a peer reply
-	opHang   = 'h' // never answers
 	opDrop   = 'd' // reads the request, then closes the stream
 	opFlaky  = 'f' // closes the stream the first time, answers after
 	opEcho   = 'e' // answers with the string it was sent
@@ -53,10 +51,6 @@ func (f *poolFixture) serve(t testing.TB, blocks map[string][]byte) {
 		switch op {
 		case opReject:
 			return Answer(e, false, nil)
-		case opHang:
-			// Blocks until the client gives up and closes the stream.
-			_, err := d.Byte()
-			return err
 		case opFlaky:
 			if f.flaky.CompareAndSwap(false, true) {
 				return io.EOF
@@ -100,21 +94,10 @@ func (f *poolFixture) idle() int {
 	return len(f.pool.idle["server"])
 }
 
-// deadlined is the fixture's pool with a per-attempt deadline, as a
-// Transport.
-type deadlined struct {
-	pool     *PoolTransport
-	deadline time.Duration
-}
-
-func (t deadlined) Do(_, to string, fn func(*data.Encoder, *data.Decoder) error) error {
-	return t.pool.Attempt(to, t.deadline, fn)
-}
-
 // send runs a one-byte test op through the envelope and reports how often
 // the pool invoked it.
-func (f *poolFixture) send(op byte, deadline time.Duration) (calls int, err error) {
-	err = Call(deadlined{f.pool, deadline}, "test", "server", op,
+func (f *poolFixture) send(op byte) (calls int, err error) {
+	err = Call(f.pool, "test", "server", op,
 		func(*data.Encoder) error { calls++; return nil }, nil, errTestRejected)
 	return calls, err
 }
@@ -149,7 +132,7 @@ func TestPoolReplyKeepsStream(t *testing.T) {
 	if _, err := FetchBlock(f.pool, "fetch", "server", "absent"); !errors.Is(err, ErrNotFound{}) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
-	calls, err := f.send(opReject, 0)
+	calls, err := f.send(opReject)
 	if !errors.Is(err, errTestRejected) || !IsReply(err) || calls != 1 {
 		t.Fatalf("reject: err = %v, %d calls; want one call and a marked reply", err, calls)
 	}
@@ -274,15 +257,6 @@ func TestBatchedRounds(t *testing.T) {
 		t.Errorf("idle = %d after the batch completed on the retry, want 1", f.idle())
 	}
 
-	// A deadline that fires mid-batch fails the rounds it cut off, no more.
-	f.fetch(t, "a")
-	asked, answers = make([]int, 3), make([]string, 3)
-	errs = Calls(deadlined{f.pool, 20 * time.Millisecond}, "test", "server",
-		[]Round{round(0, opEcho), round(1, opEcho), round(2, opHang)})
-	if errs[0] != nil || errs[1] != nil || answers[1] != "r1" || !errors.Is(errs[2], ErrDeadline) {
-		t.Errorf("batch over a hanging peer: errs %v, want two rounds answered and ErrDeadline on the third", errs)
-	}
-
 	// Nothing reached: every round carries the dial's error.
 	errs = Calls(f.pool, "test", "nowhere", []Round{round(0, opEcho), round(1, opEcho)})
 	if !errors.Is(errs[0], simnet.ErrNoSuchNode) || !errors.Is(errs[1], simnet.ErrNoSuchNode) {
@@ -354,7 +328,7 @@ func TestPoolSkipsDeadIdleStream(t *testing.T) {
 	if f.dials() != 2 || f.reuses() != 0 {
 		t.Errorf("dials = %d, reuses = %d; want 2 and 0 (dead idle stream skipped, not reused)", f.dials(), f.reuses())
 	}
-	if _, err := f.send(opReject, 0); !errors.Is(err, errTestRejected) {
+	if _, err := f.send(opReject); !errors.Is(err, errTestRejected) {
 		t.Fatalf("reply from restarted peer: err = %v", err)
 	}
 }
@@ -365,13 +339,13 @@ func TestPoolSkipsDeadIdleStream(t *testing.T) {
 func TestPoolReuseRetry(t *testing.T) {
 	f := newPoolFixture(t, map[string][]byte{"blk": []byte("v")})
 
-	calls, err := f.send(opDrop, 0)
+	calls, err := f.send(opDrop)
 	if err == nil || calls != 1 || f.dials() != 1 {
 		t.Fatalf("fresh stream: err = %v, %d calls, %d dials; want an error, 1 and 1", err, calls, f.dials())
 	}
 
 	f.fetch(t, "blk") // dial 2, pooled
-	calls, err = f.send(opDrop, 0)
+	calls, err = f.send(opDrop)
 	if err == nil || calls != 2 || f.dials() != 3 {
 		t.Fatalf("reused stream: err = %v, %d calls, %d dials; want an error, 2 and 3", err, calls, f.dials())
 	}
@@ -380,7 +354,7 @@ func TestPoolReuseRetry(t *testing.T) {
 	}
 
 	f.fetch(t, "blk") // dial 4, pooled
-	calls, err = f.send(opFlaky, 0)
+	calls, err = f.send(opFlaky)
 	if err != nil || calls != 2 || f.dials() != 5 {
 		t.Fatalf("flaky peer: err = %v, %d calls, %d dials; want success on the retry, 2 and 5", err, calls, f.dials())
 	}
@@ -395,7 +369,7 @@ func TestPoolReuseRetry(t *testing.T) {
 // than replacing it — and the stream must not be pooled.
 func TestEOFIsTransportFailure(t *testing.T) {
 	f := newPoolFixture(t, nil)
-	_, err := f.send(opDrop, 0)
+	_, err := f.send(opDrop)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("err = %v, want io.EOF", err)
 	}
@@ -442,28 +416,6 @@ func TestPoolIdleCap(t *testing.T) {
 	}
 	if f.idle() != maxIdlePerDest {
 		t.Errorf("idle = %d, want the cap %d", f.idle(), maxIdlePerDest)
-	}
-}
-
-// TestPoolDeadline: the per-attempt deadline closes the stream under a
-// blocked operation and reports ErrDeadline; on a reused stream the
-// retry gets its own deadline.
-func TestPoolDeadline(t *testing.T) {
-	f := newPoolFixture(t, map[string][]byte{"blk": []byte("v")})
-	f.fetch(t, "blk")
-	start := time.Now()
-	calls, err := f.send(opHang, 20*time.Millisecond)
-	if !errors.Is(err, ErrDeadline) || !IsTransient(err) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2 (reused stream, then one fresh)", calls)
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Errorf("deadline took %v to fire", el)
-	}
-	if f.idle() != 0 {
-		t.Error("stream killed by its deadline was pooled")
 	}
 }
 
