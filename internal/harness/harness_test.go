@@ -226,17 +226,20 @@ func TestReportDirWritesReport(t *testing.T) {
 //  2. End to end, it completes no later than the baseline up to the
 //     wall-clock scheduling noise of the simulator (the tiny cell's JCT
 //     varies about +/-25% run to run, so the assertion carries a noise
-//     allowance rather than a strict <=).
+//     allowance rather than a strict <=). Each policy's JCT is the mean
+//     over costSeeds seeds, run in pairs — one policy's run then the
+//     other's on the same seed — so a stretch of CPU contention from
+//     outside the test lands on both policies rather than on one.
 //  3. It never uses more reserved slots than the cluster's budget,
 //     observable via the reserved_slots_peak / reserved_slots_budget
 //     counters the master publishes.
 func TestCostModelBeatsAllTransient(t *testing.T) {
+	const costSeeds = 15
 	pinned := func() Params {
 		p := tinyParams()
 		p.Engine = EnginePado
 		p.Workload = WorkloadMR
 		p.Rate = trace.RateHigh
-		p.Repeats = 5
 		return p
 	}
 
@@ -273,35 +276,41 @@ func TestCostModelBeatsAllTransient(t *testing.T) {
 		}
 	}
 
-	run := func(policy string) Outcome {
+	run := func(policy string, seed int64) Outcome {
 		p := pinned()
 		p.Policy = policy
+		p.Seed = seed
 		out, err := Run(p)
 		if err != nil {
-			t.Fatalf("policy %q: %v", policy, err)
+			t.Fatalf("policy %q seed %d: %v", policy, seed, err)
 		}
 		if out.TimedOut {
-			t.Fatalf("policy %q timed out", policy)
+			t.Fatalf("policy %q seed %d timed out", policy, seed)
 		}
 		return out
 	}
-	cost := run("cost")
-	allT := run("all-transient")
-	if cost.JCTMinutes > allT.JCTMinutes*1.35 {
-		t.Errorf("cost policy jct = %.2f min, all-transient = %.2f min; cost model should not lose at a high eviction rate",
-			cost.JCTMinutes, allT.JCTMinutes)
-	}
+	var costJCT, allTJCT float64
+	for i := int64(0); i < costSeeds; i++ {
+		seed := pinned().Seed + i*7919 // Run's seeding for Repeats
+		cost := run("cost", seed)
+		costJCT += cost.JCTMinutes / costSeeds
+		allTJCT += run("all-transient", seed).JCTMinutes / costSeeds
 
-	budget := cost.Metrics.Named["reserved_slots_budget"]
-	peak := cost.Metrics.Named["reserved_slots_peak"]
-	if budget <= 0 {
-		t.Fatalf("reserved_slots_budget counter missing: %v", cost.Metrics.Named)
+		budget := cost.Metrics.Named["reserved_slots_budget"]
+		peak := cost.Metrics.Named["reserved_slots_peak"]
+		if budget <= 0 {
+			t.Fatalf("seed %d: reserved_slots_budget counter missing: %v", seed, cost.Metrics.Named)
+		}
+		if peak <= 0 {
+			t.Errorf("seed %d: reserved_slots_peak counter missing: %v", seed, cost.Metrics.Named)
+		}
+		if peak > budget {
+			t.Errorf("seed %d: reserved slot peak %d exceeds budget %d", seed, peak, budget)
+		}
 	}
-	if peak <= 0 {
-		t.Errorf("reserved_slots_peak counter missing: %v", cost.Metrics.Named)
-	}
-	if peak > budget {
-		t.Errorf("reserved slot peak %d exceeds budget %d", peak, budget)
+	if costJCT > allTJCT*1.35 {
+		t.Errorf("cost policy jct = %.2f min, all-transient = %.2f min; cost model should not lose at a high eviction rate",
+			costJCT, allTJCT)
 	}
 }
 

@@ -18,9 +18,10 @@ type Flight struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	recs []data.Record
-	err  error
+	done    chan struct{}
+	recs    []data.Record
+	err     error
+	waiters int // latecomers sharing this fetch; guarded by Flight.mu
 }
 
 // NewFlight returns an empty flight group.
@@ -34,6 +35,7 @@ func NewFlight() *Flight {
 func (f *Flight) Do(key Key, fn func() ([]data.Record, error)) (recs []data.Record, shared bool, err error) {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
+		c.waiters++
 		f.mu.Unlock()
 		<-c.done
 		return c.recs, true, c.err

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pado/internal/dag"
 	"pado/internal/data"
@@ -106,8 +107,8 @@ func TestEstimateSizeGrowsWithContent(t *testing.T) {
 
 func TestFlightDeduplicates(t *testing.T) {
 	f := NewFlight()
-	var calls atomic.Int32
-	var started atomic.Int32
+	key := Key{Vertex: 7}
+	var calls, shared atomic.Int32
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	const callers = 16
@@ -115,8 +116,7 @@ func TestFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started.Add(1)
-			recs, _, err := f.Do(Key{Vertex: 7}, func() ([]data.Record, error) {
+			recs, wasShared, err := f.Do(key, func() ([]data.Record, error) {
 				calls.Add(1)
 				<-gate // hold the in-flight call until all callers queue up
 				return recsOfSize(3), nil
@@ -124,29 +124,50 @@ func TestFlightDeduplicates(t *testing.T) {
 			if err != nil || len(recs) != 3 {
 				t.Errorf("do: %v %v", recs, err)
 			}
+			if wasShared {
+				shared.Add(1)
+			}
 		}()
 	}
-	for started.Load() < callers {
-		// Let every caller reach Do before releasing the first fetch.
-		runtimeGosched()
-	}
+	// Let every other caller queue on the first fetch before releasing it.
+	waitQueued(t, f, key, callers-1)
 	close(gate)
 	wg.Wait()
-	// Callers queued while the first fetch was in flight must share it;
-	// only stragglers that had not yet called Do may fetch again (they
-	// find the gate open and return instantly).
-	if n := calls.Load(); n > 3 {
-		t.Errorf("fetch called %d times, want <=3", n)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("fetch called %d times, want 1", n)
 	}
-	shared := 0
-	_, wasShared, _ := f.Do(Key{Vertex: 7}, func() ([]data.Record, error) { return nil, nil })
-	if wasShared {
-		shared++
+	if n := shared.Load(); n != callers-1 {
+		t.Errorf("%d callers shared the fetch, want %d", n, callers-1)
 	}
-	_ = shared
+	// Once the fetch has landed nothing is in flight: the next call fetches.
+	if _, wasShared, _ := f.Do(key, func() ([]data.Record, error) { return nil, nil }); wasShared {
+		t.Error("a call after the flight landed shared it")
+	}
 }
 
-func runtimeGosched() { runtime.Gosched() }
+// queued reports how many callers wait on key's fetch in flight; -1 when
+// none is in flight.
+func (f *Flight) queued(key Key) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c := f.calls[key]; c != nil {
+		return c.waiters
+	}
+	return -1
+}
+
+// waitQueued yields until n callers wait on key's fetch in flight; a flight
+// that never queues them fails the test instead of hanging it.
+func waitQueued(t *testing.T, f *Flight, key Key, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for f.queued(key) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers queued on the fetch of %v, want %d", f.queued(key), key, n)
+		}
+		runtime.Gosched()
+	}
+}
 
 func TestFlightPropagatesErrors(t *testing.T) {
 	f := NewFlight()
@@ -244,12 +265,10 @@ func TestLoad(t *testing.T) {
 			}
 		}()
 	}
-	for met.CacheMisses.Load() < 2+8 {
-		runtimeGosched() // every caller has missed and is at, or in, the flight
-	}
+	waitQueued(t, c.flight, shared, 8-1) // every caller has missed and is in the flight
 	close(gate)
 	wg.Wait()
-	if n := calls.Load(); n > 3 {
+	if n := calls.Load(); n != 1 {
 		t.Errorf("%d concurrent fills of one key, want them shared", n)
 	}
 
