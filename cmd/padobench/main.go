@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"pado/internal/core"
 	"pado/internal/harness"
 	"pado/internal/metrics"
 	"pado/internal/profile"
@@ -42,8 +41,6 @@ func main() {
 	scaleMS := flag.Int("scale", 60, "wall milliseconds per paper minute")
 	timeout := flag.Float64("timeout", 90, "timeout in paper minutes")
 	seed := flag.Int64("seed", 424242, "experiment seed")
-	policy := flag.String("policy", "", "placement policy for the pado engine: "+
-		strings.Join(core.PolicyNames(), ", ")+" (default: paper)")
 	repeats := flag.Int("repeats", 1, "average each cell over this many seeds")
 	traceDir := flag.String("tracedir", "", "write per-run Chrome traces and timelines into this directory")
 	reportDir := flag.String("reportdir", "", "write one analyzer report JSON per experiment cell into this directory (render/diff with padoreport)")
@@ -81,10 +78,6 @@ func main() {
 		}
 	}()
 
-	if _, err := core.PolicyByName(*policy); err != nil {
-		fatalf("%v", err)
-	}
-
 	base := harness.Params{
 		Transient:      *transient,
 		Reserved:       *reserved,
@@ -94,7 +87,6 @@ func main() {
 		TimeoutMinutes: *timeout,
 		Seed:           *seed,
 		Repeats:        *repeats,
-		Policy:         *policy,
 		TraceDir:       *traceDir,
 		ReportDir:      *reportDir,
 		HTTPAddr:       *httpAddr,

@@ -54,9 +54,6 @@ func main() {
 		if base.Engine != cur.Engine || base.Workload != cur.Workload || base.Rate != cur.Rate {
 			fmt.Fprintf(os.Stderr, "warning: comparing different cells: %s/%s/%s vs %s/%s/%s\n",
 				base.Engine, base.Workload, base.Rate, cur.Engine, cur.Workload, cur.Rate)
-		} else if base.Policy != cur.Policy {
-			fmt.Fprintf(os.Stderr, "note: comparing placement policies: %s vs %s\n",
-				orDash(base.Policy), orDash(cur.Policy))
 		}
 		d := analyze.DiffReports(base, cur, flag.Arg(0), flag.Arg(1))
 		if *jsonOut {
@@ -87,13 +84,6 @@ func writeDiffJSON(d *analyze.Diff) error {
 	}
 	_, err = os.Stdout.Write(b)
 	return err
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }
 
 func fatalf(format string, args ...any) {

@@ -57,8 +57,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	reserved := fs.Int("reserved", 3, "reserved containers")
 	scaleMS := fs.Int("scale", 50, "wall milliseconds per paper minute")
 	seed := fs.Int64("seed", 1, "seed")
-	policy := fs.String("policy", "", "placement policy for the pado engine: "+
-		strings.Join(core.PolicyNames(), ", ")+" (default: paper)")
 	showPlan := fs.Bool("plan", false, "print the compiled plan (placements and stages)")
 	dot := fs.Bool("dot", false, "print the placed logical DAG in Graphviz format")
 	sample := fs.Int("sample", 5, "output records to print")
@@ -98,8 +96,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	scale := vtime.NewScale(time.Duration(*scaleMS) * time.Millisecond)
 	p := harness.Params{
 		Transient: *transient, Reserved: *reserved, Scale: scale, Size: size,
-		TimeoutMinutes: scale.Minutes(wallCap),
-		Policy:         *policy, Seed: *seed, HTTPAddr: *httpAddr,
+		TimeoutMinutes: scale.Minutes(wallCap), Seed: *seed, HTTPAddr: *httpAddr,
 		ForceTrace: *traceOut != "" || *timelineOut != "" || *reportOut != "",
 		Failure: runtime.FailureConfig{
 			HeartbeatEvery: *heartbeat,
@@ -194,7 +191,7 @@ func summarize(r data.Record) string {
 
 func printPlan(w io.Writer, plan *core.Plan) {
 	g := plan.Graph
-	fmt.Fprintf(w, "operator placement (policy %s):\n", plan.Policy)
+	fmt.Fprintln(w, "operator placement (Algorithm 1):")
 	order, _ := g.TopoSort()
 	for _, id := range order {
 		v := g.Vertex(id)

@@ -104,23 +104,11 @@ func (c Config) slots() int {
 	return c.Slots
 }
 
-// PlacementEnv derives the capacity description consumed by
-// capacity-aware placement policies: the cell's reserved and transient
-// slot totals, and the expected eviction rate. With N transient
-// containers whose lifetimes average m paper-minutes, evictions arrive at
-// N/m per paper-minute in steady state (each eviction is immediately
-// replaced, so the population is constant).
+// PlacementEnv is the capacity description a job is compiled against:
+// the cell's reserved slot total, which the job manager's admission
+// control arbitrates.
 func (c Config) PlacementEnv() core.PolicyEnv {
-	env := core.PolicyEnv{
-		ReservedSlotBudget: c.Reserved * c.slots(),
-		TransientSlots:     c.Transient * c.slots(),
-	}
-	if !c.Lifetimes.Empty() {
-		if m := c.Lifetimes.Mean(); m > 0 {
-			env.EvictionsPerMinute = float64(c.Transient) / m
-		}
-	}
-	return env
+	return core.PolicyEnv{ReservedSlotBudget: c.Reserved * c.slots()}
 }
 
 func (c Config) minLifetime() time.Duration {

@@ -10,11 +10,11 @@ import (
 	"pado/internal/workloads"
 )
 
-// placePaper runs Algorithm 1 (the PaperRule policy) over g and annotates
+// placePaper runs Algorithm 1 (PaperRule) over g and annotates
 // every vertex with the resulting placement, for tests that hand-place
 // graphs instead of going through Compile.
 func placePaper(g *dag.Graph) error {
-	pl, err := PaperRule{}.Place(g, PolicyEnv{})
+	pl, err := PaperRule{}.Place(g)
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func PartitionStages(g *dag.Graph, pl Placements) ([]*Stage, error) {
 	}
 	for _, id := range order {
 		if pl.Of(id) == dag.PlaceNone {
-			return nil, fmt.Errorf("core: vertex %q is unplaced; run a placement policy first", g.Vertex(id).Name)
+			return nil, fmt.Errorf("core: vertex %q is unplaced; place it first", g.Vertex(id).Name)
 		}
 	}
 
@@ -113,12 +113,10 @@ func PartitionStages(g *dag.Graph, pl Placements) ([]*Stage, error) {
 }
 
 // Compile runs the full pipeline: validation, parallelism resolution,
-// policy-driven placement (cfg.Policy, defaulting to PaperRule), a
-// placement validity check, stage partitioning, and physical planning.
+// placement by Algorithm 1 (PaperRule), the placement legality check,
+// stage partitioning, and physical planning.
 //
-// Parallelism is resolved before placement (it is placement-independent)
-// so capacity-aware policies can use task counts as a work proxy. The
-// final assignment is annotated back onto the graph for DOT rendering and
+// The assignment is annotated back onto the graph for DOT rendering and
 // plan printing, but partitioning and planning consume it as an explicit
 // value.
 func Compile(g *dag.Graph, cfg PlanConfig) (*Plan, error) {
@@ -128,13 +126,12 @@ func Compile(g *dag.Graph, cfg PlanConfig) (*Plan, error) {
 	if err := ResolveParallelism(g, cfg); err != nil {
 		return nil, err
 	}
-	pol := cfg.policy()
-	pl, err := pol.Place(g, cfg.Env)
+	pl, err := PaperRule{}.Place(g)
 	if err != nil {
-		return nil, fmt.Errorf("core: policy %q: %w", pol.Name(), err)
+		return nil, err
 	}
 	if err := CheckPlacements(g, pl); err != nil {
-		return nil, fmt.Errorf("core: policy %q produced an illegal assignment: %w", pol.Name(), err)
+		return nil, fmt.Errorf("core: Algorithm 1 cannot place this DAG legally: %w", err)
 	}
 	pl.Apply(g)
 	stages, err := PartitionStages(g, pl)
@@ -145,7 +142,6 @@ func Compile(g *dag.Graph, cfg PlanConfig) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan.Policy = pol.Name()
 	if err := computeCacheKeys(g, plan); err != nil {
 		return nil, err
 	}

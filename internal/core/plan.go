@@ -12,20 +12,13 @@ type PlanConfig struct {
 	// ReduceParallelism is the task count for many-to-many consumers
 	// (hash-shuffle receivers). Defaults to 8.
 	ReduceParallelism int
-	// Policy selects the placement policy. Nil means PaperRule, the
-	// paper's Algorithm 1.
-	Policy PlacementPolicy
-	// Env describes the cluster capacity visible to capacity-aware
-	// policies (reserved-slot budget, eviction rate). The zero value
-	// disables budgeting.
+	// Policy has one value: placement is always PaperRule. The field
+	// exists because the frozen bench/ledger assigns core.PaperRule{} to
+	// it.
+	Policy PaperRule
+	// Env is the capacity of the cell the job runs on. Placement ignores
+	// it; the job manager sizes the job's reserved-slot demand from it.
 	Env PolicyEnv
-}
-
-func (c PlanConfig) policy() PlacementPolicy {
-	if c.Policy == nil {
-		return PaperRule{}
-	}
-	return c.Policy
 }
 
 func (c PlanConfig) reduceParallelism() int {
@@ -137,8 +130,6 @@ func (s *PhysStage) InputsTo(op dag.VertexID) []StageInput {
 type Plan struct {
 	Graph  *dag.Graph
 	Stages []*PhysStage
-	// Policy is the name of the placement policy that produced the plan.
-	Policy string
 }
 
 // Stage returns the physical stage with the given id.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pado/internal/dag"
@@ -147,149 +148,7 @@ func TestPartitioningInvariants(t *testing.T) {
 	}
 }
 
-// TestPolicyInvariants runs the placement, partitioning, and plan
-// invariant suites over every registered policy on random pipelines:
-// whatever the policy decides, the assignment must pass CheckPlacements
-// and the resulting stages and plan must satisfy the same structural
-// postconditions Algorithm 2 guarantees for the paper rule.
-func TestPolicyInvariants(t *testing.T) {
-	env := PolicyEnv{ReservedSlotBudget: 8, TransientSlots: 24, EvictionsPerMinute: 0.5}
-	cfg := PlanConfig{ReduceParallelism: 3}
-	for _, name := range PolicyNames() {
-		t.Run(name, func(t *testing.T) {
-			pol, err := PolicyByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(20170423))
-			trials := 0
-			for trials < 150 {
-				g := randomPipeline(rng).Graph()
-				if err := g.Validate(); err != nil {
-					t.Fatalf("invalid pipeline: %v", err)
-				}
-				if err := ResolveParallelism(g, cfg); err != nil {
-					// Some random DAGs are legitimately rejected (e.g.
-					// mismatched one-to-one parallelism); skip those.
-					continue
-				}
-				pl, err := pol.Place(g, env)
-				if err != nil {
-					t.Fatalf("%v", err)
-				}
-				if err := CheckPlacements(g, pl); err != nil {
-					// The raw paper rule legitimately rejects some random
-					// DAGs (e.g. a broadcast side input fed by a transient
-					// source); Compile surfaces that as a placement error.
-					// Legalizing policies must never produce one.
-					if name == (PaperRule{}).Name() {
-						continue
-					}
-					t.Fatalf("illegal assignment: %v", err)
-				}
-				trials++
-				stages, err := PartitionStages(g, pl)
-				if err != nil {
-					t.Fatalf("trial %d: %v", trials, err)
-				}
-				covered := map[dag.VertexID]bool{}
-				for _, s := range stages {
-					if !pl.Reserved(s.Root) && len(g.OutEdges(s.Root)) != 0 {
-						t.Fatalf("trial %d: stage %d root %q neither reserved nor sink",
-							trials, s.ID, g.Vertex(s.Root).Name)
-					}
-					if s.Ops[len(s.Ops)-1] != s.Root {
-						t.Fatalf("trial %d: stage %d root not last in Ops", trials, s.ID)
-					}
-					for _, op := range s.Ops {
-						covered[op] = true
-						if op != s.Root && pl.Of(op) != dag.PlaceTransient {
-							t.Fatalf("trial %d: stage %d contains non-root reserved op %q",
-								trials, s.ID, g.Vertex(op).Name)
-						}
-					}
-					for _, pid := range s.Parents {
-						if pid >= s.ID {
-							t.Fatalf("trial %d: stage %d has parent %d", trials, s.ID, pid)
-						}
-					}
-				}
-				for _, v := range g.Vertices() {
-					if !covered[v.ID] {
-						t.Fatalf("trial %d: vertex %q in no stage", trials, v.Name)
-					}
-				}
-				plan, err := BuildPlan(g, pl, stages, cfg)
-				if err != nil {
-					t.Fatalf("trial %d: a checked assignment must plan: %v", trials, err)
-				}
-				for _, ps := range plan.Stages {
-					for _, f := range ps.Fragments {
-						if f.Parallelism <= 0 {
-							t.Fatalf("trial %d: fragment with parallelism %d", trials, f.Parallelism)
-						}
-						for _, b := range f.Boundaries {
-							if !f.Contains(b.From) {
-								t.Fatalf("trial %d: boundary source outside fragment", trials)
-							}
-						}
-					}
-					for _, si := range ps.Inputs {
-						if si.FromStage >= ps.ID {
-							t.Fatalf("trial %d: stage %d input from non-ancestor %d", trials, ps.ID, si.FromStage)
-						}
-						if !plan.Stages[si.FromStage].RootReserved {
-							t.Fatalf("trial %d: cross-stage input from a non-reserved root", trials)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestCostModelRespectsBudget checks that on random pipelines the cost
-// model never reserves more slots than the mandatory legal minimum plus
-// its configured budget.
-func TestCostModelRespectsBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	cfg := PlanConfig{ReduceParallelism: 3}
-	for trial := 0; trial < 150; trial++ {
-		g := randomPipeline(rng).Graph()
-		if err := ResolveParallelism(g, cfg); err != nil {
-			continue
-		}
-		// The mandatory reserved set is what the maximally transient legal
-		// assignment reserves.
-		base, err := AllTransient{}.Place(g, PolicyEnv{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mandatory := 0
-		for _, v := range g.Vertices() {
-			if base.Reserved(v.ID) {
-				mandatory += slotsOf(g, v.ID)
-			}
-		}
-		env := PolicyEnv{ReservedSlotBudget: mandatory + 3, EvictionsPerMinute: 2.0}
-		pl, err := CostModel{}.Place(g, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spent := 0
-		for _, v := range g.Vertices() {
-			if pl.Reserved(v.ID) {
-				spent += slotsOf(g, v.ID)
-			}
-		}
-		if spent > env.ReservedSlotBudget {
-			t.Fatalf("trial %d: cost model spent %d reserved slots over budget %d (mandatory %d)",
-				trial, spent, env.ReservedSlotBudget, mandatory)
-		}
-	}
-}
-
-// TestPaperRuleFigure3Golden asserts the PaperRule policy reproduces the
+// TestPaperRuleFigure3Golden asserts Algorithm 1 (PaperRule) reproduces the
 // paper's Figure 3(a)-(c) placements for MR, MLR, and ALS exactly — every
 // vertex, not a subset.
 func TestPaperRuleFigure3Golden(t *testing.T) {
@@ -328,7 +187,7 @@ func TestPaperRuleFigure3Golden(t *testing.T) {
 	}
 	for w, want := range golden {
 		g := goldenGraph(w)
-		pl, err := PaperRule{}.Place(g, PolicyEnv{})
+		pl, err := PaperRule{}.Place(g)
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -343,19 +202,33 @@ func TestPaperRuleFigure3Golden(t *testing.T) {
 	}
 }
 
-// TestPlanInvariants checks the physical plan on random DAGs: fragment
+// TestPlanInvariants checks the physical plan on random DAGs: every DAG
+// whose Algorithm 1 assignment passes CheckPlacements compiles, fragment
 // parallelism is uniform, boundary sources are in the fragment, and
 // cross-stage inputs reference reserved roots of earlier stages.
 func TestPlanInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	cfg := PlanConfig{ReduceParallelism: 3}
 	trials := 0
 	for trials < 150 {
 		g := randomPipeline(rng).Graph()
-		plan, err := Compile(g, PlanConfig{ReduceParallelism: 3})
-		if err != nil {
-			// Some random DAGs are legitimately rejected (e.g. mismatched
-			// one-to-one parallelism after a reduce); skip those.
+		// Some random DAGs are legitimately rejected: mismatched one-to-one
+		// parallelism after a reduce, or a broadcast side input read
+		// straight from a transient source, which Algorithm 1 cannot place
+		// legally. Skip those; every other DAG must compile.
+		if err := ResolveParallelism(g, cfg); err != nil {
 			continue
+		}
+		pl, err := PaperRule{}.Place(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if CheckPlacements(g, pl) != nil {
+			continue
+		}
+		plan, err := Compile(g, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: a legally placed DAG must compile: %v", trials, err)
 		}
 		trials++
 		for _, ps := range plan.Stages {
@@ -387,5 +260,26 @@ func TestPlanInvariants(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompileRejectsTransientBroadcast pins what Compile does with a DAG
+// Algorithm 1 cannot place legally: a read source used directly as the
+// broadcast side input of a ParDo over another read. Both ends of the
+// broadcast edge are transient, and such an edge cannot be fused, so
+// Compile must fail with CheckPlacements' error naming that edge.
+func TestCompileRejectsTransientBroadcast(t *testing.T) {
+	kv := data.KVCoder{K: data.StringCoder, V: data.Int64Coder}
+	p := dataflow.NewPipeline()
+	side := p.Read("read-side", &dataflow.FuncSource{Partitions: 2}, kv)
+	p.Read("read-main", &dataflow.FuncSource{Partitions: 3}, kv).ParDo("use-side",
+		dataflow.MapFunc(func(r data.Record) data.Record { return r }), kv,
+		dataflow.WithSide(dataflow.SideInput{Name: "s", From: side}))
+	_, err := Compile(p.Graph(), PlanConfig{})
+	if err == nil {
+		t.Fatal("compiled a broadcast edge between two transient operators")
+	}
+	if want := `broadcast edge "read-side" -> "use-side"`; !strings.Contains(err.Error(), want) {
+		t.Errorf("Compile error = %v, want it to name %s", err, want)
 	}
 }

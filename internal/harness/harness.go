@@ -148,11 +148,6 @@ type Params struct {
 	// isolates master-loop cost from data-plane cost. Default 1.
 	Tasks int
 
-	// Policy names the placement policy for the Pado engine (see
-	// core.PolicyNames). Empty means the default paper rule. The Spark
-	// baselines have no placement layer and ignore it.
-	Policy string
-
 	Seed int64
 
 	// Repeats averages the experiment over several seeds (the paper
@@ -221,7 +216,7 @@ type Params struct {
 	// Jobs, when non-empty, switches the experiment to multi-job mode
 	// (RunJobs): every spec runs concurrently on ONE shared cluster
 	// under one runtime.JobManager, instead of the one-job-per-cluster
-	// single path. Workload/Size/Policy above become defaults each spec
+	// single path. Workload and Size above become defaults each spec
 	// may override; Engine must be EnginePado.
 	Jobs []JobSpec
 }
@@ -292,23 +287,10 @@ func (o Outcome) String() string {
 	if o.TimedOut {
 		jct = fmt.Sprintf(">%.0f", o.JCTMinutes)
 	}
-	return fmt.Sprintf("%-17s %-4s %-7s %-13s %2dT+%dR jct=%6s min relaunched=%5.0f%% evictions=%d",
-		o.Params.Engine, o.Params.Workload, o.Params.Rate, o.Params.policyLabel(),
+	return fmt.Sprintf("%-17s %-4s %-7s %2dT+%dR jct=%6s min relaunched=%5.0f%% evictions=%d",
+		o.Params.Engine, o.Params.Workload, o.Params.Rate,
 		o.Params.Transient, o.Params.Reserved, jct,
 		o.RelaunchRatio*100, o.Evictions)
-}
-
-// policyLabel is the placement policy for display: the Pado engine's
-// configured policy (defaulting to the paper rule), "-" for engines
-// without a placement layer.
-func (p Params) policyLabel() string {
-	if p.Engine != EnginePado {
-		return "-"
-	}
-	if p.Policy == "" {
-		return core.PaperRule{}.Name()
-	}
-	return p.Policy
 }
 
 // Cluster bandwidths in simulator bytes/second, calibrated so the data
@@ -494,11 +476,7 @@ type finished struct {
 // result is nil when the job produced none; the manager's job id is
 // returned even then.
 func (c *cell) runPado(ctx context.Context, q Params, opts runtime.JobOptions) (*finished, int, error) {
-	cfg, err := q.PadoRuntimeConfig(c.tracer, c.chaos)
-	if err != nil {
-		return nil, 0, err
-	}
-	h, err := c.jm.Submit(q.pipeline().Graph(), cfg, opts)
+	h, err := c.jm.Submit(q.pipeline().Graph(), q.PadoRuntimeConfig(c.tracer, c.chaos), opts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -691,11 +669,7 @@ func runOnce(p Params) (Outcome, error) {
 func (p Params) Plan() (*core.Plan, error) {
 	p = p.withDefaults()
 	p.Engine = EnginePado
-	cfg, err := p.PadoRuntimeConfig(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return core.Compile(p.pipeline().Graph(), cfg.Plan)
+	return core.Compile(p.pipeline().Graph(), p.PadoRuntimeConfig(nil, nil).Plan)
 }
 
 // SparkConfig assembles the Spark-like baseline's configuration for one
@@ -714,10 +688,10 @@ func (p Params) SparkConfig(tracer *obs.Tracer) sparklike.Config {
 
 // PadoRuntimeConfig assembles the Pado runtime configuration for one
 // experiment cell: reduce parallelism tracking the reserved pool, the
-// named placement policy against the cell's capacity env, and the
-// paper-time partial-aggregation escape delay (§3.2.7, pinned to 0.1
-// paper minutes at the current scale). engine may be nil.
-func (p Params) PadoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (runtime.Config, error) {
+// cell's capacity env, and the paper-time partial-aggregation escape
+// delay (§3.2.7, pinned to 0.1 paper minutes at the current scale).
+// engine may be nil.
+func (p Params) PadoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) runtime.Config {
 	cfg := runtime.Config{Tracer: tracer}
 	if engine != nil {
 		cfg.Chaos = engine
@@ -725,11 +699,6 @@ func (p Params) PadoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (run
 	// Pado concentrates reduce tasks on the reserved containers, so its
 	// reduce parallelism tracks the reserved pool.
 	cfg.Plan.ReduceParallelism = 2 * p.Reserved
-	pol, err := core.PolicyByName(p.Policy)
-	if err != nil {
-		return runtime.Config{}, err
-	}
-	cfg.Plan.Policy = pol
 	cfg.Plan.Env = p.clusterConfig().PlacementEnv()
 	cfg.AggMaxDelay = p.Scale.Wall(0.1)
 	cfg.Failure = p.Failure
@@ -737,12 +706,12 @@ func (p Params) PadoRuntimeConfig(tracer *obs.Tracer, engine *chaos.Engine) (run
 	if p.PadoConfig != nil {
 		p.PadoConfig(&cfg)
 	}
-	return cfg, nil
+	return cfg
 }
 
 // analysis renders the analyzer report of one traced run. job > 0 scopes
 // a shared stream to one job; fleet marks the whole-stream aggregate of a
-// multi-job run, which belongs to no one workload or policy.
+// multi-job run, which belongs to no one workload.
 func (p Params) analysis(events []obs.Event, parents map[int][]int, snap metrics.Snapshot, job int, fleet bool) *analyze.Report {
 	opts := analyze.Options{
 		StageParents: parents,
@@ -756,11 +725,8 @@ func (p Params) analysis(events []obs.Event, parents map[int][]int, snap metrics
 		Job:          job,
 		Snapshot:     &snap,
 	}
-	switch {
-	case fleet:
+	if fleet {
 		opts.Workload = "multi"
-	case p.Engine == EnginePado:
-		opts.Policy = p.policyLabel()
 	}
 	return analyze.Analyze(events, opts)
 }
@@ -775,15 +741,9 @@ func (p Params) saveReport(rep *analyze.Report, base string) (string, error) {
 	return path, rep.Save(path)
 }
 
-// exportBase names one run's export files by its experiment cell. A
-// non-default placement policy joins the name so policy sweeps over the
-// same cell do not collide; the default policy keeps the historical
-// four-part name (committed baselines and CI artifacts depend on it).
+// exportBase names one run's export files by its experiment cell.
 func exportBase(p Params) string {
 	base := strings.ToLower(fmt.Sprintf("%s-%s-%s-seed%d", p.Engine, p.Workload, p.Rate, p.Seed))
-	if p.Engine == EnginePado && p.Policy != "" && p.Policy != (core.PaperRule{}).Name() {
-		base += "-" + p.Policy
-	}
 	if p.Tasks > 1 {
 		base += fmt.Sprintf("-tasks%d", p.Tasks)
 	}

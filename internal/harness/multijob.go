@@ -18,8 +18,6 @@ type JobSpec struct {
 	Workload Workload
 	// Size scales this job's workload volume (0 = Params.Size).
 	Size float64
-	// Policy overrides the placement policy ("" = Params.Policy).
-	Policy string
 	// Weight is the job's fair-scheduling share (0 = 1).
 	Weight float64
 	// Priority orders the manager's admission queue.
@@ -44,9 +42,6 @@ func (p Params) jobParams(s JobSpec) Params {
 	q.Workload = s.Workload
 	if s.Size > 0 {
 		q.Size = s.Size
-	}
-	if s.Policy != "" {
-		q.Policy = s.Policy
 	}
 	return q
 }

@@ -219,7 +219,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 type jobSummary struct {
 	ID             int           `json:"id"`
 	Name           string        `json:"name"`
-	Policy         string        `json:"policy"`
 	Weight         float64       `json:"weight"`
 	Deficit        float64       `json:"deficit"`
 	RunningFor     time.Duration `json:"running_for_ns"`
@@ -233,7 +232,7 @@ type jobSummary struct {
 
 func summarize(j runtime.JobState) jobSummary {
 	sum := jobSummary{
-		ID: j.ID, Name: j.Name, Policy: j.Policy, Weight: j.Weight,
+		ID: j.ID, Name: j.Name, Weight: j.Weight,
 		Deficit: j.Deficit, RunningFor: j.RunningFor, Finished: j.Finished,
 		Stages:       len(j.Stages),
 		TasksRunning: j.TasksRunning, TasksCommitted: j.TasksCommitted,

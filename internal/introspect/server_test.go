@@ -49,7 +49,7 @@ func testSnapshot() (*runtime.ManagerState, *metrics.Job) {
 		BudgetTotal: 4,
 		BudgetFree:  1,
 		Jobs: []runtime.JobState{{
-			ID: 1, Name: "wordcount", Policy: "wfs", Weight: 2,
+			ID: 1, Name: "wordcount", Weight: 2,
 			RunningFor: 5 * time.Second,
 			Stages: []runtime.StageState{
 				{ID: 0, Status: "done", TasksTotal: 4, TasksCommitted: 4},

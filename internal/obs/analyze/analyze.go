@@ -67,11 +67,6 @@ type Options struct {
 	Workload string
 	Rate     string
 	Seed     int64
-	// Policy is the placement policy that produced the run's plan. When
-	// empty, Analyze falls back to the plan_compiled event's note, so
-	// traces remain self-describing even without caller-provided
-	// identity.
-	Policy string
 
 	// Snapshot, when non-nil, embeds the run's counters in the report.
 	Snapshot *metrics.Snapshot

@@ -43,12 +43,9 @@ type StageDelta struct {
 type Diff struct {
 	Base string `json:"base"` // label (usually the baseline path)
 	Cur  string `json:"cur"`
-	// Run identity of each side, so trajectory comparisons are
-	// self-describing about engine and placement policy.
+	// Engine of each side, so trajectory comparisons are self-describing.
 	BaseEngine string `json:"base_engine,omitempty"`
 	CurEngine  string `json:"cur_engine,omitempty"`
-	BasePolicy string `json:"base_policy,omitempty"`
-	CurPolicy  string `json:"cur_policy,omitempty"`
 
 	JCTBaseNS   int64   `json:"jct_base_ns"`
 	JCTCurNS    int64   `json:"jct_cur_ns"`
@@ -91,8 +88,6 @@ func DiffReports(base, cur *Report, baseLabel, curLabel string) *Diff {
 		Cur:                curLabel,
 		BaseEngine:         base.Engine,
 		CurEngine:          cur.Engine,
-		BasePolicy:         base.Policy,
-		CurPolicy:          cur.Policy,
 		JCTBaseNS:          base.JCTNS,
 		JCTCurNS:           cur.JCTNS,
 		JCTDeltaNS:         cur.JCTNS - base.JCTNS,
@@ -197,25 +192,14 @@ func (d *Diff) WriteText(w io.Writer) error {
 		_, err := fmt.Fprintf(w, format, args...)
 		return err
 	}
-	ident := func(engine, policy string) string {
-		if engine == "" && policy == "" {
+	ident := func(engine string) string {
+		if engine == "" {
 			return ""
 		}
-		s := " ["
-		if engine != "" {
-			s += "engine=" + engine
-		}
-		if policy != "" {
-			if engine != "" {
-				s += " "
-			}
-			s += "policy=" + policy
-		}
-		return s + "]"
+		return " [engine=" + engine + "]"
 	}
 	if err := p("base: %s%s\ncur:  %s%s\n",
-		d.Base, ident(d.BaseEngine, d.BasePolicy),
-		d.Cur, ident(d.CurEngine, d.CurPolicy)); err != nil {
+		d.Base, ident(d.BaseEngine), d.Cur, ident(d.CurEngine)); err != nil {
 		return err
 	}
 	if err := p("jct: %s -> %s (%s, %+.1f%%)\n",

@@ -195,8 +195,6 @@ type Report struct {
 	// whole stream; omitted from JSON so single-job reports are
 	// byte-identical to the pre-multi-job schema).
 	Job int `json:"job,omitempty"`
-	// Policy names the placement policy that produced the run's plan.
-	Policy string `json:"policy,omitempty"`
 	// ScaleNSPerMinute maps wall nanoseconds to one paper minute (0
 	// when the run had no scale).
 	ScaleNSPerMinute int64 `json:"scale_ns_per_minute,omitempty"`
@@ -241,15 +239,6 @@ func Analyze(events []obs.Event, opts Options) *Report {
 	if jct <= 0 {
 		jct = m.jobEnd
 	}
-	policy := opts.Policy
-	if policy == "" {
-		for _, ev := range events {
-			if ev.Kind == obs.PlanCompiled {
-				policy = ev.Note
-				break
-			}
-		}
-	}
 	r := &Report{
 		Schema:           Schema,
 		Engine:           opts.Engine,
@@ -257,7 +246,6 @@ func Analyze(events []obs.Event, opts Options) *Report {
 		Rate:             opts.Rate,
 		Seed:             opts.Seed,
 		Job:              opts.Job,
-		Policy:           policy,
 		ScaleNSPerMinute: int64(opts.Scale.WallPerMinute),
 		JCTNS:            int64(jct),
 		JCTMinutes:       opts.Scale.Minutes(jct),
@@ -704,16 +692,12 @@ func (r *Report) WriteText(w io.Writer) error {
 		return fmt.Sprintf("%s (%.2f paper-min)", dur(ns), float64(ns)/float64(r.ScaleNSPerMinute))
 	}
 
-	policy := ""
-	if r.Policy != "" {
-		policy = " policy=" + r.Policy
-	}
 	job := ""
 	if r.Job > 0 {
 		job = fmt.Sprintf(" job=%d", r.Job)
 	}
-	if err := p("report %s: engine=%s workload=%s rate=%s seed=%d%s%s\n",
-		r.Schema, r.Engine, r.Workload, r.Rate, r.Seed, job, policy); err != nil {
+	if err := p("report %s: engine=%s workload=%s rate=%s seed=%d%s\n",
+		r.Schema, r.Engine, r.Workload, r.Rate, r.Seed, job); err != nil {
 		return err
 	}
 	timedOut := ""

@@ -84,9 +84,7 @@ const (
 	// threshold tripped, or the event queue overflowed).
 	JobAborted
 
-	// PlanCompiled marks the compiler producing the physical plan; Note
-	// carries the placement-policy name, so every trace is
-	// self-describing about which policy produced its placements.
+	// PlanCompiled marks the compiler producing the physical plan.
 	PlanCompiled
 
 	// Job lifecycle on a multi-job master (JobManager): submission,

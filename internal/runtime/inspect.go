@@ -84,7 +84,6 @@ type SchedState struct {
 type JobState struct {
 	ID       int     `json:"id"`
 	Name     string  `json:"name"`
-	Policy   string  `json:"policy"`
 	Weight   float64 `json:"weight"`
 	Priority int     `json:"priority"`
 	// Demand is the job's reserved-slot claim against the cell budget.
@@ -329,7 +328,6 @@ func (jm *JobManager) jobState(j *jobRun, now time.Time) JobState {
 	js := JobState{
 		ID:              j.id,
 		Name:            j.name,
-		Policy:          j.plan.Policy,
 		Weight:          j.weight,
 		Priority:        j.priority,
 		Demand:          j.demand,

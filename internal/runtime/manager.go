@@ -351,17 +351,8 @@ func (jm *JobManager) postClusterEvent(ev event) {
 	}
 }
 
-// Submit compiles the logical DAG against the job's policy env (default:
-// the manager's cell env, with the reserved-slot budget carved down to
-// the job's demand so capacity-aware placement plans within its slice)
-// and submits it.
+// Submit compiles the logical DAG and submits it.
 func (jm *JobManager) Submit(g *dag.Graph, cfg Config, opts JobOptions) (*JobHandle, error) {
-	if cfg.Plan.Env == (core.PolicyEnv{}) {
-		cfg.Plan.Env = jm.cfg.Env
-	}
-	if d := opts.ReservedSlots; d > 0 && cfg.Plan.Env.ReservedSlotBudget > d {
-		cfg.Plan.Env.ReservedSlotBudget = d
-	}
 	plan, err := core.Compile(g, cfg.Plan)
 	if err != nil {
 		return nil, err
@@ -427,7 +418,7 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 		j.stages[i] = &stageRun{ps: ps}
 	}
 	j.initSched()
-	j.tr.Emit(obs.Event{Kind: obs.PlanCompiled, Note: plan.Policy})
+	j.tr.Emit(obs.Event{Kind: obs.PlanCompiled})
 	j.tr.Emit(obs.Event{Kind: obs.JobSubmitted, Note: name})
 	// Probe the commit store before the job is published to the event
 	// loop: the jobRun is still private to this goroutine, so the probe's

@@ -71,18 +71,6 @@ func (d *LifetimeDist) CDF(xs []float64) []float64 {
 	return out
 }
 
-// Mean returns the mean lifetime in minutes.
-func (d *LifetimeDist) Mean() float64 {
-	if d.Empty() {
-		return 0
-	}
-	var sum float64
-	for _, s := range d.samples {
-		sum += s
-	}
-	return sum / float64(len(d.samples))
-}
-
 var (
 	canonOnce  sync.Once
 	canonUsage *Usage

@@ -116,9 +116,6 @@ func TestDistSampleWithinSupport(t *testing.T) {
 	if d.Percentile(0) != 1 || d.Percentile(100) != 100 {
 		t.Error("percentile extremes wrong")
 	}
-	if d.Mean() != (1+2+3+10+100)/5.0 {
-		t.Errorf("mean = %v", d.Mean())
-	}
 }
 
 func TestDistCDFMonotone(t *testing.T) {
