@@ -148,6 +148,96 @@ func TestPartitioningInvariants(t *testing.T) {
 	}
 }
 
+// TestPolicyInvariants carries one random pipeline through every compiler
+// step on the Placements value Algorithm 1 returns — Place,
+// CheckPlacements, PartitionStages, BuildPlan — and checks each step's
+// postconditions on that assignment. The subtest is named for the
+// placement rule under test.
+func TestPolicyInvariants(t *testing.T) {
+	cfg := PlanConfig{ReduceParallelism: 3}
+	t.Run("paper", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20170423))
+		trials := 0
+		for trials < 150 {
+			g := randomPipeline(rng).Graph()
+			if err := g.Validate(); err != nil {
+				t.Fatalf("invalid pipeline: %v", err)
+			}
+			if err := ResolveParallelism(g, cfg); err != nil {
+				// Some random DAGs are legitimately rejected (e.g.
+				// mismatched one-to-one parallelism); skip those.
+				continue
+			}
+			pl, err := PaperRule{}.Place(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckPlacements(g, pl); err != nil {
+				// Algorithm 1 legitimately rejects some random DAGs (e.g.
+				// a broadcast side input fed by a transient source);
+				// Compile surfaces that as a placement error.
+				continue
+			}
+			trials++
+			stages, err := PartitionStages(g, pl)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trials, err)
+			}
+			covered := map[dag.VertexID]bool{}
+			for _, s := range stages {
+				if !pl.Reserved(s.Root) && len(g.OutEdges(s.Root)) != 0 {
+					t.Fatalf("trial %d: stage %d root %q neither reserved nor sink",
+						trials, s.ID, g.Vertex(s.Root).Name)
+				}
+				if s.Ops[len(s.Ops)-1] != s.Root {
+					t.Fatalf("trial %d: stage %d root not last in Ops", trials, s.ID)
+				}
+				for _, op := range s.Ops {
+					covered[op] = true
+					if op != s.Root && pl.Of(op) != dag.PlaceTransient {
+						t.Fatalf("trial %d: stage %d contains non-root reserved op %q",
+							trials, s.ID, g.Vertex(op).Name)
+					}
+				}
+				for _, pid := range s.Parents {
+					if pid >= s.ID {
+						t.Fatalf("trial %d: stage %d has parent %d", trials, s.ID, pid)
+					}
+				}
+			}
+			for _, v := range g.Vertices() {
+				if !covered[v.ID] {
+					t.Fatalf("trial %d: vertex %q in no stage", trials, v.Name)
+				}
+			}
+			plan, err := BuildPlan(g, pl, stages, cfg)
+			if err != nil {
+				t.Fatalf("trial %d: a checked assignment must plan: %v", trials, err)
+			}
+			for _, ps := range plan.Stages {
+				for _, f := range ps.Fragments {
+					if f.Parallelism <= 0 {
+						t.Fatalf("trial %d: fragment with parallelism %d", trials, f.Parallelism)
+					}
+					for _, b := range f.Boundaries {
+						if !f.Contains(b.From) {
+							t.Fatalf("trial %d: boundary source outside fragment", trials)
+						}
+					}
+				}
+				for _, si := range ps.Inputs {
+					if si.FromStage >= ps.ID {
+						t.Fatalf("trial %d: stage %d input from non-ancestor %d", trials, ps.ID, si.FromStage)
+					}
+					if !plan.Stages[si.FromStage].RootReserved {
+						t.Fatalf("trial %d: cross-stage input from a non-reserved root", trials)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestPaperRuleFigure3Golden asserts Algorithm 1 (PaperRule) reproduces the
 // paper's Figure 3(a)-(c) placements for MR, MLR, and ALS exactly — every
 // vertex, not a subset.
