@@ -212,10 +212,3 @@ func BenchmarkAblationPartialAggregation(b *testing.B) {
 func BenchmarkAblationInputCaching(b *testing.B) {
 	ablation(b, harness.WorkloadALS, func(cfg *runtime.Config) { cfg.DisableCache = true })
 }
-
-// BenchmarkAblationPushVsPull replaces Pado's push-based boundaries with
-// pull-based ones on MR, exposing map outputs to evictions the way
-// shuffle files are.
-func BenchmarkAblationPushVsPull(b *testing.B) {
-	ablation(b, harness.WorkloadMR, func(cfg *runtime.Config) { cfg.PullBoundaries = true })
-}

@@ -54,7 +54,6 @@ func main() {
 		"multi-job: also run the serial one-job-per-cluster baseline and fail unless makespan speedup >= this")
 	noAgg := flag.Bool("pado-noagg", false, "disable Pado partial aggregation")
 	noCache := flag.Bool("pado-nocache", false, "disable Pado task input caching")
-	pull := flag.Bool("pado-pull", false, "Pado ablation: pull-based stage boundaries")
 	aggMax := flag.Int("pado-aggmax", 0, "Pado executor-level aggregation task limit (0 = default)")
 	padoReduce := flag.Int("pado-reduce", 0, "override Pado reduce parallelism")
 	httpAddr := flag.String("http", "",
@@ -91,11 +90,10 @@ func main() {
 		ReportDir:      *reportDir,
 		HTTPAddr:       *httpAddr,
 	}
-	if *noAgg || *noCache || *pull || *aggMax != 0 || *padoReduce != 0 {
+	if *noAgg || *noCache || *aggMax != 0 || *padoReduce != 0 {
 		base.PadoConfig = func(cfg *runtime.Config) {
 			cfg.DisablePartialAggregation = *noAgg
 			cfg.DisableCache = *noCache
-			cfg.PullBoundaries = *pull
 			if *aggMax != 0 {
 				cfg.AggMaxTasks = *aggMax
 			}

@@ -237,6 +237,19 @@ func TestCheckerCatchesBrokenSchedules(t *testing.T) {
 			},
 			invariant: chaos.InvTopoOrder,
 		},
+		{
+			// A failed pull can only revert a skip; it never excuses a
+			// second commit of a task whose output was pushed.
+			name: "recommit-after-pull-failed",
+			events: []obs.Event{
+				{Kind: obs.StageScheduled, Stage: 0},
+				{Kind: obs.PushCommitted, Stage: 0, Frag: 0, Task: 0},
+				{Kind: obs.TaskRelaunched, Stage: 0, Frag: 0, Task: 0, Note: "pull_failed"},
+				{Kind: obs.PushCommitted, Stage: 0, Frag: 0, Task: 0},
+				{Kind: obs.StageComplete, Stage: 0},
+			},
+			invariant: chaos.InvExactlyOnce,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -285,22 +298,18 @@ func TestCheckerAllowsLegitimateRestarts(t *testing.T) {
 	if r := chaos.Check(events, chainParents); !r.OK() {
 		t.Fatalf("receiver-failure restart flagged: %s", r)
 	}
-}
 
-func TestCheckerPullModeRecommit(t *testing.T) {
-	// Pull-mode ablation: a committed source evicted before the pull
-	// un-commits ("pull_failed" relaunch) and commits again — the
-	// exactly-once invariant must tolerate exactly this shape.
-	events := []obs.Event{
+	// A skipped task whose chunk could not be pulled runs after all: the
+	// skip was no commit, so its one pushed commit is the first.
+	events = []obs.Event{
 		{Kind: obs.StageScheduled, Stage: 0},
-		{Kind: obs.PushCommitted, Stage: 0, Frag: 0, Task: 0},
-		{Kind: obs.ContainerEvicted, Exec: "t1"},
+		{Kind: obs.TaskSkipped, Stage: 0, Frag: 0, Task: 0},
 		{Kind: obs.TaskRelaunched, Stage: 0, Frag: 0, Task: 0, Note: "pull_failed"},
 		{Kind: obs.PushCommitted, Stage: 0, Frag: 0, Task: 0},
 		{Kind: obs.StageComplete, Stage: 0},
 	}
 	if r := chaos.Check(events, chainParents); !r.OK() {
-		t.Fatalf("pull-mode recommit flagged: %s", r)
+		t.Fatalf("reverted skip flagged: %s", r)
 	}
 }
 

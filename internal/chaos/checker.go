@@ -327,13 +327,6 @@ func check(events []obs.Event, parents map[int][]int, r *Report) *Report {
 			if ev.Frag >= 0 {
 				commits[commitKey{Stage: ev.Stage, Epoch: epoch[ev.Stage], Frag: ev.Frag, Task: ev.Task}]++
 			}
-		case obs.TaskRelaunched:
-			// A pull-mode source evicted after commit surfaces as a
-			// "pull_failed" relaunch: the master un-commits the task and a
-			// fresh attempt legitimately commits again (§3.2.4 ablation).
-			if strings.Contains(ev.Note, "pull_failed") && ev.Frag >= 0 {
-				delete(commits, commitKey{Stage: ev.Stage, Epoch: epoch[ev.Stage], Frag: ev.Frag, Task: ev.Task})
-			}
 		}
 	}
 

@@ -151,7 +151,6 @@ func ms(d int) chaos.Duration { return chaos.Duration(time.Duration(d) * time.Mi
 var mrScenarios = []struct {
 	name   string
 	rules  []chaos.Rule
-	pull   bool
 	mutate func(*runtime.Config)
 }{
 	{
@@ -255,16 +254,6 @@ var mrScenarios = []struct {
 		}},
 		mutate: func(cfg *runtime.Config) { cfg.MaxTaskFailures = 1000 },
 	},
-	{
-		name: "pull-mode-evict-mid-fetch", // PullBoundaries ablation: source dies between commit and pull
-		pull: true,
-		rules: []chaos.Rule{
-			{ID: "slow-commits", Trigger: chaos.Trigger{Stage: chaos.Any, Frag: chaos.Any, Task: chaos.Any},
-				Fault: chaos.Fault{Op: chaos.OpCommitDelay, Stage: chaos.Any, Delay: ms(20)}},
-			{Trigger: trig("push_committed", func(t *chaos.Trigger) { t.Count = 1 }),
-				Fault: chaos.Fault{Op: chaos.OpEvict, Target: "@event", Stage: chaos.Any}},
-		},
-	},
 }
 
 func TestChaosMatrixMR(t *testing.T) {
@@ -277,17 +266,7 @@ func TestChaosMatrixMR(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
 			plan := &chaos.Plan{Name: sc.name, Rules: sc.rules}
-			mutate := sc.mutate
-			if sc.pull {
-				inner := mutate
-				mutate = func(cfg *runtime.Config) {
-					cfg.PullBoundaries = true
-					if inner != nil {
-						inner(cfg)
-					}
-				}
-			}
-			pr := runPado(t, workloads.MR(mrConfig()), plan, mutate, 6, 2)
+			pr := runPado(t, workloads.MR(mrConfig()), plan, sc.mutate, 6, 2)
 			if len(pr.injections) == 0 {
 				t.Fatal("no faults fired; scenario is vacuous")
 			}

@@ -28,7 +28,8 @@ import (
 // that happen to be waiting when a push leaves, and goroutine order decides
 // which those are, so the number of pushes moves by a few and gradients are
 // summed in arrival order. The cause is inside internal/runtime; until it
-// is fixed (ROADMAP 1(d)) the Pado half skips, saying what differed.
+// is fixed (ROADMAP item 1 (CombineFn determinism)) the Pado half skips,
+// saying what differed.
 //
 // go.mod says go 1.22, which selects the old timer channels the bubble
 // cannot fake: hence the asynctimerchan line above.
@@ -76,7 +77,7 @@ func TestBubbleSameSeedRunsAgree(t *testing.T) {
 				return
 			}
 			if eng == EnginePado {
-				t.Skipf("seed %d: same-seed Pado runs are not yet repeatable (ROADMAP 1(d)): %s", p.Seed, strings.Join(diffs, "; "))
+				t.Skipf("seed %d: same-seed Pado runs are not yet repeatable (ROADMAP item 1 (CombineFn determinism)): %s", p.Seed, strings.Join(diffs, "; "))
 			}
 			t.Errorf("seed %d: %s", p.Seed, strings.Join(diffs, "; "))
 		})

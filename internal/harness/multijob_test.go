@@ -149,10 +149,10 @@ func TestRunJobsWithCommitStore(t *testing.T) {
 	}
 	// MLR sums float gradients in arrival order inside internal/runtime, so
 	// on the real clock its model repeats to rounding only, with or without
-	// a store: the pass-through stays, the digest check skips (ROADMAP 3).
+	// a store: the pass-through stays, the digest check skips (ROADMAP item 1 (CombineFn determinism)).
 	t.Run("mlr-digest", func(t *testing.T) {
 		if a, b := first.Jobs[1].Digest, second.Jobs[1].Digest; a != b {
-			t.Skipf("seed %d: MLR job digest %.8s in round one, %.8s in round two (ROADMAP item 3)", p.Seed, a, b)
+			t.Skipf("seed %d: MLR job digest %.8s in round one, %.8s in round two (ROADMAP item 1 (CombineFn determinism))", p.Seed, a, b)
 		}
 	})
 }

@@ -142,7 +142,8 @@ func (w *walker) explainStageDone(sk stageKey) {
 		// Receiver finalize gated stage completion.
 		w.seg(rT, ClassCompute, rAtt.key, rAtt.exec, "finalize")
 		// What gated the receiver: the last committed fragment output,
-		// or (pull mode / broadcast-input stages) its last fetch.
+		// or (skipped-task chunk pulls / broadcast-input stages) its last
+		// fetch.
 		spans := m.fetchSpansIn(rAtt.exec, launchOr(rAtt, 0), w.t)
 		var lastFetch span
 		haveFetch := false

@@ -44,7 +44,7 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 	combinable := rootOp != nil && rootOp.AccCoder != nil &&
 		len(frag.Boundaries) == 1 && frag.Boundaries[0].Tag == ""
 	addressable := spec.TaskKey != "" && ex.cas != nil
-	buffered := !addressable && !ex.cfg.DisablePartialAggregation && !ex.cfg.PullBoundaries
+	buffered := !addressable && !ex.cfg.DisablePartialAggregation
 
 	if combinable && (addressable || buffered) {
 		b := frag.Boundaries[0]
@@ -148,23 +148,6 @@ func (ex *Executor) failCover(spec taskSpec, cover []senderRef, err error, fatal
 // deterministic reporting) and no commit is sent; the relaunched attempts
 // re-push everything and receivers drop superseded frames by attempt.
 func (ex *Executor) pushFrames(spec taskSpec, cover []senderRef, sections [][]pushSection) {
-	if ex.cfg.PullBoundaries {
-		// Ablation: park the same sections locally instead of sending them;
-		// receivers pull them after the commit, exactly like shuffle files
-		// on local disk — and exactly as vulnerable to eviction. The cover
-		// is spec's own task: nothing aggregates in this mode.
-		for i, secs := range sections {
-			buf, err := sectionsBlock(secs)
-			if err != nil {
-				ex.failCover(spec, cover, err, true)
-				return
-			}
-			ex.store.Put(taskBlockID(ex.job, spec.Stage, spec.Gen, spec.Frag, spec.Index, spec.Attempt, i), buf)
-		}
-		ex.send(newOutputCommitted(ex.job, spec.Stage, spec.Gen, spec.Frag, cover))
-		return
-	}
-
 	sizes := make([]int64, len(sections))
 	var total int64
 	note := ""

@@ -334,13 +334,10 @@ func TestFetchStage(t *testing.T) {
 	})
 }
 
-// TestReceiverPull drives the receiver's one pull path with a batch that
-// holds both kinds of commit — a pull-mode sender's parked output and a
-// skipped task's chunk — and the case that hung the pull ablation when
-// pulls were first batched: another receiver's failed pull has already had
-// a sender relaunched, so one batch carries the dead attempt's commit and
-// the new attempt's. The failed pull must drop only its own commit, and so
-// must the pull of a chunk the store no longer has.
+// TestReceiverPull drives the receiver's one pull path, the fetch of
+// skipped tasks' chunks, with a batch in which one chunk is still in the
+// commit store and one is gone. The failed pull must drop only its own
+// commit and report only its own evPullFailed.
 func TestReceiverPull(t *testing.T) {
 	const job, stage, gen, recvIdx = 2, 1, 3, 0
 	net := simnet.New(simnet.Config{})
@@ -349,15 +346,6 @@ func TestReceiverPull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	node, err := net.AddNode("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender, err := newNodeHost(&cluster.Container{ID: "t1", Kind: cluster.Transient, Node: node, Slots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.shutdown()
 	svc := storage.NewCommitService(storage.NewCommitStore(), []*simnet.Node{net.Node("cas0")})
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
@@ -370,14 +358,9 @@ func TestReceiverPull(t *testing.T) {
 	events := make(chan event, 4)
 	ex := &Executor{job: job, id: "r0", dp: dp, met: met, events: events, stop: make(chan struct{}),
 		cas: storage.NewCommitClient(dp, svc.NodeIDs())}
-	r := &receiver{ex: ex, spec: recvSpec{Stage: stage, Gen: gen, Index: recvIdx, PullMode: true},
+	r := &receiver{ex: ex, spec: recvSpec{Stage: stage, Gen: gen, Index: recvIdx},
 		committed: make(map[fragSender]msgCommit)}
 
-	parked, err := sectionsBlock([]pushSection{{Payload: []byte("parked")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender.store.Put(taskBlockID(job, stage, gen, 0, 7, 1, recvIdx), parked)
 	skipped, err := sectionsBlock([]pushSection{{Payload: []byte("skipped")}})
 	if err != nil {
 		t.Fatal(err)
@@ -387,34 +370,34 @@ func TestReceiverPull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dead := msgCommit{Frag: 0, Index: 7, Attempt: 0, Exec: "t0"} // t0 went with its eviction
-	live := msgCommit{Frag: 0, Index: 7, Attempt: 1, Exec: "t1"}
 	skip := msgCommit{Frag: 0, Index: 8, Chunk: chunk}
 	lost := msgCommit{Frag: 0, Index: 9, Chunk: storage.HashChunk([]byte("collected under the job"))}
-	r.committed[fragSender{Index: 7}] = live // the batch's bookkeeping kept the newer attempt
 	r.committed[fragSender{Index: 8}] = skip
 	r.committed[fragSender{Index: 9}] = lost
-	// The lost chunk is refused in the middle of the round that also
-	// carries the stored one.
-	if !r.pull([]msgCommit{dead, lost, live, skip}) {
+	// The lost chunk is refused in the same round that carries the
+	// stored one.
+	if !r.pull([]msgCommit{lost, skip}) {
 		t.Fatal("pull reported a stopping executor")
 	}
 
-	if got := r.committed[fragSender{Index: 7}]; got != live {
-		t.Errorf("after the dead attempt's pull failed, task 7 is committed as %+v, want the live attempt %+v", got, live)
+	if got := r.committed[fragSender{Index: 8}]; got != skip {
+		t.Errorf("task 8 is committed as %+v, want %+v", got, skip)
 	}
 	if _, ok := r.committed[fragSender{Index: 9}]; ok {
 		t.Error("task 9 is still committed although its chunk is gone")
 	}
-	for _, want := range []taskRef{{Index: 7, Attempt: 0}, {Index: 9, Attempt: 0}} {
-		select {
-		case ev := <-events:
-			if f, ok := ev.(evPullFailed); !ok || f.ref.Index != want.Index || f.ref.Attempt != want.Attempt {
-				t.Errorf("event %+v, want evPullFailed for task %d attempt %d", ev, want.Index, want.Attempt)
-			}
-		default:
-			t.Errorf("the failed pull of task %d was not reported", want.Index)
+	select {
+	case ev := <-events:
+		if f, ok := ev.(evPullFailed); !ok || f.ref.Index != 9 || f.ref.Attempt != 0 {
+			t.Errorf("event %+v, want evPullFailed for task 9 attempt 0", ev)
 		}
+	default:
+		t.Error("the failed pull of task 9 was not reported")
+	}
+	select {
+	case ev := <-events:
+		t.Errorf("unexpected event %+v: only task 9's pull failed", ev)
+	default:
 	}
 	var got []string
 	for _, f := range r.staged {
@@ -423,10 +406,10 @@ func TestReceiverPull(t *testing.T) {
 			t.Errorf("staged frame head %+v does not match the receiver and its commit", f)
 		}
 	}
-	if want := []string{"7.1:parked", "8.0:skipped"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"8.0:skipped"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("staged %v, want %v", got, want)
 	}
-	if f, s := met.BytesFetched.Load(), met.Counter(metrics.NameCASBytesServed).Load(); f != int64(len(parked)) || s != int64(len(skipped)) {
-		t.Errorf("bytes_fetched = %d, cas_bytes_served = %d; want the parked block's %d and the chunk's %d", f, s, len(parked), len(skipped))
+	if f, s := met.BytesFetched.Load(), met.Counter(metrics.NameCASBytesServed).Load(); f != 0 || s != int64(len(skipped)) {
+		t.Errorf("bytes_fetched = %d, cas_bytes_served = %d; want 0 and the chunk's %d", f, s, len(skipped))
 	}
 }

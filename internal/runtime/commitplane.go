@@ -295,7 +295,7 @@ func (jm *JobManager) applyTaskSkips(j *jobRun, s *stageRun) {
 			for idx, exID := range s.recvExecs {
 				if ex := j.execs[exID]; ex != nil && idx < len(chunks) {
 					ex.Commit(s.ps.ID, s.gen, idx, msgCommit{
-						Frag: fi, Index: ti, Attempt: 0, Exec: "", Chunk: chunks[idx],
+						Frag: fi, Index: ti, Attempt: 0, Chunk: chunks[idx],
 					})
 				}
 			}

@@ -65,12 +65,6 @@ type Config struct {
 	// scheduling (§3.2.7).
 	DisableCache bool
 
-	// PullBoundaries replaces the push path with pull-based boundary
-	// transfers (ablation only: receivers fetch transient task outputs
-	// from the transient executors' local stores, exposing them to
-	// evictions the way Spark's shuffle files are).
-	PullBoundaries bool
-
 	// MaxTaskFailures aborts the job once a single task has failed this
 	// many times (default 50). Chaos tests tighten it to prove the abort
 	// path; pathological schedules loosen it.

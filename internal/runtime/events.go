@@ -120,8 +120,8 @@ type evTaskFailed struct {
 	Fatal bool
 }
 
-// evPullFailed reports that a receiver could not pull a committed sender
-// output (pull-boundary ablation): the sender must be relaunched.
+// evPullFailed reports that a receiver could not pull a skipped task's
+// chunk from the commit store: the skip is reverted and the task runs.
 type evPullFailed struct{ ref taskRef }
 
 // evReservedTaskDone reports a finalized reserved task whose output

@@ -43,16 +43,6 @@ func TestCacheDisabledStillCorrect(t *testing.T) {
 	runWordCount(t, cl, Config{DisableCache: true})
 }
 
-func TestPullBoundariesStillCorrect(t *testing.T) {
-	for _, rate := range []trace.Rate{trace.RateNone, trace.RateMedium} {
-		cl := newTestCluster(t, 4, 2, rate)
-		res := runWordCount(t, cl, Config{PullBoundaries: true})
-		if rate == trace.RateNone && res.Metrics.BytesPushed != 0 {
-			t.Errorf("pull mode pushed %d bytes", res.Metrics.BytesPushed)
-		}
-	}
-}
-
 func TestPartialAggregationReducesPushedBytes(t *testing.T) {
 	// With heavy key duplication, partial aggregation must shrink the
 	// boundary traffic substantially.

@@ -461,9 +461,8 @@ func TestIncrementalDeltaRerunUnderFaults(t *testing.T) {
 
 // TestIncrementalCombinedEncodingReach pins which content-addressable tasks
 // take the combined encoding. A global combine (the shape of MLR's gradient
-// sum) and a pull-boundaries run under a store take it; a combine without
-// an accumulator coder keeps raw sections, as does any fragment the
-// combiner cannot apply to.
+// sum) takes it; a combine without an accumulator coder keeps raw
+// sections, as does any fragment the combiner cannot apply to.
 func TestIncrementalCombinedEncodingReach(t *testing.T) {
 	const parts, recsPerPart = 8, 300
 	kv := data.KVCoder{K: data.StringCoder, V: data.Int64Coder}
@@ -504,21 +503,6 @@ func TestIncrementalCombinedEncodingReach(t *testing.T) {
 		check(res)
 		if n := res.Metrics.Named[metrics.NameTasksSkipped]; n != parts {
 			t.Errorf("tasks_skipped = %d, want all %d", n, parts)
-		}
-	})
-
-	t.Run("pull-boundaries", func(t *testing.T) {
-		fetched := func(store *storage.CommitStore) int64 {
-			pipe, expect := buildFPWordCount(parts, recsPerPart, 0, 0, "")
-			res := runIncrementalOn(t, newTestCluster(t, 4, 2, trace.RateNone), pipe,
-				Config{Commits: store, PullBoundaries: true})
-			checkWordCount(t, res, expect)
-			return res.Metrics.BytesFetched
-		}
-		raw, combined := fetched(nil), fetched(storage.NewCommitStore())
-		if combined*2 > raw {
-			t.Errorf("receivers pulled %d bytes of parked output under a store and %d without: want the combined encoding, under half",
-				combined, raw)
 		}
 	})
 

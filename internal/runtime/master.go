@@ -528,7 +528,7 @@ func (jm *JobManager) commitTask(j *jobRun, s *stageRun, frag int, c senderRef, 
 		if ex == nil {
 			continue
 		}
-		msg := msgCommit{Frag: frag, Index: c.Index, Attempt: c.Attempt, Exec: t.exec}
+		msg := msgCommit{Frag: frag, Index: c.Index, Attempt: c.Attempt}
 		stage, gen := s.ps.ID, s.gen
 		var delay time.Duration
 		dups := 0
@@ -733,7 +733,6 @@ func (jm *JobManager) startStage(j *jobRun, s *stageRun) bool {
 				Stage: ps.ID, Gen: s.gen, Index: i,
 				Expected:  expected,
 				InputLocs: s.inputLocs,
-				PullMode:  j.cfg.PullBoundaries,
 			})
 		}
 	} else {

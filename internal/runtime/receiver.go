@@ -11,7 +11,6 @@ import (
 	"pado/internal/exec"
 	"pado/internal/metrics"
 	"pado/internal/obs"
-	"pado/internal/storage"
 )
 
 // recvSpec describes one reserved task (receiver).
@@ -25,23 +24,18 @@ type recvSpec struct {
 	Expected int
 	// InputLocs locates parent stage outputs for cross-stage inputs.
 	InputLocs map[int]stageLoc
-	// PullMode makes the receiver pull committed sender outputs from
-	// transient local stores (ablation) instead of accepting pushes.
-	PullMode bool
 }
 
 // Receiver messages.
 type msgFrame struct{ f *pushFrame }
 
-// msgCommit is a task-output commit forwarded by the master. Exec names
-// the sender's executor, where pull mode parked the task's sections.
-// Chunk, when non-empty, marks a skipped task (commitplane.go): no sender
-// ran, Exec is empty, and the sections are that chunk of the commit store.
+// msgCommit is a task-output commit forwarded by the master. Chunk, when
+// non-empty, marks a skipped task (commitplane.go): no sender ran, and the
+// sections are that chunk of the commit store.
 type msgCommit struct {
 	Frag    int
 	Index   int
 	Attempt int
-	Exec    string
 	Chunk   string
 }
 type msgCancel struct{}
@@ -158,7 +152,7 @@ func (r *receiver) run() {
 				if old, ok := r.committed[key]; !ok || msg.Attempt > old.Attempt {
 					r.committed[key] = msg
 				}
-				if msg.Chunk != "" || r.spec.PullMode {
+				if msg.Chunk != "" {
 					pulls = append(pulls, msg)
 				}
 			case msgCancel:
@@ -180,46 +174,25 @@ func (r *receiver) run() {
 	}
 }
 
-// pull is the receiver's one way to fetch what was not pushed to it: for
-// every commit it gets the block the commit names — the chunk of a skipped
-// task, all of those in batched rounds (fetchChunks), or the output a
-// pull-mode sender parked in its local store — reads the sections, and
-// stages them under the frame head the commit implies, exactly as if the
-// sender had pushed (same Cover bookkeeping, so drainStaged and the
-// exactly-once dedup cannot tell). A failed pull drops that commit and
-// reports evPullFailed — the block is gone with its evicted container, or
-// the skip must be reverted — and the master relaunches the sender; the
-// rest of the batch is unaffected. Returns false when the executor is
-// stopping.
+// pull is the receiver's one way to fetch what was not pushed to it: the
+// chunks of skipped tasks, all of a batch's in batched rounds
+// (fetchChunks). It reads each chunk's sections and stages them under the
+// frame head the commit implies, exactly as if the sender had pushed (same
+// Cover bookkeeping, so drainStaged and the exactly-once dedup cannot
+// tell). A failed pull drops that commit and reports evPullFailed — the
+// chunk is gone, so the skip must be reverted — and the master relaunches
+// the task; the rest of the batch is unaffected. Returns false when the
+// executor is stopping.
 func (r *receiver) pull(commits []msgCommit) bool {
-	payloads := make([][]byte, len(commits))
-	errs := make([]error, len(commits))
+	chunks := make([]string, len(commits))
 	evs := make([]obs.Event, len(commits))
-	var chunks []string
-	var chunkAt, parked []int // commits[chunkAt[k]] names chunks[k]; commits[parked[k]] a parked block
 	for i, c := range commits {
+		chunks[i] = c.Chunk
 		evs[i] = obs.Event{Kind: obs.FetchStarted, Stage: r.spec.Stage, Frag: c.Frag,
-			Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: "pull"}
-		if c.Chunk != "" {
-			evs[i].Note = "cas"
-			chunks, chunkAt = append(chunks, c.Chunk), append(chunkAt, i)
-		} else {
-			parked = append(parked, i)
-		}
+			Task: c.Index, Attempt: c.Attempt, Exec: r.ex.id, Note: "cas"}
 		r.ex.tr.Emit(evs[i])
 	}
-	got, gotErrs := fetchChunks(r.ex.cas, r.ex.met, chunks)
-	for k, i := range chunkAt {
-		payloads[i], errs[i] = got[k], gotErrs[k]
-	}
-	_ = storage.Fanout(len(parked), storage.MaxFetchWorkers, func(k int) error {
-		i, c := parked[k], commits[parked[k]]
-		id := taskBlockID(r.ex.job, r.spec.Stage, r.spec.Gen, c.Frag, c.Index, c.Attempt, r.spec.Index)
-		if payloads[i], errs[i] = storage.FetchBlock(r.ex.dp, "fetch", c.Exec, id); errs[i] == nil {
-			r.ex.met.BytesFetched.Add(int64(len(payloads[i])))
-		}
-		return nil
-	})
+	payloads, errs := fetchChunks(r.ex.cas, r.ex.met, chunks)
 	for i, c := range commits {
 		if errs[i] == nil {
 			evs[i].Kind, evs[i].Bytes = obs.FetchDone, int64(len(payloads[i]))
@@ -233,7 +206,7 @@ func (r *receiver) pull(commits []msgCommit) bool {
 		if r.ex.stopped() {
 			return false
 		}
-		// Another receiver's failed pull may already have had the sender
+		// Another receiver's failed pull may already have had the task
 		// relaunched, and the batch may hold the new attempt's commit too:
 		// only this commit is dropped.
 		if key := (fragSender{Frag: c.Frag, Index: c.Index}); r.committed[key] == c {

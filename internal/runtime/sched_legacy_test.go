@@ -96,7 +96,6 @@ func (jm *JobManager) legacyStartStage(j *jobRun, s *stageRun) {
 				Stage: ps.ID, Gen: s.gen, Index: i,
 				Expected:  expected,
 				InputLocs: locs,
-				PullMode:  j.cfg.PullBoundaries,
 			})
 		}
 	} else {

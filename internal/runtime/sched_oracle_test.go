@@ -57,8 +57,9 @@ type oracleScript struct {
 	// when the global launch counter hits this value. 0 disables.
 	reservedFailAt int
 	// pullFail injects one evPullFailed for the first gen-1 commit of
-	// fragment task (0,0) seen by receiver 0, like a pull-mode receiver
-	// losing the sender's stored output.
+	// fragment task (0,0) seen by receiver 0, as a receiver whose pull of
+	// a skipped task's chunk failed reports it; the master un-commits and
+	// relaunches the task the same way whatever the commit was.
 	pullFail bool
 
 	transients, reserveds, slots int
@@ -178,9 +179,9 @@ func (x *oracleExec) Launch(spec taskSpec) {
 
 func (x *oracleExec) StartReceiver(spec recvSpec) {
 	d, j := x.d, x.h.j
-	d.logf("R j%d s%d g%d i%d @%s exp=%d pull=%v locs=%s",
+	d.logf("R j%d s%d g%d i%d @%s exp=%d locs=%s",
 		j.id, spec.Stage, spec.Gen, spec.Index, x.id,
-		spec.Expected, spec.PullMode, fmtLocs(spec.InputLocs))
+		spec.Expected, fmtLocs(spec.InputLocs))
 	d.queue = append(d.queue, evReceiverReady{Job: j.id, Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index})
 	d.recvs[recvID{j.id, spec.Stage, spec.Gen, spec.Index}] = &oracleRecv{
 		spec: spec, exec: x.id, processed: make(map[[2]int]bool),
@@ -199,8 +200,8 @@ func (x *oracleExec) CancelReceiver(stage, gen, idx int) {
 
 func (x *oracleExec) Commit(stage, gen, recvIdx int, c msgCommit) {
 	d, j := x.d, x.h.j
-	d.logf("M j%d s%d g%d r%d f%d i%d a%d from=%s",
-		j.id, stage, gen, recvIdx, c.Frag, c.Index, c.Attempt, c.Exec)
+	d.logf("M j%d s%d g%d r%d f%d i%d a%d",
+		j.id, stage, gen, recvIdx, c.Frag, c.Index, c.Attempt)
 	r := d.recvs[recvID{j.id, stage, gen, recvIdx}]
 	if r == nil {
 		return
@@ -208,7 +209,7 @@ func (x *oracleExec) Commit(stage, gen, recvIdx int, c msgCommit) {
 	if d.pullsLeft > 0 && gen == 1 && recvIdx == 0 && c.Frag == 0 && c.Index == 0 {
 		// The receiver's pull of this committed output fails: drop the
 		// commit (production deletes it from the committed set) and ask
-		// the master to relaunch the sender. The relaunched attempt's
+		// the master to relaunch the task. The relaunched attempt's
 		// commit lands below and is counted then.
 		d.pullsLeft--
 		d.queue = append(d.queue, evPullFailed{ref: taskRef{

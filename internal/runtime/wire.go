@@ -107,11 +107,11 @@ func readPushFrame(d *data.Decoder) (*pushFrame, error) {
 }
 
 // writeSections / readSections are the one codec of a section list: the
-// tail of a push frame, a task commit's chunk and a pull-mode task's parked
-// output are the same bytes. The latter two deliberately stop there: a
-// pushFrame's head is job, generation and attempt — run-specific identity
-// that would pollute content addresses and defeat cross-run dedup — so a
-// receiver that pulls sections rebuilds the head from the commit message.
+// tail of a push frame and a task commit's chunk are the same bytes. The
+// chunk deliberately stops there: a pushFrame's head is job, generation
+// and attempt — run-specific identity that would pollute content addresses
+// and defeat cross-run dedup — so a receiver that pulls sections rebuilds
+// the head from the commit message.
 func writeSections(e *data.Encoder, secs []pushSection) error {
 	e.Uvarint(uint64(len(secs)))
 	for _, s := range secs {
@@ -295,10 +295,4 @@ func readHeartbeat(d *data.Decoder) (*heartbeatFrame, error) {
 // never collide with stale blocks.
 func stageBlockID(job, stage, gen, part int) string {
 	return fmt.Sprintf("so/%d/%d/%d/%d", job, stage, gen, part)
-}
-
-// taskBlockID names a transient task's locally stored boundary output in
-// pull-boundary (ablation) mode, scoped by job like stageBlockID.
-func taskBlockID(job, stage, gen, frag, task, attempt, recv int) string {
-	return fmt.Sprintf("tb/%d/%d/%d/%d/%d/%d/%d", job, stage, gen, frag, task, attempt, recv)
 }

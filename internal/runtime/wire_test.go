@@ -89,9 +89,8 @@ func TestResultFrameRoundTrip(t *testing.T) {
 }
 
 // TestSectionsCodecRoundTrip pins the one section-list codec: a task
-// commit's chunk and a pull-mode task's parked block decode back to the
-// sections, and are byte for byte the tail of the push frame that carries
-// the same sections.
+// commit's chunk decodes back to the sections, and is byte for byte the
+// tail of the push frame that carries the same sections.
 func TestSectionsCodecRoundTrip(t *testing.T) {
 	secs := []pushSection{
 		{Tag: "", Aggregated: false, Payload: []byte("hello")},
@@ -128,14 +127,8 @@ func TestBlockIDs(t *testing.T) {
 	if stageBlockID(1, 1, 2, 3) == stageBlockID(1, 1, 3, 3) {
 		t.Error("generation not encoded in block id")
 	}
-	if taskBlockID(1, 1, 1, 0, 2, 0, 3) == taskBlockID(1, 1, 1, 0, 2, 1, 3) {
-		t.Error("attempt not encoded in task block id")
-	}
 	if stageBlockID(1, 2, 3, 4) == stageBlockID(2, 2, 3, 4) {
 		t.Error("job not encoded in stage block id")
-	}
-	if taskBlockID(1, 1, 1, 0, 2, 0, 3) == taskBlockID(2, 1, 1, 0, 2, 0, 3) {
-		t.Error("job not encoded in task block id")
 	}
 }
 
