@@ -175,6 +175,7 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 		Ext:   make(map[dag.VertexID]map[string][]data.Record),
 		Sides: make(map[dag.VertexID]map[string][]data.Record),
 		Read:  make(map[dag.VertexID]func() (dataflow.Iterator, error)),
+		Accs:  make(map[dag.VertexID][]data.Record),
 	}
 	for _, opID := range st.Ops {
 		if rd, ok := g.Vertex(opID).Op.(*dataflow.ReadOp); ok {
@@ -213,16 +214,11 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 		ckBlocks = append(ckBlocks, id)
 	}
 	for _, bs := range st.OutBuckets {
-		groups := make([][]data.Record, bs.N)
-		for _, r := range root {
-			p := data.Partition(r.Key, bs.N)
-			groups[p] = append(groups[p], r)
+		payloads, err := bucketPayloads(g, bs, coder, root)
+		if err != nil {
+			return err
 		}
-		for b := range groups {
-			payload, err := data.EncodeAll(coder, groups[b])
-			if err != nil {
-				return err
-			}
+		for b, payload := range payloads {
 			id := bucketID(st.ID, spec.Index, bs.Consumer, b)
 			env.store.Put(id, payload)
 			ckBlocks = append(ckBlocks, id)
@@ -252,6 +248,37 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 		}()
 	}
 	return nil
+}
+
+// bucketPayloads encodes a map task's output as the bs.N shuffle buckets of
+// one consumer. A consumer that takes folded input (exec.Combiner) gets
+// Spark's map-side combine: one accumulator table per bucket, encoded with
+// the combine's accumulator coder, which the reduce side merges. Any other
+// consumer gets the raw records, hash-partitioned.
+func bucketPayloads(g *dag.Graph, bs BucketSpec, coder data.Coder, root []data.Record) ([][]byte, error) {
+	if comb := exec.Combiner(g, bs.Consumer); comb != nil {
+		return exec.EncodeAccs(comb.AccCoder, exec.FoldPartitions(comb, bs.N, root))
+	}
+	// Size each bucket for an even split up front; skewed buckets still
+	// grow past the hint.
+	hint := (len(root) + bs.N - 1) / bs.N
+	groups := make([][]data.Record, bs.N)
+	for _, r := range root {
+		p := data.Partition(r.Key, bs.N)
+		if groups[p] == nil {
+			groups[p] = make([]data.Record, 0, hint)
+		}
+		groups[p] = append(groups[p], r)
+	}
+	payloads := make([][]byte, bs.N)
+	for b := range groups {
+		payload, err := data.EncodeAll(coder, groups[b])
+		if err != nil {
+			return nil, err
+		}
+		payloads[b] = payload
+	}
+	return payloads, nil
 }
 
 func (env taskEnv) openRead(stage int, opID dag.VertexID, rd *dataflow.ReadOp, part int) (dataflow.Iterator, error) {
@@ -308,6 +335,15 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 	coder, err := dataflow.OutputCoder(env.plan.Graph.Vertex(si.FromVertex))
 	if err != nil {
 		return err
+	}
+	// Buckets for a combine that takes folded input hold the map tasks'
+	// accumulators (bucketPayloads).
+	var comb *dataflow.CombineOp
+	if si.Dep == dag.ManyToMany {
+		comb = exec.Combiner(env.plan.Graph, si.ToOp)
+	}
+	if comb != nil {
+		coder = comb.AccCoder
 	}
 
 	fetchOne := func(part int, id string) ([]data.Record, error) {
@@ -374,6 +410,14 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 		}
 		return nil
 	}
+	if comb != nil {
+		if prev := in.Accs[si.ToOp]; prev == nil {
+			in.Accs[si.ToOp] = recs
+		} else {
+			in.Accs[si.ToOp] = append(prev, recs...)
+		}
+		return nil
+	}
 	if m := in.Ext[si.ToOp]; m == nil {
 		in.Ext[si.ToOp] = map[string][]data.Record{si.Tag: recs}
 	} else {
@@ -409,7 +453,11 @@ func fetchAll(n int, fetch func(p int) ([]data.Record, error)) ([]data.Record, e
 	if err != nil {
 		return nil, err
 	}
-	var out []data.Record
+	total := 0
+	for _, recs := range parts {
+		total += len(recs)
+	}
+	out := make([]data.Record, 0, total)
 	for _, recs := range parts {
 		out = append(out, recs...)
 	}

@@ -1,0 +1,142 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"pado/internal/dag"
+	"pado/internal/data"
+	"pado/internal/dataflow"
+)
+
+// appendFn is an append-style group combiner, like GroupFn and ALS's
+// entry lists: its output order is the order accumulators were merged in.
+type appendFn struct{}
+
+func (appendFn) CreateAccumulator() any { return []float64(nil) }
+func (appendFn) AddInput(acc any, r data.Record) any {
+	return append(acc.([]float64), r.Value.(float64))
+}
+func (appendFn) MergeAccumulators(a, b any) any { return append(a.([]float64), b.([]float64)...) }
+func (appendFn) ExtractOutput(key, acc any) data.Record {
+	return data.Record{Key: key, Value: acc.([]float64)}
+}
+
+// TestCombineMergesFoldedCovers checks the equivalence the map-side combine
+// rests on. Cut a partition's records into random covers — contiguous runs,
+// as map tasks are — and fold each cover through FoldPartitions, EncodeAccs
+// and the accumulator codec, the path a shuffle bucket takes. Feeding the
+// reduce-side combine those accumulators, in cover order, must Extract the
+// same records as feeding it the raw records, for a sum and for an
+// append-style group; and Throttle is charged once per accumulator record.
+func TestCombineMergesFoldedCovers(t *testing.T) {
+	const nParts = 3
+	cases := []struct {
+		name    string
+		fn      dataflow.CombineFn
+		in, acc data.Coder
+		val     func(rng *rand.Rand) any
+	}{
+		{"sum", dataflow.SumInt64Fn{}, kv, kv, func(rng *rand.Rand) any { return rng.Int63n(100) - 50 }},
+		{"append", appendFn{}, data.KVCoder{K: data.StringCoder, V: data.Float64Coder},
+			data.KVCoder{K: data.StringCoder, V: data.Float64sCoder},
+			func(rng *rand.Rand) any { return rng.Float64() }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := dataflow.NewPipeline()
+			src := &dataflow.SliceSource{Parts: [][]data.Record{{}}}
+			comb := p.Read("read", src, c.in).CombinePerKey("combine", c.fn, c.acc,
+				dataflow.WithAccumulatorCoder(c.acc), dataflow.WithCombineCost(3))
+			g := p.Graph()
+			id := comb.VertexID()
+			op := Combiner(g, id)
+			if op == nil {
+				t.Fatal("a keyed combine with an accumulator coder must take folded input")
+			}
+
+			run := func(in Inputs) ([]data.Record, int) {
+				charged := 0
+				in.Throttle = func(n int) error { charged += n; return nil }
+				outs, err := RunFragment(g, []dag.VertexID{id}, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return outs[id], charged
+			}
+
+			prop := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				recs := make([]data.Record, rng.Intn(60))
+				for i := range recs {
+					recs[i] = data.KV(fmt.Sprintf("k%d", rng.Intn(12)), c.val(rng))
+				}
+				raw := make([][]data.Record, nParts)
+				for _, r := range recs {
+					p := data.Partition(r.Key, nParts)
+					raw[p] = append(raw[p], r)
+				}
+				accs := make([][]data.Record, nParts)
+				for lo := 0; lo < len(recs); {
+					hi := lo + 1 + rng.Intn(len(recs)-lo)
+					payloads, err := EncodeAccs(op.AccCoder, FoldPartitions(op, nParts, recs[lo:hi]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for p, b := range payloads {
+						dec, err := data.DecodeAll(op.AccCoder, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						accs[p] = append(accs[p], dec...)
+					}
+					lo = hi
+				}
+				for p := 0; p < nParts; p++ {
+					want, _ := run(Inputs{Ext: map[dag.VertexID]map[string][]data.Record{id: {"": raw[p]}}})
+					got, charged := run(Inputs{Accs: map[dag.VertexID][]data.Record{id: accs[p]}})
+					if !reflect.DeepEqual(got, want) {
+						t.Logf("partition %d: folded %v, raw %v", p, got, want)
+						return false
+					}
+					if charged != 3*len(accs[p]) {
+						t.Logf("partition %d: charged %d for %d accumulators at cost 3", p, charged, len(accs[p]))
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestCombinerRule pins which combines take folded input: only one with an
+// accumulator coder whose one input is a shuffled main input.
+func TestCombinerRule(t *testing.T) {
+	p := dataflow.NewPipeline()
+	src := &dataflow.SliceSource{Parts: [][]data.Record{{}}}
+	read := p.Read("read", src, kv)
+	keyed := read.CombinePerKey("keyed", dataflow.SumInt64Fn{}, kv, dataflow.WithAccumulatorCoder(kv))
+	global := read.CombineGlobally("global", dataflow.SumInt64Fn{}, kv, dataflow.WithAccumulatorCoder(kv))
+	noCoder := read.CombinePerKey("no-coder", dataflow.SumInt64Fn{}, kv)
+	g := p.Graph()
+	for _, c := range []struct {
+		id   dag.VertexID
+		want bool
+	}{
+		{keyed.VertexID(), true},
+		{global.VertexID(), true},
+		{noCoder.VertexID(), false},
+		{read.VertexID(), false},
+	} {
+		if got := Combiner(g, c.id) != nil; got != c.want {
+			t.Errorf("%s: Combiner = %v, want %v", g.Vertex(c.id).Name, got, c.want)
+		}
+	}
+}

@@ -26,10 +26,14 @@ type Inputs struct {
 	// Created maps a CreateOp vertex to its records (the runtime passes
 	// the op's captured records).
 	Created map[dag.VertexID][]data.Record
+	// Accs maps a CombineOp to (key, accumulator) records that producer
+	// tasks folded before the boundary (see Combiner); the combine merges
+	// them into its table alongside any raw main input.
+	Accs map[dag.VertexID][]data.Record
 	// Throttle, when set, is charged once per record an operator
-	// consumes, modeling per-executor CPU capacity. It blocks until
-	// capacity is available and returns an error when the executor is
-	// shutting down.
+	// consumes (an accumulator counts as one record), modeling
+	// per-executor CPU capacity. It blocks until capacity is available
+	// and returns an error when the executor is shutting down.
 	Throttle func(records int) error
 }
 
@@ -68,7 +72,7 @@ func RunFragment(g *dag.Graph, ops []dag.VertexID, in Inputs) (map[dag.VertexID]
 		}
 
 		if in.Throttle != nil {
-			n := 0
+			n := len(in.Accs[id])
 			for _, recs := range tagged {
 				n += len(recs)
 			}
@@ -147,9 +151,12 @@ func runOp(v *dag.Vertex, tagged map[string][]data.Record, in Inputs) ([]data.Re
 
 	case *dataflow.CombineOp:
 		// Combines normally run on the receiving side; interpreting one
-		// here (the Spark-like reduce path) folds the materialized
-		// partition directly.
+		// here (the Spark-like reduce path) merges the map-side
+		// accumulators and folds the materialized partition directly.
 		t := NewAccTable(op.Fn, op.Global)
+		for _, a := range in.Accs[v.ID] {
+			t.MergeAcc(a.Key, a.Value)
+		}
 		for _, r := range tagged[""] {
 			t.AddRecord(r)
 		}

@@ -22,7 +22,9 @@ import (
 // is a leak check too.
 //
 // On one P, two same-seed runs of a cell without evictions must agree on
-// the output digest, on every byte counter, and on the JCT within 1 %.
+// the output digest, on every byte counter, and on the JCT within 1 %. The
+// cells are MLR on every engine, and MR on both Spark-like engines, whose
+// shuffle carries map-side combined accumulators.
 // Spark-checkpoint does. Spark does but for its JCT, which is logged. Pado
 // does not yet: its partial aggregation folds together the task outputs
 // that happen to be waiting when a push leaves, and goroutine order decides
@@ -35,11 +37,24 @@ import (
 // cannot fake: hence the asynctimerchan line above.
 func TestBubbleSameSeedRunsAgree(t *testing.T) {
 	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	type cell struct {
+		name string
+		eng  Engine
+		w    Workload
+	}
+	var cells []cell
 	for _, eng := range AllEngines {
-		t.Run(eng.String(), func(t *testing.T) {
+		cells = append(cells, cell{eng.String(), eng, WorkloadMLR})
+	}
+	for _, eng := range []Engine{EngineSpark, EngineSparkCheckpoint} {
+		cells = append(cells, cell{eng.String() + "-MR", eng, WorkloadMR})
+	}
+	for _, c := range cells {
+		eng := c.eng
+		t.Run(c.name, func(t *testing.T) {
 			p := tinyParams()
 			p.Engine = eng
-			p.Workload = WorkloadMLR
+			p.Workload = c.w
 			p.Rate = trace.RateNone
 			var runs [2]Outcome
 			var errs [2]error
@@ -54,8 +69,8 @@ func TestBubbleSameSeedRunsAgree(t *testing.T) {
 			}
 			a, b := runs[0], runs[1]
 			am, bm := a.Metrics, b.Metrics
-			t.Logf("jct %.4f / %.4f paper-min, pushed %d / %d B, digest %.8s / %.8s",
-				a.JCTMinutes, b.JCTMinutes, am.BytesPushed, bm.BytesPushed, a.Digest, b.Digest)
+			t.Logf("jct %.4f / %.4f paper-min, pushed %d / %d B, fetched %d / %d B, digest %.8s / %.8s",
+				a.JCTMinutes, b.JCTMinutes, am.BytesPushed, bm.BytesPushed, am.BytesFetched, bm.BytesFetched, a.Digest, b.Digest)
 
 			var diffs []string
 			if a.Digest != b.Digest {

@@ -33,33 +33,24 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 		return
 	}
 
-	// The combiner applies when the stage root is a combine with an
-	// accumulator coder and the fragment has exactly one boundary carrying
-	// the combine's main input. A content-addressable task always takes it,
+	// The combiner applies when the stage root is a combine that takes
+	// folded input (exec.Combiner); its one input edge is then the
+	// fragment's one boundary. A content-addressable task always takes it,
 	// alone: its sections become a "task/" commit, which must be a pure
 	// function of the task's input, and a buffer merges whichever covers
 	// happened to meet (DESIGN.md §14). Every other task joins the buffer
 	// unless the configuration turned the buffer off.
-	rootOp, _ := g.Vertex(ps.Root).Op.(*dataflow.CombineOp)
-	combinable := rootOp != nil && rootOp.AccCoder != nil &&
-		len(frag.Boundaries) == 1 && frag.Boundaries[0].Tag == ""
+	comb := exec.Combiner(g, ps.Root)
 	addressable := spec.TaskKey != "" && ex.cas != nil
 	buffered := !addressable && !ex.cfg.DisablePartialAggregation
 
-	if combinable && (addressable || buffered) {
-		b := frag.Boundaries[0]
-		perRecv := make([]*exec.AccTable, nRecv)
-		for i := range perRecv {
-			perRecv[i] = exec.NewAccTable(rootOp.Fn, rootOp.Global)
-		}
-		for _, r := range outs[b.From] {
-			perRecv[boundaryPartition(b.Dep, r, spec.Index, nRecv)].AddRecord(r)
-		}
+	if comb != nil && (addressable || buffered) {
+		perRecv := exec.FoldPartitions(comb, nRecv, outs[frag.Boundaries[0].From])
 		if buffered {
-			ex.aggBufferFor(spec, rootOp.AccCoder).deposit(cover[0], perRecv)
+			ex.aggBufferFor(spec, comb.AccCoder).deposit(cover[0], perRecv)
 			return
 		}
-		sections, err := accSections(rootOp.AccCoder, perRecv)
+		sections, err := accSections(comb.AccCoder, perRecv)
 		if err != nil {
 			ex.failCover(spec, cover, err, true)
 			return

@@ -718,16 +718,15 @@ func (b *aggBuffer) flushLocked() {
 	b.ex.pushFrames(b.spec, cover, sections)
 }
 
-// accSections encodes per-receiver accumulator tables as one aggregated
-// section each, in the tables' insertion order: for one task's tables the
-// payload is a pure function of the task's input.
+// accSections wraps per-receiver accumulator tables, encoded by
+// exec.EncodeAccs, as one aggregated section each.
 func accSections(accCoder data.Coder, tables []*exec.AccTable) ([][]pushSection, error) {
-	sections := make([][]pushSection, len(tables))
-	for i, t := range tables {
-		payload, err := data.EncodeAll(accCoder, t.AccRecords())
-		if err != nil {
-			return nil, err
-		}
+	payloads, err := exec.EncodeAccs(accCoder, tables)
+	if err != nil {
+		return nil, err
+	}
+	sections := make([][]pushSection, len(payloads))
+	for i, payload := range payloads {
 		sections[i] = []pushSection{{Aggregated: true, Payload: payload}}
 	}
 	return sections, nil
