@@ -48,7 +48,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	jobs := flag.Int("jobs", 0, "run N concurrent jobs on one shared cluster (multi-job manager)")
 	mix := flag.String("mix", "mr,mr,mlr",
-		"multi-job: comma-separated workload[:weight] cycle assigned round-robin (e.g. mlr:8,mr,mr)")
+		"multi-job: comma-separated workload cycle assigned round-robin (e.g. mlr,mr,mr)")
 	stagger := flag.Float64("stagger", 0, "multi-job: paper minutes between successive submissions")
 	requireSpeedup := flag.Float64("require-speedup", 0,
 		"multi-job: also run the serial one-job-per-cluster baseline and fail unless makespan speedup >= this")
@@ -210,21 +210,12 @@ func runJobs(base harness.Params, n int, mix string, stagger, requireSpeedup flo
 	p.Engine = harness.EnginePado
 	cycle := strings.Split(mix, ",")
 	for i := 0; i < n; i++ {
-		name := strings.TrimSpace(cycle[i%len(cycle)])
-		weight := 0.0
-		if at := strings.IndexByte(name, ':'); at >= 0 {
-			if _, err := fmt.Sscanf(name[at+1:], "%g", &weight); err != nil || weight <= 0 {
-				fatalf("bad weight in -mix entry %q", name)
-			}
-			name = name[:at]
-		}
-		w, err := harness.ParseWorkload(name)
+		w, err := harness.ParseWorkload(strings.TrimSpace(cycle[i%len(cycle)]))
 		if err != nil {
 			fatalf("-mix: %v", err)
 		}
 		p.Jobs = append(p.Jobs, harness.JobSpec{
 			Workload:       w,
-			Weight:         weight,
 			StaggerMinutes: float64(i) * stagger,
 		})
 	}

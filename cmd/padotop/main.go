@@ -115,8 +115,8 @@ func render(w io.Writer, addr string, st *runtime.ManagerState) {
 	fmt.Fprintf(w, "\n\n")
 
 	fmt.Fprintf(w, "JOBS (%d running, %d queued)\n", len(st.Jobs), len(st.Queue))
-	fmt.Fprintf(w, "  %3s  %-14s %4s  %7s  %-18s %12s  %9s\n",
-		"ID", "NAME", "WT", "STAGES", "TASKS w/r/c/C", "P95 COMPUTE", "RUNNING")
+	fmt.Fprintf(w, "  %3s  %-14s %7s  %-18s %12s  %9s\n",
+		"ID", "NAME", "STAGES", "TASKS w/r/c/C", "P95 COMPUTE", "RUNNING")
 	for _, j := range st.Jobs {
 		done := 0
 		for _, stg := range j.Stages {
@@ -128,14 +128,14 @@ func render(w io.Writer, addr string, st *runtime.ManagerState) {
 		if h, ok := j.Hists["task_compute_ns"]; ok && h.Count > 0 {
 			p95 = fmtNanos(h.QuantileInterp(0.95))
 		}
-		fmt.Fprintf(w, "  %3d  %-14s %4.1f  %3d/%-3d  %-18s %12s  %9s\n",
-			j.ID, clip(j.Name, 14), j.Weight, done, len(j.Stages),
+		fmt.Fprintf(w, "  %3d  %-14s %3d/%-3d  %-18s %12s  %9s\n",
+			j.ID, clip(j.Name, 14), done, len(j.Stages),
 			fmt.Sprintf("%d/%d/%d/%d", j.TasksWaiting, j.TasksRunning, j.TasksComputed, j.TasksCommitted),
 			p95, fmtNanos(int64(j.RunningFor)))
 	}
 	for _, q := range st.Queue {
-		fmt.Fprintf(w, "  %3d  %-14s queued (position %d, priority %d, demand %d)\n",
-			q.ID, clip(q.Name, 14), q.Position, q.Priority, q.Demand)
+		fmt.Fprintf(w, "  %3d  %-14s queued (position %d, demand %d)\n",
+			q.ID, clip(q.Name, 14), q.Position, q.Demand)
 	}
 
 	// Scheduler efficiency: tasks scanned per scheduling round is the

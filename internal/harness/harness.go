@@ -216,8 +216,8 @@ type Params struct {
 	// Jobs, when non-empty, switches the experiment to multi-job mode
 	// (RunJobs): every spec runs concurrently on ONE shared cluster
 	// under one runtime.JobManager, instead of the one-job-per-cluster
-	// single path. Workload and Size above become defaults each spec
-	// may override; Engine must be EnginePado.
+	// single path. Each spec sets its own Workload; Size and the
+	// rest above apply to every spec. Engine must be EnginePado.
 	Jobs []JobSpec
 }
 

@@ -12,20 +12,10 @@ import (
 	"pado/internal/runtime"
 )
 
-// JobSpec describes one job of a multi-job experiment. Zero-valued
-// fields inherit the enclosing Params defaults.
+// JobSpec describes one job of a multi-job experiment; everything else
+// comes from the enclosing Params.
 type JobSpec struct {
 	Workload Workload
-	// Size scales this job's workload volume (0 = Params.Size).
-	Size float64
-	// Weight is the job's fair-scheduling share (0 = 1).
-	Weight float64
-	// Priority orders the manager's admission queue.
-	Priority int
-	// ReservedSlots is the job's admission demand against the cell's
-	// reserved-slot budget (0 = an even share of the budget, so that
-	// every spec of the batch can admit concurrently).
-	ReservedSlots int
 	// StaggerMinutes delays this job's submission by paper minutes
 	// after the experiment starts.
 	StaggerMinutes float64
@@ -40,9 +30,6 @@ func (p Params) jobParams(s JobSpec) Params {
 	q := p
 	q.Engine = EnginePado
 	q.Workload = s.Workload
-	if s.Size > 0 {
-		q.Size = s.Size
-	}
 	return q
 }
 
@@ -135,7 +122,7 @@ func (m MultiOutcome) String() string {
 }
 
 // RunJobs executes p.Jobs concurrently on one shared cluster under a
-// single runtime.JobManager: one admission-controlled, weighted-fair
+// single runtime.JobManager: one admission-controlled, round-robin
 // multi-job master instead of the single path's one-cluster-per-job.
 // Tracing is always on (per-job invariant checks and digests need the
 // merged event stream); chaos plans apply fleet-wide, with per-job
@@ -154,9 +141,9 @@ func RunJobs(p Params) (MultiOutcome, error) {
 	}
 	defer c.stop()
 
-	// Specs without an explicit demand get an even carve of the cell's
-	// reserved-slot budget: left to the manager's default, every job
-	// would demand the whole budget and the batch would serialize.
+	// Every job gets an even carve of the cell's reserved-slot budget:
+	// left to the manager's default, every job would demand the whole
+	// budget and the batch would serialize.
 	share := 0
 	if budget := p.clusterConfig().PlacementEnv().ReservedSlotBudget; budget > 0 {
 		share = max(budget/len(p.Jobs), 1)
@@ -186,15 +173,9 @@ func RunJobs(p Params) (MultiOutcome, error) {
 					return
 				}
 			}
-			demand := spec.ReservedSlots
-			if demand == 0 {
-				demand = share
-			}
 			r.f, r.id, r.err = c.runPado(ctx, p.jobParams(spec), runtime.JobOptions{
 				Name:          spec.name(i),
-				Weight:        spec.Weight,
-				Priority:      spec.Priority,
-				ReservedSlots: demand,
+				ReservedSlots: share,
 				Metrics:       &metrics.Job{},
 			})
 		}(i, spec)

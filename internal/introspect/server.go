@@ -219,8 +219,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 type jobSummary struct {
 	ID             int           `json:"id"`
 	Name           string        `json:"name"`
-	Weight         float64       `json:"weight"`
-	Deficit        float64       `json:"deficit"`
 	RunningFor     time.Duration `json:"running_for_ns"`
 	Finished       bool          `json:"finished"`
 	Stages         int           `json:"stages"`
@@ -232,8 +230,7 @@ type jobSummary struct {
 
 func summarize(j runtime.JobState) jobSummary {
 	sum := jobSummary{
-		ID: j.ID, Name: j.Name, Weight: j.Weight,
-		Deficit: j.Deficit, RunningFor: j.RunningFor, Finished: j.Finished,
+		ID: j.ID, Name: j.Name, RunningFor: j.RunningFor, Finished: j.Finished,
 		Stages:       len(j.Stages),
 		TasksRunning: j.TasksRunning, TasksCommitted: j.TasksCommitted,
 	}

@@ -49,7 +49,7 @@ func testSnapshot() (*runtime.ManagerState, *metrics.Job) {
 		BudgetTotal: 4,
 		BudgetFree:  1,
 		Jobs: []runtime.JobState{{
-			ID: 1, Name: "wordcount", Weight: 2,
+			ID: 1, Name: "wordcount",
 			RunningFor: 5 * time.Second,
 			Stages: []runtime.StageState{
 				{ID: 0, Status: "done", TasksTotal: 4, TasksCommitted: 4},
@@ -58,7 +58,7 @@ func testSnapshot() (*runtime.ManagerState, *metrics.Job) {
 			TasksRunning: 2, TasksCommitted: 4,
 			Registry: jobReg,
 		}},
-		Queue: []runtime.QueuedJob{{ID: 2, Name: "mlr", Priority: 1, Demand: 3, Position: 0}},
+		Queue: []runtime.QueuedJob{{ID: 2, Name: "mlr", Demand: 3, Position: 0}},
 		Nodes: []runtime.NodeState{
 			{ID: "t1", Kind: "transient", SlotsFree: 2, RunningTasks: 2, Detector: "alive"},
 			{ID: "r1", Kind: "reserved", SlotsFree: 4, Detector: "suspect",

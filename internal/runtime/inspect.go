@@ -20,7 +20,7 @@ import (
 // InspectVersion identifies the ManagerState schema. Bump on any
 // incompatible change so pollers (padotop, dashboards) can detect
 // skew instead of mis-rendering.
-const InspectVersion = 1
+const InspectVersion = 2
 
 // ManagerState is one consistent snapshot of a JobManager.
 type ManagerState struct {
@@ -82,14 +82,10 @@ type SchedState struct {
 
 // JobState is one admitted job's progress.
 type JobState struct {
-	ID       int     `json:"id"`
-	Name     string  `json:"name"`
-	Weight   float64 `json:"weight"`
-	Priority int     `json:"priority"`
+	ID   int    `json:"id"`
+	Name string `json:"name"`
 	// Demand is the job's reserved-slot claim against the cell budget.
 	Demand int `json:"demand"`
-	// Deficit is the job's banked DRR scheduling credit.
-	Deficit float64 `json:"deficit"`
 	// RunningFor is wall time since admission, nanoseconds.
 	RunningFor time.Duration `json:"running_for_ns"`
 	Finished   bool          `json:"finished"`
@@ -136,7 +132,6 @@ type StageState struct {
 type QueuedJob struct {
 	ID       int    `json:"id"`
 	Name     string `json:"name"`
-	Priority int    `json:"priority"`
 	Demand   int    `json:"demand"`
 	Position int    `json:"position"`
 }
@@ -229,7 +224,7 @@ func (jm *JobManager) buildState() *ManagerState {
 	}
 	for i, q := range jm.queue {
 		st.Queue = append(st.Queue, QueuedJob{
-			ID: q.id, Name: q.name, Priority: q.priority, Demand: q.demand, Position: i,
+			ID: q.id, Name: q.name, Demand: q.demand, Position: i,
 		})
 	}
 
@@ -328,10 +323,7 @@ func (jm *JobManager) jobState(j *jobRun, now time.Time) JobState {
 	js := JobState{
 		ID:              j.id,
 		Name:            j.name,
-		Weight:          j.weight,
-		Priority:        j.priority,
 		Demand:          j.demand,
-		Deficit:         j.deficit,
 		RunningFor:      now.Sub(j.t0),
 		Finished:        j.finished,
 		ReceiversActive: j.recvActive,

@@ -43,11 +43,6 @@ type ManagerConfig struct {
 	// the event-queue overflow counter land here. Nil allocates one.
 	Metrics *metrics.Job
 
-	// MaxQueuedJobs bounds the admission queue; once full, further jobs
-	// that don't fit the free budget are rejected instead of queued.
-	// Zero means unbounded.
-	MaxQueuedJobs int
-
 	// Failure sets the heartbeat detector's timing. The detector and the
 	// RPC policy on every data-plane connection pool (the manager's own
 	// and each executor's) always run; the zero value is the defaults.
@@ -63,18 +58,10 @@ type ManagerConfig struct {
 	Commits *storage.CommitStore
 }
 
-// JobOptions carries per-job scheduling parameters for Submit.
+// JobOptions carries per-job parameters for Submit.
 type JobOptions struct {
 	// Name labels the job in traces and errors. Default "job-<id>".
 	Name string
-	// Weight is the job's share in the deficit-weighted round-robin task
-	// scheduler; slots divide proportionally to weight across jobs with
-	// runnable tasks. Default 1.
-	Weight float64
-	// Priority orders the admission queue (higher first; ties by
-	// submission order). It does not affect slot scheduling once
-	// admitted — that's Weight's job.
-	Priority int
 	// ReservedSlots is the job's reserved-slot demand against the
 	// manager's budget. Zero derives it from the job's plan env budget,
 	// clamped to the cell budget.
@@ -127,13 +114,10 @@ type taskLauncher interface {
 
 // jobRun is the manager's per-job state: the compiled plan, the stage
 // state machines, per-job executors on each shared host, and the
-// fair-scheduling bookkeeping.
+// incremental scheduling state.
 type jobRun struct {
-	id       int
-	name     string
-	seq      int
-	weight   float64
-	priority int
+	id   int
+	name string
 	// demand is the job's reserved-slot claim against the manager budget.
 	demand int
 
@@ -151,8 +135,6 @@ type jobRun struct {
 	execs      map[string]taskLauncher
 	recvActive int
 	recvPeak   int
-	// deficit is the job's banked scheduling credit (DRR).
-	deficit float64
 
 	// Incremental scheduling state (sched.go): runnable tracks tWaiting
 	// tasks of sRunning stages over the dense task index, readyStages
@@ -184,8 +166,7 @@ type jobRun struct {
 // the one-master-per-job runtime): it owns the shared cluster, admits
 // jobs against a reserved-slot budget, runs every admitted job's §3.2
 // master logic on one event loop, and divides transient slots across
-// jobs with deficit-weighted round-robin so concurrent jobs share the
-// cell fairly.
+// jobs round-robin, one task per job per turn.
 type JobManager struct {
 	cfg ManagerConfig
 	cl  *cluster.Cluster
@@ -237,7 +218,7 @@ type JobManager struct {
 	// passes, keeping multi-job scheduling deterministic.
 	jobs  map[int]*jobRun
 	order []int
-	queue []*jobRun // waiting for budget; priority desc, then seq
+	queue []*jobRun // waiting for budget, in submission order
 
 	budgetTotal int
 	budgetFree  int
@@ -245,9 +226,8 @@ type JobManager struct {
 	// dropped a cluster event and its fleet view can't be trusted).
 	broken error
 
-	mu     sync.Mutex // guards nextID/seq (Submit runs on caller goroutines)
+	mu     sync.Mutex // guards nextID (Submit runs on caller goroutines)
 	nextID int
-	seq    int
 
 	quit          chan struct{}
 	loopDone      chan struct{}
@@ -371,10 +351,6 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 	if met == nil {
 		met = &metrics.Job{}
 	}
-	weight := opts.Weight
-	if weight <= 0 {
-		weight = 1
-	}
 	demand := opts.ReservedSlots
 	if demand <= 0 {
 		if b := cfg.Plan.Env.ReservedSlotBudget; b > 0 && (jm.budgetTotal <= 0 || b < jm.budgetTotal) {
@@ -387,8 +363,6 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 	jm.mu.Lock()
 	jm.nextID++
 	id := jm.nextID
-	jm.seq++
-	seq := jm.seq
 	jm.mu.Unlock()
 
 	name := opts.Name
@@ -398,9 +372,6 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 	j := &jobRun{
 		id:         id,
 		name:       name,
-		seq:        seq,
-		weight:     weight,
-		priority:   opts.Priority,
 		demand:     demand,
 		plan:       plan,
 		cfg:        cfg,
@@ -539,20 +510,8 @@ func (jm *JobManager) admitOrQueue(j *jobRun) {
 		jm.admit(j)
 		return
 	}
-	if max := jm.cfg.MaxQueuedJobs; max > 0 && len(jm.queue) >= max {
-		jm.rejectJob(j, fmt.Errorf("admission queue full (%d jobs waiting)", len(jm.queue)))
-		return
-	}
-	// Insert by priority (desc), ties by submission order.
-	i := len(jm.queue)
-	for k, q := range jm.queue {
-		if j.priority > q.priority {
-			i = k
-			break
-		}
-	}
-	jm.queue = slices.Insert(jm.queue, i, j)
-	j.tr.Emit(obs.Event{Kind: obs.JobQueued, Note: fmt.Sprintf("pos %d", i)})
+	j.tr.Emit(obs.Event{Kind: obs.JobQueued, Note: fmt.Sprintf("pos %d", len(jm.queue))})
+	jm.queue = append(jm.queue, j)
 	jm.met.Counter("jobs_queued").Add(1)
 }
 
@@ -570,9 +529,9 @@ func (jm *JobManager) admit(j *jobRun) {
 	}
 }
 
-// admitQueued admits queued jobs, in queue order, while the freed budget
-// fits the head. Strict head-of-line: a high-priority job that doesn't
-// fit blocks lower-priority ones that would, so priorities are honored.
+// admitQueued admits queued jobs, in submission order, while the free
+// budget fits the head. Strict head-of-line: a head that doesn't fit
+// blocks later jobs that would, so no job is overtaken while queued.
 func (jm *JobManager) admitQueued() {
 	for len(jm.queue) > 0 {
 		j := jm.queue[0]
@@ -608,6 +567,9 @@ func (jm *JobManager) cancelJob(id int) {
 			q.tr.Emit(obs.Event{Kind: obs.JobTimedOut, Note: "canceled while queued"})
 			jm.met.Counter("jobs_completed").Add(1)
 			close(q.done)
+			// The removed job may have been the head that blocked the
+			// jobs behind it.
+			jm.admitQueued()
 			return
 		}
 	}

@@ -137,15 +137,14 @@ func TestAdmissionQueueing(t *testing.T) {
 	}
 }
 
-// TestAdmissionReject covers both rejection paths: demand larger than
-// the whole cell, and a full admission queue.
+// TestAdmissionReject: a job whose demand is larger than the whole cell
+// could never be admitted, so it is rejected instead of queued.
 func TestAdmissionReject(t *testing.T) {
 	cl := newTestCluster(t, 6, 2, trace.RateNone)
 	tracer := obs.New()
 	jm, err := NewJobManager(cl, ManagerConfig{
-		Env:           core.PolicyEnv{ReservedSlotBudget: 8},
-		Tracer:        tracer,
-		MaxQueuedJobs: 1,
+		Env:    core.PolicyEnv{ReservedSlotBudget: 8},
+		Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatalf("manager: %v", err)
@@ -159,25 +158,50 @@ func TestAdmissionReject(t *testing.T) {
 	if _, err := hBig.Wait(ctx); err == nil || !strings.Contains(err.Error(), "exceeds cell budget") {
 		t.Fatalf("oversized demand: err = %v, want cell-budget rejection", err)
 	}
+}
 
-	// Fill the cell, fill the queue, then overflow it.
-	hRun, expRun := submitWordCount(t, jm, 4, 200, Config{Tracer: tracer}, JobOptions{ReservedSlots: 8})
-	hQueued, expQueued := submitWordCount(t, jm, 2, 50, Config{Tracer: tracer}, JobOptions{ReservedSlots: 8})
-	hOver, _ := submitWordCount(t, jm, 2, 50, Config{Tracer: tracer}, JobOptions{ReservedSlots: 8})
-	if _, err := hOver.Wait(ctx); err == nil || !strings.Contains(err.Error(), "admission queue full") {
-		t.Fatalf("queue overflow: err = %v, want queue-full rejection", err)
+// TestCancelQueuedHeadAdmitsNext: cancelling the job at the head of the
+// admission queue admits the jobs behind it that now fit, without
+// waiting for an unrelated job to finish. It drives the manager's event
+// handler directly; the cluster is never started.
+func TestCancelQueuedHeadAdmitsNext(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Transient: 2, Reserved: 1})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	jm := newManager(cl, ManagerConfig{Env: core.PolicyEnv{ReservedSlotBudget: 8}})
+	submit := func(demand int) *JobHandle {
+		t.Helper()
+		h, err := jm.SubmitPlan(benchPlan(t, 2), Config{}, JobOptions{ReservedSlots: demand})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		jm.handle(<-jm.events)
+		return h
+	}
+	first, second := submit(3), submit(5)
+	head, last := submit(6), submit(3)
+	for _, h := range []*JobHandle{first, second} {
+		if jm.jobs[h.ID()] == nil {
+			t.Fatalf("job %d not admitted into a budget that fits it", h.ID())
+		}
+	}
+	if len(jm.queue) != 2 {
+		t.Fatalf("queue holds %d jobs, want 2", len(jm.queue))
 	}
 
-	res, err := hRun.Wait(ctx)
-	if err != nil {
-		t.Fatalf("running job: %v", err)
+	jm.handle(evCancelJob{ID: first.ID()})
+	if jm.budgetFree != 3 || jm.jobs[head.ID()] != nil {
+		t.Fatalf("after the first cancel: %d slots free, head admitted=%v; want 3 free and the 6-slot head still queued",
+			jm.budgetFree, jm.jobs[head.ID()] != nil)
 	}
-	checkWordCount(t, res, expRun)
-	res, err = hQueued.Wait(ctx)
-	if err != nil {
-		t.Fatalf("queued job: %v", err)
+	jm.handle(evCancelJob{ID: head.ID()})
+	if jm.jobs[last.ID()] == nil {
+		t.Fatalf("job %d still queued with %d reserved slots free after the head was cancelled", last.ID(), jm.budgetFree)
 	}
-	checkWordCount(t, res, expQueued)
+	if len(jm.queue) != 0 {
+		t.Fatalf("queue holds %d jobs after the last one was admitted", len(jm.queue))
+	}
 }
 
 // TestEvictionStormIsolation is the cross-job blast-radius regression:
@@ -253,10 +277,10 @@ func stageParents(plan *core.Plan) map[int][]int {
 	return parents
 }
 
-// TestWeightedFairSharing: a small job submitted alongside a much larger
-// one must not be starved — it completes while the large job is still
+// TestFairSharing: a small job submitted alongside a much larger one
+// must not be starved — it completes while the large job is still
 // running, and the task launches of the two jobs interleave.
-func TestWeightedFairSharing(t *testing.T) {
+func TestFairSharing(t *testing.T) {
 	// A CPU-limited cluster makes the big job's compute genuinely long,
 	// so completion order reflects scheduling, not noise.
 	cl, err := cluster.New(cluster.Config{
@@ -291,7 +315,7 @@ func TestWeightedFairSharing(t *testing.T) {
 	// compute, against the small job's burst-covered 120 records.
 	cfg := Config{Tracer: tracer, AggMaxDelay: 2 * time.Millisecond}
 	big, expBig := submitWordCount(t, jm, 12, 20000, cfg, JobOptions{Name: "big"})
-	small, expSmall := submitWordCount(t, jm, 2, 60, cfg, JobOptions{Name: "small", Weight: 2})
+	small, expSmall := submitWordCount(t, jm, 2, 60, cfg, JobOptions{Name: "small"})
 
 	resSmall, err := small.Wait(ctx)
 	if err != nil {

@@ -652,12 +652,11 @@ func (jm *JobManager) checkAllDone(j *jobRun) {
 }
 
 // scheduleAll starts ready pending stages (per job, in admission order)
-// and then assigns waiting tasks across jobs with the weighted-fair
-// scheduler. Unlike the pre-refactor full rescan, both passes walk
-// incrementally maintained sets (sched.go) — readyStages instead of a
-// status scan with per-stage parent checks, runnable bitsets instead of
-// per-round queue rebuilds — so an event that changed nothing costs
-// O(jobs), not O(total tasks).
+// and then assigns waiting tasks across jobs round-robin. Unlike the
+// pre-refactor full rescan, both passes walk incrementally maintained
+// sets (sched.go) — readyStages instead of a status scan with per-stage
+// parent checks, runnable bitsets instead of per-round queue rebuilds —
+// so an event that changed nothing costs O(jobs), not O(total tasks).
 func (jm *JobManager) scheduleAll() {
 	jm.cSchedRounds.Add(1)
 	for _, id := range jm.order {
@@ -768,20 +767,14 @@ func (jm *JobManager) inputLocsFor(j *jobRun, ps *core.PhysStage) map[int]stageL
 	return locs
 }
 
-// maxDeficitRounds caps how much unused scheduling credit a job may
-// bank, in multiples of its weight, so a job that was slot-starved for a
-// while cannot later monopolize the fleet in one burst.
-const maxDeficitRounds = 4
-
-// assignTasks hands waiting fragment tasks to executors. With a single
-// runnable job it degenerates to the classic greedy pass:
-// cache-preferred placement first, then round-robin over free slots
-// (§3.2.3). With several admitted jobs it runs deficit-weighted
-// round-robin across their task queues: each visit credits a job's
-// deficit by its weight and launches one task per whole credit, so slots
-// divide proportionally to weight and a large job cannot starve a small
-// one. Unspent credit (no free slot, or weight < 1) carries to the next
-// round, capped at weight*maxDeficitRounds.
+// assignTasks hands waiting fragment tasks to executors: cache-preferred
+// placement first, then round-robin over free slots (§3.2.3). Across
+// admitted jobs it is plain round-robin: from the persistent cursor
+// rrJob it visits the runnable jobs in admission order and launches one
+// task per visit, until every job is idle or no slot is free. The job
+// that found no free slot keeps the cursor, so it launches first in the
+// next round. With a single runnable job this is the classic greedy
+// pass.
 //
 // The queues are the per-job runnable bitsets: iteration follows dense
 // (stage, fragment, task) order, identical to the legacy per-round
@@ -814,50 +807,19 @@ func (jm *JobManager) assignTasks() {
 			queues[i] = nil // drop jobRun refs so finished jobs are collectable
 		}
 	}()
-	if len(queues) == 0 {
-		return
-	}
 
-	if len(queues) == 1 {
-		// Single runnable job: no fairness to arbitrate.
-		j := queues[0]
-		j.deficit = 0
-		for di := j.runnable.next(j.qNext); di >= 0; di = j.runnable.next(j.qNext) {
-			if !jm.launchDense(j, di, pool, kind) {
-				return // no free slots anywhere
-			}
-			j.qNext = di + 1
-		}
-		return
-	}
-
-	idle := 0
-	for idle < len(queues) {
+	for idle := 0; idle < len(queues); jm.rrJob++ {
 		j := queues[jm.rrJob%len(queues)]
-		jm.rrJob++
 		di := j.runnable.next(j.qNext)
 		if di < 0 {
-			j.deficit = 0
 			idle++
 			continue
 		}
-		j.deficit += j.weight
-		if limit := j.weight * maxDeficitRounds; j.deficit > limit {
-			j.deficit = limit
+		if !jm.launchDense(j, di, pool, kind) {
+			return // no free slots anywhere; j keeps its turn
 		}
-		progressed := false
-		for j.deficit >= 1 && di >= 0 {
-			if !jm.launchDense(j, di, pool, kind) {
-				return // no free slots anywhere; credit persists
-			}
-			j.deficit--
-			j.qNext = di + 1
-			progressed = true
-			di = j.runnable.next(j.qNext)
-		}
-		if progressed {
-			idle = 0
-		}
+		j.qNext = di + 1
+		idle = 0
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 //     replacement.
 //   - BenchmarkMasterEventLoop: the same churn through the full
 //     handle() path across four concurrent jobs, exercising the
-//     deficit-weighted round-robin scheduler.
+//     cross-job round-robin.
 
 var errBenchTask = errors.New("bench: injected task failure")
 
@@ -127,7 +127,7 @@ func newBenchManager(tb testing.TB, jobs, tasksPerJob, nodes, slots int) *benchF
 
 	handles := make([]*JobHandle, jobs)
 	for i := range handles {
-		h, err := jm.SubmitPlan(plan, cfg, JobOptions{Weight: float64(i%2) + 1})
+		h, err := jm.SubmitPlan(plan, cfg, JobOptions{})
 		if err != nil {
 			tb.Fatalf("submit: %v", err)
 		}

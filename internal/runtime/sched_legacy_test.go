@@ -162,44 +162,17 @@ func (jm *JobManager) legacyAssignTasks() {
 	}
 	locs := make(map[*stageRun]map[int]stageLoc)
 
-	if len(queues) == 1 {
-		// Single runnable job: no fairness to arbitrate.
-		q := queues[0]
-		q.j.deficit = 0
-		for _, p := range q.tasks {
-			if !jm.legacyLaunchPending(q.j, p, pool, locs) {
-				return // no free slots anywhere
-			}
-		}
-		return
-	}
-
-	idle := 0
-	for idle < len(queues) {
+	for idle := 0; idle < len(queues); jm.rrJob++ {
 		q := queues[jm.rrJob%len(queues)]
-		jm.rrJob++
 		if q.next >= len(q.tasks) {
-			q.j.deficit = 0
 			idle++
 			continue
 		}
-		q.j.deficit += q.j.weight
-		if limit := q.j.weight * maxDeficitRounds; q.j.deficit > limit {
-			q.j.deficit = limit
+		if !jm.legacyLaunchPending(q.j, q.tasks[q.next], pool, locs) {
+			return // no free slots anywhere
 		}
-		progressed := false
-		for q.j.deficit >= 1 && q.next < len(q.tasks) {
-			p := q.tasks[q.next]
-			if !jm.legacyLaunchPending(q.j, p, pool, locs) {
-				return // no free slots anywhere; credit persists
-			}
-			q.j.deficit--
-			q.next++
-			progressed = true
-		}
-		if progressed {
-			idle = 0
-		}
+		q.next++
+		idle = 0
 	}
 }
 

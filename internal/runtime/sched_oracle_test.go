@@ -25,7 +25,7 @@ import (
 // state. The scripts cover the recovery surface: task failures,
 // transient eviction with a replacement node, reserved failure with
 // stage restarts, a pull failure, cache-aware placement, and
-// deficit-weighted multi-job rounds.
+// round-robin multi-job rounds.
 //
 // The driver replaces the event loop: fake executors answer each master
 // action with the deterministic follow-up events the production data
@@ -41,8 +41,7 @@ var errOracleTask = errors.New("oracle: scripted task failure")
 type planMaker func(t *testing.T) *core.Plan
 
 type oracleScript struct {
-	plans   []planMaker
-	weights []float64
+	plans []planMaker
 	// cache enables the cache-aware placement path (Config.DisableCache
 	// off) so cacheIndex hits steer picks on both sides.
 	cache bool
@@ -379,8 +378,8 @@ func (d *oracleDriver) stateDigest() string {
 	}
 	for _, h := range d.handles {
 		j := h.j
-		fmt.Fprintf(&b, "job %d finished=%v aborted=%v deficit=%.4f\n",
-			j.id, j.finished, j.failErr != nil, j.deficit)
+		fmt.Fprintf(&b, "job %d finished=%v aborted=%v\n",
+			j.id, j.finished, j.failErr != nil)
 		for si, s := range j.stages {
 			fmt.Fprintf(&b, " stage %d status=%d gen=%d restarts=%d nReady=%d nDone=%d nResults=%d recv=%s out=%s\n",
 				si, s.status, s.gen, s.restarts, s.nReady, s.nDone, s.nResults,
@@ -421,8 +420,8 @@ func runOracle(t *testing.T, sc oracleScript, legacy bool) (string, string) {
 	}
 
 	cfg := Config{DisableCache: !sc.cache}
-	for i, mk := range sc.plans {
-		h, err := jm.SubmitPlan(mk(t), cfg, JobOptions{Weight: sc.weights[i]})
+	for _, mk := range sc.plans {
+		h, err := jm.SubmitPlan(mk(t), cfg, JobOptions{})
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
@@ -549,7 +548,6 @@ func mustCompileOracle(t *testing.T, p *dataflow.Pipeline) *core.Plan {
 func TestSchedOracleMR(t *testing.T) {
 	testOracle(t, oracleScript{
 		plans:   []planMaker{mkMR},
-		weights: []float64{1},
 		failMod: 5, failRem: 3,
 		transients: 4, reserveds: 2, slots: 2,
 	})
@@ -558,7 +556,6 @@ func TestSchedOracleMR(t *testing.T) {
 func TestSchedOracleMREvictionPull(t *testing.T) {
 	testOracle(t, oracleScript{
 		plans:   []planMaker{mkMR},
-		weights: []float64{1},
 		failMod: 7, failRem: 2,
 		evictAt:    10,
 		pullFail:   true,
@@ -569,7 +566,6 @@ func TestSchedOracleMREvictionPull(t *testing.T) {
 func TestSchedOracleMLRCache(t *testing.T) {
 	testOracle(t, oracleScript{
 		plans:   []planMaker{mkMLR},
-		weights: []float64{1},
 		cache:   true,
 		failMod: 6, failRem: 1,
 		transients: 4, reserveds: 2, slots: 2,
@@ -579,7 +575,6 @@ func TestSchedOracleMLRCache(t *testing.T) {
 func TestSchedOracleMultiJob(t *testing.T) {
 	testOracle(t, oracleScript{
 		plans:   []planMaker{mkMR, mkMLR, mkALS},
-		weights: []float64{1, 2.5, 1},
 		failMod: 9, failRem: 4,
 		evictAt:        40,
 		reservedFailAt: 80,
