@@ -6,10 +6,10 @@
 //	padobench -single -engine pado -workload mlr -rate high
 //	padobench -jobs 3 -mix mr,mr,mlr -rate medium
 //
-// -single exits non-zero when the run times out or aborts. -jobs runs N
-// concurrent jobs on one shared cluster under the multi-job manager and
-// exits non-zero unless every job completes with its invariants intact
-// (and, with -require-speedup, unless sharing beats the serial baseline).
+// -figure exits non-zero when a cell fails (a timed-out cell is a figure
+// point). -single exits non-zero when the run times out or aborts. -jobs
+// runs N concurrent jobs on one shared cluster under the multi-job manager
+// and exits non-zero unless every job completes with its invariants intact.
 package main
 
 import (
@@ -20,9 +20,7 @@ import (
 	"time"
 
 	"pado/internal/harness"
-	"pado/internal/metrics"
 	"pado/internal/profile"
-	"pado/internal/runtime"
 	"pado/internal/vtime"
 )
 
@@ -35,9 +33,6 @@ func main() {
 	transient := flag.Int("transient", 40, "transient containers")
 	reserved := flag.Int("reserved", 5, "reserved containers")
 	size := flag.Float64("size", 1.0, "workload size factor")
-	tasks := flag.Int("tasks", 1,
-		"task fan-out multiplier: N times the partitions, each 1/N the records, "+
-			"holding data volume constant (control-plane scale cells)")
 	scaleMS := flag.Int("scale", 60, "wall milliseconds per paper minute")
 	timeout := flag.Float64("timeout", 90, "timeout in paper minutes")
 	seed := flag.Int64("seed", 424242, "experiment seed")
@@ -50,21 +45,9 @@ func main() {
 	mix := flag.String("mix", "mr,mr,mlr",
 		"multi-job: comma-separated workload cycle assigned round-robin (e.g. mlr,mr,mr)")
 	stagger := flag.Float64("stagger", 0, "multi-job: paper minutes between successive submissions")
-	requireSpeedup := flag.Float64("require-speedup", 0,
-		"multi-job: also run the serial one-job-per-cluster baseline and fail unless makespan speedup >= this")
-	noAgg := flag.Bool("pado-noagg", false, "disable Pado partial aggregation")
-	noCache := flag.Bool("pado-nocache", false, "disable Pado task input caching")
-	aggMax := flag.Int("pado-aggmax", 0, "Pado executor-level aggregation task limit (0 = default)")
-	padoReduce := flag.Int("pado-reduce", 0, "override Pado reduce parallelism")
 	httpAddr := flag.String("http", "",
 		"serve the live introspection plane on this address while the run is up "+
 			"(pado engine only; e.g. 127.0.0.1:7777, :0 picks a port; monitor with padotop)")
-	incr := flag.Bool("incr", false,
-		"delta-rerun cell: run pado/mr once to prime a commit store, change -incr-delta of the "+
-			"input, rerun against the store, and fail unless the rerun launched under 10% of the "+
-			"first run's tasks (the report, if -reportdir is set, is the rerun's)")
-	incrDelta := flag.Float64("incr-delta", 0.02,
-		"with -incr: fraction of the input partitions changed between the two runs")
 	flag.Parse()
 
 	prof, err := profile.Start(*cpuProfile, *memProfile)
@@ -81,7 +64,6 @@ func main() {
 		Transient:      *transient,
 		Reserved:       *reserved,
 		Size:           *size,
-		Tasks:          *tasks,
 		Scale:          vtime.NewScale(time.Duration(*scaleMS) * time.Millisecond),
 		TimeoutMinutes: *timeout,
 		Seed:           *seed,
@@ -90,30 +72,12 @@ func main() {
 		ReportDir:      *reportDir,
 		HTTPAddr:       *httpAddr,
 	}
-	if *noAgg || *noCache || *aggMax != 0 || *padoReduce != 0 {
-		base.PadoConfig = func(cfg *runtime.Config) {
-			cfg.DisablePartialAggregation = *noAgg
-			cfg.DisableCache = *noCache
-			if *aggMax != 0 {
-				cfg.AggMaxTasks = *aggMax
-			}
-			if *padoReduce != 0 {
-				cfg.Plan.ReduceParallelism = *padoReduce
-			}
-		}
-	}
-
 	if err := base.SetCell(*engine, *workload, *rate); err != nil {
 		fatalf("%v", err)
 	}
 
 	if *jobs > 0 {
-		runJobs(base, *jobs, *mix, *stagger, *requireSpeedup)
-		return
-	}
-
-	if *incr {
-		runIncr(base, *incrDelta)
+		runJobs(base, *jobs, *mix, *stagger)
 		return
 	}
 
@@ -136,11 +100,17 @@ func main() {
 		return
 	}
 
+	failed := false
 	run := func(name string, f func(harness.Params) *harness.Table) {
 		fmt.Printf("=== Figure %s ===\n", name)
 		start := time.Now()
-		fmt.Print(f(base))
+		t := f(base)
+		fmt.Print(t)
 		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
+		if err := t.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "FAIL: figure %s: %v\n", name, err)
+			failed = true
+		}
 	}
 
 	switch *figure {
@@ -164,48 +134,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runIncr drives the delta-rerun cell: two pado/mr runs against one
-// commit store, the second with a fraction of the input changed. The
-// gate is the tentpole's acceptance bound — the rerun may launch fewer
-// than 10% of the priming run's tasks; everything else is served from
-// the store.
-func runIncr(base harness.Params, delta float64) {
-	p := base
-	p.Engine = harness.EnginePado
-	p.Workload = harness.WorkloadMR
-	// The launch gate needs the traced obs.task_launched counter:
-	// OriginalTasks counts a stage's full task total at schedule time,
-	// before skips are applied, so it is blind to incremental reruns.
-	p.ForceTrace = true
-	inc, err := harness.RunIncremental(p, delta)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	m := inc.Rerun.Metrics.Named
-	launched1 := inc.Prime.Metrics.Named["obs.task_launched"]
-	launched2 := m["obs.task_launched"]
-	fmt.Printf("prime: %s\nrerun: %s\n%s\n  launched %d of %d tasks\n",
-		inc.Prime, inc.Rerun, inc, launched2, launched1)
-	if inc.Rerun.ReportPath != "" {
-		fmt.Printf("  report: %s\n", inc.Rerun.ReportPath)
-	}
-	if inc.Prime.TimedOut || inc.Rerun.TimedOut {
-		fatalf("FAIL: a run of the delta-rerun cell timed out")
-	}
-	if m[metrics.NameTasksSkipped]+m[metrics.NameStagesSkipped] == 0 {
-		fatalf("FAIL: delta rerun skipped nothing")
-	}
-	if launched2*10 >= launched1 {
-		fatalf("FAIL: delta rerun launched %d of %d tasks (bound: under 10%%)",
-			launched2, launched1)
+	if failed {
+		os.Exit(1)
 	}
 }
 
 // runJobs drives the multi-job path: n concurrent jobs drawn round-robin
 // from the mix cycle, all sharing one cluster under the job manager.
-func runJobs(base harness.Params, n int, mix string, stagger, requireSpeedup float64) {
+func runJobs(base harness.Params, n int, mix string, stagger float64) {
 	p := base
 	p.Engine = harness.EnginePado
 	cycle := strings.Split(mix, ",")
@@ -237,17 +173,6 @@ func runJobs(base harness.Params, n int, mix string, stagger, requireSpeedup flo
 		fatalf("FAIL: a job timed out, errored, or violated an invariant")
 	}
 
-	if requireSpeedup > 0 {
-		_, serial, err := harness.RunJobsSerial(p)
-		if err != nil {
-			fatalf("serial baseline: %v", err)
-		}
-		sp := out.Speedup(serial)
-		fmt.Printf("serial total=%.1f min  speedup=%.2fx\n", serial, sp)
-		if sp < requireSpeedup {
-			fatalf("FAIL: speedup %.2fx below required %.2fx", sp, requireSpeedup)
-		}
-	}
 }
 
 func fatalf(format string, args ...any) {

@@ -3,13 +3,12 @@
 // -reportdir; see internal/obs/analyze).
 //
 //	padoreport run.report.json                 # render one report
-//	padoreport BENCH_seed.json fresh.json      # diff: fresh vs. baseline
+//	padoreport base.json cur.json              # diff: cur vs. base
 //	padoreport -json base.json cur.json        # machine-readable diff
 //
-// With two arguments the exit status reports the benchmark trajectory:
-// 0 when the current run's JCT is within -max-jct-regress percent of
-// the baseline (default: warn-only, always 0), 1 when the gate trips.
-// CI diffs fresh runs against the committed BENCH_*.json baselines.
+// A diff is for reading, not gating: it exits 0 whatever the deltas are.
+// The repository's performance gate is the benchmark ledger
+// (bench/ledger), whose bounds come from measured run-to-run noise.
 package main
 
 import (
@@ -22,8 +21,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON instead of text (report render or diff)")
-	maxRegress := flag.Float64("max-jct-regress", 0,
-		"fail (exit 1) when the current JCT regresses more than this percent over the baseline; 0 = warn only")
 	flag.Parse()
 
 	switch flag.NArg() {
@@ -63,15 +60,10 @@ func main() {
 		} else if err := d.WriteText(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
-		if *maxRegress > 0 && d.JCTDeltaPct > *maxRegress {
-			fmt.Fprintf(os.Stderr, "FAIL: jct regressed %.1f%% (> %.1f%% allowed)\n",
-				d.JCTDeltaPct, *maxRegress)
-			os.Exit(1)
-		}
 
 	default:
 		fmt.Fprintln(os.Stderr, "usage: padoreport [-json] report.json            render one report")
-		fmt.Fprintln(os.Stderr, "       padoreport [flags] base.json cur.json     diff two reports")
+		fmt.Fprintln(os.Stderr, "       padoreport [-json] base.json cur.json     diff two reports")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}

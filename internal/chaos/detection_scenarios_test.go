@@ -173,37 +173,3 @@ func TestChaosLatencyStormNoFalsePositives(t *testing.T) {
 	}
 	assertCounter(t, pr.snap, metrics.NameHeartbeatsSent)
 }
-
-// TestChaosDetectionDeterminism: the detector joins the CI determinism
-// gate — same seed + same silent-kill plan must yield identical
-// invariant digests across runs.
-func TestChaosDetectionDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos determinism skipped in short mode")
-	}
-	newPlan := func() *chaos.Plan {
-		return &chaos.Plan{Name: "detection-determinism", Rules: []chaos.Rule{{
-			Trigger: trig("push_started", func(tr *chaos.Trigger) { tr.Count = 1 }),
-			Fault:   chaos.Fault{Op: chaos.OpKillSilent, Target: "@event", Stage: chaos.Any},
-		}}}
-	}
-	mutate := func(cfg *runtime.Config) {
-		cfg.Failure = tightDetector()
-		cfg.MaxTaskFailures = 1000
-	}
-	run := func() (*chaos.Report, []byte) {
-		pr := runPado(t, workloads.MR(mrConfig()), newPlan(), mutate, 6, 2)
-		pr.report.Violations = append(pr.report.Violations,
-			chaos.CheckDetection(pr.events, detectionBound)...)
-		return pr.report, pr.canonical
-	}
-	ra, ca := run()
-	rb, cb := run()
-	if !ra.OK() || !rb.OK() {
-		t.Fatalf("invariants: a=%s b=%s", ra, rb)
-	}
-	da, db := ra.Digest(ca), rb.Digest(cb)
-	if da != db {
-		t.Fatalf("digest mismatch across identical runs:\n%s\n%s", da, db)
-	}
-}

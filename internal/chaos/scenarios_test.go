@@ -2,6 +2,8 @@ package chaos_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -29,8 +31,7 @@ import (
 
 const scenarioSeed = 77
 
-func newScenarioCluster(t testing.TB, transient, reserved int) *cluster.Cluster {
-	t.Helper()
+func scenarioCluster(transient, reserved int) (*cluster.Cluster, error) {
 	cl, err := cluster.New(cluster.Config{
 		Transient:   transient,
 		Reserved:    reserved,
@@ -41,7 +42,16 @@ func newScenarioCluster(t testing.TB, transient, reserved int) *cluster.Cluster 
 		Seed:        scenarioSeed,
 	})
 	if err != nil {
-		t.Fatalf("cluster: %v", err)
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return cl, nil
+}
+
+func newScenarioCluster(t testing.TB, transient, reserved int) *cluster.Cluster {
+	t.Helper()
+	cl, err := scenarioCluster(transient, reserved)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return cl
 }
@@ -72,13 +82,26 @@ type padoRun struct {
 // fault-free) and replays the trace through the invariant checker.
 func runPado(t testing.TB, pipe *dataflow.Pipeline, plan *chaos.Plan, mutate func(*runtime.Config), transient, reserved int) padoRun {
 	t.Helper()
-	cl := newScenarioCluster(t, transient, reserved)
+	pr, err := tryPado(pipe, plan, mutate, transient, reserved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// tryPado is runPado returning its failure instead, for a caller off the
+// test's goroutine (a synctest bubble), where t.Fatal must not be called.
+func tryPado(pipe *dataflow.Pipeline, plan *chaos.Plan, mutate func(*runtime.Config), transient, reserved int) (padoRun, error) {
+	cl, err := scenarioCluster(transient, reserved)
+	if err != nil {
+		return padoRun{}, err
+	}
 	tracer := obs.New()
 	cfg := runtime.Config{Tracer: tracer}
 	var eng *chaos.Engine
 	if plan != nil {
 		if err := plan.Validate(); err != nil {
-			t.Fatalf("plan: %v", err)
+			return padoRun{}, fmt.Errorf("plan: %w", err)
 		}
 		eng = chaos.NewEngine(plan, cl)
 		eng.Attach(tracer)
@@ -92,10 +115,10 @@ func runPado(t testing.TB, pipe *dataflow.Pipeline, plan *chaos.Plan, mutate fun
 	defer cancel()
 	res, err := runtime.Run(ctx, cl, pipe.Graph(), cfg)
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		return padoRun{}, fmt.Errorf("run: %w", err)
 	}
 	if res.Metrics.TimedOut {
-		t.Fatal("timed out")
+		return padoRun{}, errors.New("timed out")
 	}
 	var pr padoRun
 	if eng != nil {
@@ -111,7 +134,7 @@ func runPado(t testing.TB, pipe *dataflow.Pipeline, plan *chaos.Plan, mutate fun
 	pr.canonical = chaos.Canonical(res.Outputs)
 	pr.outputs = res.Outputs
 	pr.snap = res.Metrics
-	return pr
+	return pr, nil
 }
 
 // goldenMR caches the fault-free MR canonical output (int64 sums are

@@ -25,7 +25,7 @@ func (t *Table) String() string {
 	fmt.Fprintf(&b, "%s\n", t.Title)
 	for _, r := range t.Rows {
 		if r.Err != nil {
-			fmt.Fprintf(&b, "  ERROR: %v\n", r.Err)
+			fmt.Fprintf(&b, "  ERROR: %s: %v\n", r.Outcome.Params.cellName(), r.Err)
 			continue
 		}
 		fmt.Fprintf(&b, "  %s\n", r.Outcome)
@@ -42,6 +42,27 @@ func (t *Table) Get(match func(Params) bool) (Outcome, bool) {
 		}
 	}
 	return Outcome{}, false
+}
+
+// Err returns the first failed row's error, labelled with its cell, or
+// nil. A row that timed out is a measured point, not a failure.
+func (t *Table) Err() error {
+	for _, r := range t.Rows {
+		if r.Err != nil {
+			return fmt.Errorf("%s: %w", r.Outcome.Params.cellName(), r.Err)
+		}
+	}
+	return nil
+}
+
+// runRow runs one cell of a figure. A failed row keeps the cell's params,
+// so its error can name the cell.
+func runRow(p Params) Row {
+	out, err := Run(p)
+	if err != nil {
+		out.Params = p.withDefaults()
+	}
+	return Row{Outcome: out, Err: err}
 }
 
 // AllRates are the eviction rates of Figures 5-7.
@@ -62,8 +83,7 @@ func EvictionSweep(w Workload, base Params) *Table {
 			p.Engine = eng
 			p.Workload = w
 			p.Rate = rate
-			out, err := Run(p)
-			t.Rows = append(t.Rows, Row{Outcome: out, Err: err})
+			t.Rows = append(t.Rows, runRow(p))
 		}
 	}
 	return t
@@ -91,9 +111,7 @@ func Figure8(base Params) *Table {
 				p.Workload = w
 				p.Rate = trace.RateHigh
 				p.Reserved = reserved
-				out, err := Run(p)
-				out.Params.Reserved = reserved
-				t.Rows = append(t.Rows, Row{Outcome: out, Err: err})
+				t.Rows = append(t.Rows, runRow(p))
 			}
 		}
 	}
@@ -120,8 +138,7 @@ func Figure9(base Params) *Table {
 				p.Size = 1
 			}
 			p.Size *= 1.5
-			out, err := Run(p)
-			t.Rows = append(t.Rows, Row{Outcome: out, Err: err})
+			t.Rows = append(t.Rows, runRow(p))
 		}
 	}
 	return t

@@ -141,13 +141,6 @@ type Params struct {
 	// default; tests use smaller).
 	Size float64
 
-	// Tasks multiplies each workload's partition count while dividing
-	// the per-partition record volume by the same factor, holding total
-	// data roughly constant. It is a control-plane fan-out knob: a 10x
-	// cell runs ~10x the scheduling events over the same bytes, so it
-	// isolates master-loop cost from data-plane cost. Default 1.
-	Tasks int
-
 	Seed int64
 
 	// Repeats averages the experiment over several seeds (the paper
@@ -237,9 +230,6 @@ func (p Params) withDefaults() Params {
 	if p.Size == 0 {
 		p.Size = 1
 	}
-	if p.Tasks == 0 {
-		p.Tasks = 1
-	}
 	if p.Seed == 0 {
 		p.Seed = 424242
 	}
@@ -293,6 +283,11 @@ func (o Outcome) String() string {
 		o.RelaunchRatio*100, o.Evictions)
 }
 
+// cellName names p's experiment cell as Outcome.String spells it.
+func (p Params) cellName() string {
+	return fmt.Sprintf("%s %s %s %dT+%dR", p.Engine, p.Workload, p.Rate, p.Transient, p.Reserved)
+}
+
 // Cluster bandwidths in simulator bytes/second, calibrated so the data
 // movement costs dominate the way they do on the paper's instances: the
 // handful of reserved/storage nodes are the funnel.
@@ -317,26 +312,12 @@ func (p Params) pipeline() *dataflow.Pipeline {
 		}
 		return v
 	}
-	// fan applies the Tasks multiplier: more partitions, each thinner,
-	// same total volume (the per-partition floor of 1 record keeps tiny
-	// Size cells valid).
-	fan := func(parts, per int) (int, int) {
-		if p.Tasks <= 1 {
-			return parts, per
-		}
-		per /= p.Tasks
-		if per < 1 {
-			per = 1
-		}
-		return parts * p.Tasks, per
-	}
 	switch p.Workload {
 	case WorkloadALS:
 		cfg := workloads.DefaultALSConfig()
 		cfg.RatingsPerPart = scale(cfg.RatingsPerPart)
 		cfg.Users = scale(cfg.Users)
 		cfg.Items = scale(cfg.Items)
-		cfg.Partitions, cfg.RatingsPerPart = fan(cfg.Partitions, cfg.RatingsPerPart)
 		return workloads.ALS(cfg)
 	case WorkloadMLR:
 		cfg := workloads.DefaultMLRConfig()
@@ -347,12 +328,10 @@ func (p Params) pipeline() *dataflow.Pipeline {
 			// Pado, where partial aggregation plays the tree's role.
 			cfg.TreeWidth = 0
 		}
-		cfg.Partitions, cfg.SamplesPerPart = fan(cfg.Partitions, cfg.SamplesPerPart)
 		return workloads.MLR(cfg)
 	default:
 		cfg := workloads.DefaultMRConfig()
 		cfg.LinesPerPart = scale(cfg.LinesPerPart)
-		cfg.Partitions, cfg.LinesPerPart = fan(cfg.Partitions, cfg.LinesPerPart)
 		cfg.DeltaFrac = p.InputDelta
 		cfg.DeltaSalt = p.DeltaSalt
 		return workloads.MR(cfg)
@@ -744,9 +723,6 @@ func (p Params) saveReport(rep *analyze.Report, base string) (string, error) {
 // exportBase names one run's export files by its experiment cell.
 func exportBase(p Params) string {
 	base := strings.ToLower(fmt.Sprintf("%s-%s-%s-seed%d", p.Engine, p.Workload, p.Rate, p.Seed))
-	if p.Tasks > 1 {
-		base += fmt.Sprintf("-tasks%d", p.Tasks)
-	}
 	if p.InputDelta > 0 {
 		base += fmt.Sprintf("-delta%g", p.InputDelta)
 	}

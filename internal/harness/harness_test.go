@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,6 +238,32 @@ func TestTableGet(t *testing.T) {
 	}
 	if tb.String() == "" {
 		t.Error("empty table render")
+	}
+}
+
+// A figure fails on its first errored row, named by cell; a timed-out
+// row is a measured point.
+func TestTableErr(t *testing.T) {
+	tb := &Table{Title: "t"}
+	tb.Rows = append(tb.Rows,
+		Row{Outcome: Outcome{Params: Params{Engine: EnginePado}, JCTMinutes: 5}},
+		Row{Outcome: Outcome{Params: Params{Engine: EngineSpark}, JCTMinutes: 90, TimedOut: true}})
+	if err := tb.Err(); err != nil {
+		t.Fatalf("Err = %v on a table with no failed row", err)
+	}
+	boom := errors.New("boom")
+	tb.Rows = append(tb.Rows,
+		Row{Outcome: Outcome{Params: Params{Engine: EngineSparkCheckpoint, Workload: WorkloadMR, Rate: trace.RateHigh, Transient: 40, Reserved: 5}}, Err: boom},
+		Row{Outcome: Outcome{Params: Params{Engine: EnginePado}}, Err: errors.New("later")})
+	err := tb.Err()
+	if !errors.Is(err, boom) {
+		t.Fatalf("Err = %v, want the first failed row's error", err)
+	}
+	if want := "Spark-checkpoint MR high 40T+5R: boom"; err.Error() != want {
+		t.Errorf("Err = %q, want %q", err, want)
+	}
+	if !strings.Contains(tb.String(), "ERROR: "+err.Error()) {
+		t.Errorf("rendered table does not show the failed cell:\n%s", tb)
 	}
 }
 

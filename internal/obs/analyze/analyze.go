@@ -20,8 +20,7 @@
 //
 // The analysis is engine-agnostic: the Pado runtime and the sparklike
 // baselines emit the same event schema, so both produce comparable
-// reports — which is what cmd/padoreport diffs to track the benchmark
-// trajectory.
+// reports, which cmd/padoreport renders and diffs.
 package analyze
 
 import (

@@ -3,6 +3,7 @@ package analyze_test
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -291,5 +292,27 @@ func TestDiffReports(t *testing.T) {
 	}
 	if text.Len() == 0 {
 		t.Error("diff text rendering is empty")
+	}
+
+	// A report diffed against itself is zero everywhere.
+	self := analyze.DiffReports(cur, cur, "cur", "cur")
+	if len(self.Classes) == 0 || len(self.Stages) == 0 {
+		t.Fatalf("self-diff has %d classes and %d stages", len(self.Classes), len(self.Stages))
+	}
+	if self.JCTDeltaNS != 0 || self.JCTDeltaPct != 0 {
+		t.Errorf("self-diff jct delta %d ns (%+.1f%%)", self.JCTDeltaNS, self.JCTDeltaPct)
+	}
+	for _, c := range self.Classes {
+		if c.DeltaNS != 0 {
+			t.Errorf("self-diff class %s delta %d ns", c.Class, c.DeltaNS)
+		}
+	}
+	for _, s := range self.Stages {
+		if s.DeltaP95NS != 0 {
+			t.Errorf("self-diff stage %d p95 delta %d ns", s.ID, s.DeltaP95NS)
+		}
+	}
+	if err := self.WriteText(io.Discard); err != nil {
+		t.Error(err)
 	}
 }

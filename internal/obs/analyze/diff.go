@@ -38,12 +38,12 @@ type StageDelta struct {
 	DeltaP95NS int64 `json:"delta_p95_ns"`
 }
 
-// Diff compares two reports of the same experiment cell: the benchmark
-// trajectory between a committed baseline and a fresh run.
+// Diff compares two reports of the same experiment cell, say a run
+// before and after a change.
 type Diff struct {
-	Base string `json:"base"` // label (usually the baseline path)
+	Base string `json:"base"` // label (usually the base report's path)
 	Cur  string `json:"cur"`
-	// Engine of each side, so trajectory comparisons are self-describing.
+	// Engine of each side, so comparisons are self-describing.
 	BaseEngine string `json:"base_engine,omitempty"`
 	CurEngine  string `json:"cur_engine,omitempty"`
 
