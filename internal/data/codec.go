@@ -15,6 +15,8 @@ import (
 type Encoder struct {
 	w   *bufio.Writer
 	tmp [binary.MaxVarintLen64]byte
+	// pooled marks a StreamEncoder, whose buffer Release returns.
+	pooled bool
 }
 
 // NewEncoder returns an Encoder writing to w.
@@ -22,7 +24,7 @@ func NewEncoder(w io.Writer) *Encoder {
 	if bw, ok := w.(*bufio.Writer); ok {
 		return &Encoder{w: bw}
 	}
-	return &Encoder{w: bufio.NewWriterSize(w, 16<<10)}
+	return &Encoder{w: bufio.NewWriterSize(w, streamBuf)}
 }
 
 // Reset discards unflushed state and redirects the Encoder to w, reusing
@@ -34,7 +36,7 @@ func (e *Encoder) Reset(w io.Writer) {
 		return
 	}
 	if e.w == nil {
-		e.w = bufio.NewWriterSize(w, 16<<10)
+		e.w = bufio.NewWriterSize(w, streamBuf)
 		return
 	}
 	e.w.Reset(w)
@@ -111,6 +113,8 @@ type byteReader interface {
 type Decoder struct {
 	r   byteReader
 	tmp [8]byte
+	// pooled marks a StreamDecoder, whose buffer Release returns.
+	pooled bool
 }
 
 // NewDecoder returns a Decoder reading from r. Sources that already
@@ -121,7 +125,7 @@ func NewDecoder(r io.Reader) *Decoder {
 	if br, ok := r.(byteReader); ok {
 		return &Decoder{r: br}
 	}
-	return &Decoder{r: bufio.NewReaderSize(r, 16<<10)}
+	return &Decoder{r: bufio.NewReaderSize(r, streamBuf)}
 }
 
 // Uvarint reads an unsigned varint.

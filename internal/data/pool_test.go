@@ -3,6 +3,8 @@ package data
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -135,5 +137,88 @@ func TestEncoderReset(t *testing.T) {
 	db := NewDecoder(bytes.NewReader(b.Bytes()))
 	if s, err := db.String(); err != nil || s != "to-b" {
 		t.Errorf("b = %q, %v", s, err)
+	}
+}
+
+// TestStreamCodecRecycled: a released stream encoder's unflushed bytes and
+// a released decoder's unread bytes never reach the next stream that
+// draws the buffers, and releasing twice (or releasing a plain codec) is
+// harmless.
+func TestStreamCodecRecycled(t *testing.T) {
+	var a, b bytes.Buffer
+	e := StreamEncoder(&a)
+	if err := e.String("never flushed"); err != nil {
+		t.Fatal(err)
+	}
+	e.Release()
+	e.Release()
+	d := StreamDecoder(io.MultiReader(strings.NewReader("xyz")))
+	if _, err := d.Byte(); err != nil {
+		t.Fatal(err)
+	}
+	d.Release()
+	d.Release()
+
+	for i := 0; i < 4; i++ {
+		e := StreamEncoder(&b)
+		if err := e.String(fmt.Sprintf("round-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+	}
+	if a.Len() != 0 {
+		t.Errorf("a released encoder wrote %q", a.Bytes())
+	}
+	d = StreamDecoder(io.MultiReader(&b))
+	for i := 0; i < 4; i++ {
+		if s, err := d.String(); err != nil || s != fmt.Sprintf("round-%d", i) {
+			t.Fatalf("round %d: %q, %v", i, s, err)
+		}
+	}
+	d.Release()
+	NewEncoder(&a).Release()
+	NewDecoder(&a).Release()
+}
+
+// TestStreamCodecsConcurrent runs streams that draw and release pooled
+// buffers from many goroutines at once (run it under -race).
+func TestStreamCodecsConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				r, w := io.Pipe()
+				want := fmt.Sprintf("g%d-r%d", g, round)
+				go func() {
+					e := StreamEncoder(w)
+					err := e.String(want)
+					if err == nil {
+						err = e.Flush()
+					}
+					e.Release()
+					w.CloseWithError(err)
+				}()
+				d := StreamDecoder(r)
+				got, err := d.String()
+				d.Release()
+				r.Close()
+				if err != nil || got != want {
+					errs[g] = fmt.Errorf("got %q, %v; want %q", got, err, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
 	}
 }

@@ -9,7 +9,6 @@ package data
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -28,43 +27,56 @@ func (r Record) String() string { return fmt.Sprintf("(%v, %v)", r.Key, r.Value)
 
 // HashKey maps a record key to a stable 64-bit hash used for partitioning.
 // The supported key types cover everything the built-in coders produce.
+// It is FNV-1a (hash/fnv's New64a) over a string's bytes or a number's
+// eight little-endian bytes, computed inline so it does not allocate; any
+// other key hashes its %v rendering.
 func HashKey(k any) uint64 {
-	h := fnv.New64a()
 	switch v := k.(type) {
 	case nil:
 		return 0
 	case string:
-		_, _ = h.Write([]byte(v))
+		return fnvString(v)
 	case int:
-		writeUint64(h, uint64(int64(v)))
+		return fnvUint64(uint64(int64(v)))
 	case int32:
-		writeUint64(h, uint64(int64(v)))
+		return fnvUint64(uint64(int64(v)))
 	case int64:
-		writeUint64(h, uint64(v))
+		return fnvUint64(uint64(v))
 	case uint64:
-		writeUint64(h, v)
+		return fnvUint64(v)
 	case float64:
-		writeUint64(h, math.Float64bits(v))
+		return fnvUint64(math.Float64bits(v))
 	case bool:
 		if v {
-			writeUint64(h, 1)
-		} else {
-			writeUint64(h, 0)
+			return fnvUint64(1)
 		}
+		return fnvUint64(0)
 	default:
-		_, _ = fmt.Fprintf(h, "%v", v)
+		return fnvString(fmt.Sprint(v))
 	}
-	return h.Sum64()
 }
 
-type byteWriter interface{ Write([]byte) (int, error) }
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-func writeUint64(w byteWriter, v uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+func fnvString(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
 	}
-	_, _ = w.Write(b[:])
+	return h
+}
+
+func fnvUint64(v uint64) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < 8; i++ {
+		h ^= v >> (8 * i) & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // Partition maps a key to one of n partitions.

@@ -14,6 +14,12 @@ type SideValues interface {
 }
 
 // DoFn is the per-record processing function of ParDo.
+//
+// Engines hand functions their inputs uncopied: a record, a bundle, a
+// tagged partition or a side input may be an executor's cached input or
+// a fetched block that other tasks read too. DoFn, BundleDoFn and
+// MultiDoFn must therefore not modify their input slices or the values
+// the records hold; emit new records instead.
 type DoFn interface {
 	// Process handles one input record and may emit any number of
 	// output records.
@@ -32,7 +38,7 @@ func (f DoFunc) Process(r data.Record, sides SideValues, emit Emit) error {
 // also implements BundleDoFn, engines call ProcessBundle once per task
 // partition instead of Process per record. This is how per-partition
 // aggregation (e.g. one gradient per training partition, as in MLlib's
-// treeAggregate) is expressed.
+// treeAggregate) is expressed. recs must not be modified (see DoFn).
 type BundleDoFn interface {
 	ProcessBundle(recs []data.Record, sides SideValues, emit Emit) error
 }
@@ -47,7 +53,8 @@ func MapFunc(f func(data.Record) data.Record) DoFn {
 
 // MultiDoFn consumes aligned partitions of several one-to-one inputs.
 // Inputs arrive tagged: the main input under "" and extras under "in1",
-// "in2", ... in declaration order.
+// "in2", ... in declaration order. The inputs must not be modified (see
+// DoFn).
 type MultiDoFn interface {
 	ProcessPartition(inputs map[string][]data.Record, emit Emit) error
 }

@@ -107,6 +107,30 @@ func (it *sliceIter) Next() (data.Record, bool, error) {
 
 func (it *sliceIter) Close() error { return nil }
 
+// ReadAll returns the records of one partition of src. A FuncSource's
+// generated slice is returned as it is; any other source is iterated.
+func ReadAll(src Source, part int) ([]data.Record, error) {
+	if fs, ok := src.(*FuncSource); ok {
+		return fs.Gen(part), nil
+	}
+	it, err := src.Open(part)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var recs []data.Record
+	for {
+		r, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return recs, nil
+		}
+		recs = append(recs, r)
+	}
+}
+
 // FingerprintedSource is a Source whose partition contents can be
 // identified without reading them. The compiler folds partition
 // fingerprints into stage cache keys, which is what lets a rerun prove

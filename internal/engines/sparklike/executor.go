@@ -192,7 +192,8 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 	if env.cpu != nil {
 		in.Throttle = func(records int) error { return env.cpu.Acquire(records, env.stop) }
 	}
-	outs, err := exec.RunFragment(g, st.Ops, in)
+	want, folds := stageOutputs(g, st)
+	outs, err := exec.Run(g, st.Ops, in, want)
 	if err != nil {
 		return err
 	}
@@ -213,8 +214,8 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 		env.store.Put(id, payload)
 		ckBlocks = append(ckBlocks, id)
 	}
-	for _, bs := range st.OutBuckets {
-		payloads, err := bucketPayloads(g, bs, coder, root)
+	for i, bs := range st.OutBuckets {
+		payloads, err := bucketPayloads(g, bs, coder, root, folds[i])
 		if err != nil {
 			return err
 		}
@@ -250,14 +251,47 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 	return nil
 }
 
+// stageOutputs says what a task takes from its stage run. A shuffle
+// consumer that takes folded input (exec.Combiner) gets Spark's map-side
+// combine: the root's records are folded, as they are emitted, into one
+// accumulator table per bucket, returned at the consumer's index of
+// st.OutBuckets. The root itself is held only for whole output and raw
+// buckets.
+func stageOutputs(g *dag.Graph, st *SStage) (exec.Outputs, [][]*exec.AccTable) {
+	folds := make([][]*exec.AccTable, len(st.OutBuckets))
+	var sinks []func(data.Record)
+	keep := st.OutWhole
+	for i, bs := range st.OutBuckets {
+		comb := exec.Combiner(g, bs.Consumer)
+		if comb == nil {
+			keep = true
+			continue
+		}
+		var fold func(data.Record)
+		folds[i], fold = exec.FoldSink(comb, bs.N)
+		sinks = append(sinks, fold)
+	}
+	var want exec.Outputs
+	if keep {
+		want.Keep = []dag.VertexID{st.Root}
+	}
+	if len(sinks) > 0 {
+		want.Sinks = map[dag.VertexID]func(data.Record){st.Root: func(r data.Record) {
+			for _, fold := range sinks {
+				fold(r)
+			}
+		}}
+	}
+	return want, folds
+}
+
 // bucketPayloads encodes a map task's output as the bs.N shuffle buckets of
-// one consumer. A consumer that takes folded input (exec.Combiner) gets
-// Spark's map-side combine: one accumulator table per bucket, encoded with
-// the combine's accumulator coder, which the reduce side merges. Any other
-// consumer gets the raw records, hash-partitioned.
-func bucketPayloads(g *dag.Graph, bs BucketSpec, coder data.Coder, root []data.Record) ([][]byte, error) {
-	if comb := exec.Combiner(g, bs.Consumer); comb != nil {
-		return exec.EncodeAccs(comb.AccCoder, exec.FoldPartitions(comb, bs.N, root))
+// one consumer: the accumulator tables stageOutputs folded for it, encoded
+// with the combine's accumulator coder, which the reduce side merges; or,
+// when folded is nil, the raw records, hash-partitioned.
+func bucketPayloads(g *dag.Graph, bs BucketSpec, coder data.Coder, root []data.Record, folded []*exec.AccTable) ([][]byte, error) {
+	if folded != nil {
+		return exec.EncodeAccs(exec.Combiner(g, bs.Consumer).AccCoder, folded)
 	}
 	// Size each bucket for an even split up front; skewed buckets still
 	// grow past the hint.
@@ -289,21 +323,9 @@ func (env taskEnv) openRead(stage int, opID dag.VertexID, rd *dataflow.ReadOp, p
 	key := recache.Key{Vertex: opID, Partition: part}
 	note := recache.Observer(env.met, env.tr, obs.Event{Stage: stage, Task: part, Exec: env.execID, Note: "read"})
 	recs, err := cache.Load(key, note, func() ([]data.Record, error) {
-		it, err := rd.Source.Open(part)
+		recs, err := dataflow.ReadAll(rd.Source, part)
 		if err != nil {
 			return nil, err
-		}
-		defer it.Close()
-		var recs []data.Record
-		for {
-			r, ok, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			recs = append(recs, r)
 		}
 		// External reads cost real capacity, paid on actual reads only.
 		if env.cpu != nil {

@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pado/internal/data"
 	"pado/internal/dataflow"
@@ -104,17 +105,29 @@ func (t *AccTable) Extract() []data.Record {
 		}
 		return []data.Record{t.fn.ExtractOutput(nil, t.acc)}
 	}
-	keys := append([]any(nil), t.keys...)
-	sort.Slice(keys, func(i, j int) bool {
-		hi, hj := data.HashKey(keys[i]), data.HashKey(keys[j])
-		if hi != hj {
-			return hi < hj
+	// Hash each key once; the sort compares stored hashes.
+	type hashed struct {
+		h uint64
+		k any
+	}
+	keys := make([]hashed, len(t.keys))
+	for i, k := range t.keys {
+		keys[i] = hashed{data.HashKey(k), k}
+	}
+	slices.SortFunc(keys, func(a, b hashed) int {
+		switch {
+		case a.h != b.h:
+			return cmp.Compare(a.h, b.h)
+		case lessAny(a.k, b.k):
+			return -1
+		case lessAny(b.k, a.k):
+			return 1
 		}
-		return lessAny(keys[i], keys[j])
+		return 0
 	})
 	out := make([]data.Record, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, t.fn.ExtractOutput(k, t.m[k]))
+		out = append(out, t.fn.ExtractOutput(k.k, t.m[k.k]))
 	}
 	return out
 }

@@ -31,22 +31,30 @@ func Combiner(g *dag.Graph, id dag.VertexID) *dataflow.CombineOp {
 	return op
 }
 
-// FoldPartitions folds one task's output for op into one accumulator table
-// per consumer partition of n: a keyed combine routes each record by
-// data.Partition, as the hash shuffle does, and a global combine folds
-// everything into table 0. The fold is uncharged: both engines bill the
-// combine's CPU on the merging side, per accumulator.
-func FoldPartitions(op *dataflow.CombineOp, n int, recs []data.Record) []*AccTable {
+// FoldSink returns one empty accumulator table per consumer partition of
+// n and the sink that folds one record of a task's output for op into
+// them: a keyed combine routes each record by data.Partition, as the hash
+// shuffle does, and a global combine folds everything into table 0. Both
+// engines hand the sink to Run for the output that feeds op, so records
+// reach the tables in emit order without being held. The fold is
+// uncharged: both engines bill the combine's CPU on the merging side, per
+// accumulator.
+func FoldSink(op *dataflow.CombineOp, n int) ([]*AccTable, func(data.Record)) {
 	tables := make([]*AccTable, n)
 	for i := range tables {
 		tables[i] = NewAccTable(op.Fn, op.Global)
 	}
+	if op.Global {
+		return tables, tables[0].AddRecord
+	}
+	return tables, func(r data.Record) { tables[data.Partition(r.Key, n)].AddRecord(r) }
+}
+
+// FoldPartitions folds a held output through FoldSink.
+func FoldPartitions(op *dataflow.CombineOp, n int, recs []data.Record) []*AccTable {
+	tables, fold := FoldSink(op, n)
 	for _, r := range recs {
-		p := 0
-		if !op.Global {
-			p = data.Partition(r.Key, n)
-		}
-		tables[p].AddRecord(r)
+		fold(r)
 	}
 	return tables
 }

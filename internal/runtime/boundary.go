@@ -16,12 +16,13 @@ import (
 
 // dispatchBoundaries encodes a finished fragment task's boundary outputs
 // for the stage's reserved tasks: folded into per-receiver accumulator
-// tables (§3.2.7), which join the executor's aggregation buffer or, for a
-// content-addressable task, go out alone under the task's own cover; or raw
-// frames with one section per boundary edge. Everything after the encoding
-// — push, failure, commit — is pushFrames, for all three.
+// tables (§3.2.7) — perRecv, filled while the fragment ran — which join
+// the executor's aggregation buffer or, for a content-addressable task, go
+// out alone under the task's own cover; or raw frames with one section per
+// boundary edge. Everything after the encoding — push, failure, commit —
+// is pushFrames, for all three.
 func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, spec taskSpec,
-	outs map[dag.VertexID][]data.Record) {
+	outs map[dag.VertexID][]data.Record, perRecv []*exec.AccTable) {
 
 	g := ex.plan.Graph
 	cover := []senderRef{{Index: spec.Index, Attempt: spec.Attempt}}
@@ -33,20 +34,9 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 		return
 	}
 
-	// The combiner applies when the stage root is a combine that takes
-	// folded input (exec.Combiner); its one input edge is then the
-	// fragment's one boundary. A content-addressable task always takes it,
-	// alone: its sections become a "task/" commit, which must be a pure
-	// function of the task's input, and a buffer merges whichever covers
-	// happened to meet (DESIGN.md §14). Every other task joins the buffer
-	// unless the configuration turned the buffer off.
-	comb := exec.Combiner(g, ps.Root)
-	addressable := spec.TaskKey != "" && ex.cas != nil
-	buffered := !addressable && !ex.cfg.DisablePartialAggregation
-
-	if comb != nil && (addressable || buffered) {
-		perRecv := exec.FoldPartitions(comb, nRecv, outs[frag.Boundaries[0].From])
-		if buffered {
+	if perRecv != nil {
+		comb := exec.Combiner(g, ps.Root)
+		if ex.buffered(spec) {
 			ex.aggBufferFor(spec, comb.AccCoder).deposit(cover[0], perRecv)
 			return
 		}
@@ -98,6 +88,29 @@ func (ex *Executor) dispatchBoundaries(ps *core.PhysStage, frag *core.Fragment, 
 		}
 	}
 	ex.pushFrames(spec, cover, sections)
+}
+
+// foldingCombine returns the combine a task folds its boundary output
+// into, or nil when the output travels raw. The combiner applies when the
+// stage root is a combine that takes folded input (exec.Combiner); its one
+// input edge is then the fragment's one boundary. A content-addressable
+// task always takes it, alone: its sections become a "task/" commit, which
+// must be a pure function of the task's input, and a buffer merges
+// whichever covers happened to meet (DESIGN.md §14). Every other task joins
+// the buffer unless the configuration turned the buffer off.
+func (ex *Executor) foldingCombine(ps *core.PhysStage, spec taskSpec) *dataflow.CombineOp {
+	comb := exec.Combiner(ex.plan.Graph, ps.Root)
+	if comb == nil || len(spec.Receivers) == 0 || !(ex.addressable(spec) || ex.buffered(spec)) {
+		return nil
+	}
+	return comb
+}
+
+// addressable reports whether the task's output becomes a commit-store
+// entry; buffered whether it joins the executor's aggregation buffer.
+func (ex *Executor) addressable(spec taskSpec) bool { return spec.TaskKey != "" && ex.cas != nil }
+func (ex *Executor) buffered(spec taskSpec) bool {
+	return !ex.addressable(spec) && !ex.cfg.DisablePartialAggregation
 }
 
 // boundaryPartition routes one record to a receiver index for a boundary

@@ -160,6 +160,7 @@ func (h *nodeHost) startHeartbeats(net *simnet.Network, masterID string, every t
 		defer func() {
 			if conn != nil {
 				conn.Close()
+				e.Release()
 			}
 		}()
 		seq := 0
@@ -176,10 +177,11 @@ func (h *nodeHost) startHeartbeats(net *simnet.Network, masterID string, every t
 					continue
 				}
 				conn = c
-				e = data.NewEncoder(conn)
+				e = data.StreamEncoder(conn)
 			}
 			if err := writeHeartbeat(e, &heartbeatFrame{ID: h.id, Seq: seq, Open: h.openDests()}); err != nil {
 				conn.Close()
+				e.Release()
 				conn, e = nil, nil
 				continue
 			}
@@ -407,7 +409,8 @@ func (ex *Executor) runTask(spec taskSpec) {
 	ps := ex.plan.Stages[spec.Stage]
 	frag := ps.Fragments[spec.Frag]
 
-	outs, cached, err := ex.computeFragment(ps, frag, spec)
+	want, fold := ex.fragmentOutputs(ps, frag, spec)
+	outs, cached, err := ex.computeFragment(ps, frag, spec, want)
 	if err != nil {
 		if !ex.stopped() {
 			ex.send(evTaskFailed{ref: ex.ref(spec), Exec: ex.id, Err: err, Fatal: isFatal(err)})
@@ -423,7 +426,26 @@ func (ex *Executor) runTask(spec taskSpec) {
 		ex.sendTerminal(ps, frag, spec, outs)
 		return
 	}
-	ex.dispatchBoundaries(ps, frag, spec, outs)
+	ex.dispatchBoundaries(ps, frag, spec, outs, fold)
+}
+
+// fragmentOutputs says what a task takes from its fragment run: the root
+// for a terminal task; otherwise the boundary outputs, or — when
+// foldingCombine applies — a sink that folds the one boundary output
+// straight into per-receiver accumulator tables, returned with it.
+func (ex *Executor) fragmentOutputs(ps *core.PhysStage, frag *core.Fragment, spec taskSpec) (exec.Outputs, []*exec.AccTable) {
+	if spec.Terminal {
+		return exec.Outputs{Keep: []dag.VertexID{ps.Root}}, nil
+	}
+	if comb := ex.foldingCombine(ps, spec); comb != nil {
+		tables, fold := exec.FoldSink(comb, len(spec.Receivers))
+		return exec.Outputs{Sinks: map[dag.VertexID]func(data.Record){frag.Boundaries[0].From: fold}}, tables
+	}
+	want := exec.Outputs{Keep: make([]dag.VertexID, len(frag.Boundaries))}
+	for i, b := range frag.Boundaries {
+		want.Keep[i] = b.From
+	}
+	return want, nil
 }
 
 // ref builds the job-scoped event reference for one of this executor's
@@ -450,7 +472,7 @@ type inputFetch struct {
 
 // computeFragment resolves the task's external inputs and interprets the
 // fused operator chain.
-func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spec taskSpec) (map[dag.VertexID][]data.Record, []recache.Key, error) {
+func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spec taskSpec, want exec.Outputs) (map[dag.VertexID][]data.Record, []recache.Key, error) {
 	g := ex.plan.Graph
 	in := exec.Inputs{
 		Ext:   make(map[dag.VertexID]map[string][]data.Record),
@@ -469,7 +491,7 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 				cache := ex.cacheFor(rd.Cached)
 				recs, err := cache.Load(key, recache.Observer(ex.met, ex.tr, obs.Event{Stage: spec.Stage, Frag: spec.Frag,
 					Task: spec.Index, Exec: ex.id, Note: "read"}), func() ([]data.Record, error) {
-					recs, err := materialize(rd.Source, spec.Index)
+					recs, err := dataflow.ReadAll(rd.Source, spec.Index)
 					if err != nil {
 						return nil, err
 					}
@@ -529,7 +551,7 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 		addTagged(dst, f.op, f.si.Tag, f.recs)
 	}
 	in.Throttle = ex.throttle
-	outs, err := exec.RunFragment(g, frag.Ops, in)
+	outs, err := exec.Run(g, frag.Ops, in, want)
 	return outs, cached, err
 }
 
@@ -546,26 +568,12 @@ func addTagged(m map[dag.VertexID]map[string][]data.Record, op dag.VertexID, tag
 	if m[op] == nil {
 		m[op] = make(map[string][]data.Record)
 	}
-	m[op][tag] = append(m[op][tag], recs...)
-}
-
-func materialize(src dataflow.Source, part int) ([]data.Record, error) {
-	it, err := src.Open(part)
-	if err != nil {
-		return nil, err
+	// A single input is aliased; a second one copies rather than append
+	// into the first's spare capacity, which a cache entry may own.
+	if prev, ok := m[op][tag]; ok {
+		recs = append(prev[:len(prev):len(prev)], recs...)
 	}
-	defer it.Close()
-	var recs []data.Record
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return recs, nil
-		}
-		recs = append(recs, r)
-	}
+	m[op][tag] = recs
 }
 
 // cacheFor returns the executor's input cache for an input the plan marked

@@ -146,9 +146,13 @@ func Serve(l *simnet.Listener, stop <-chan struct{}, handle OpHandler) {
 			return
 		}
 		go func() {
-			defer conn.Close()
-			d := data.NewDecoder(conn)
-			e := data.NewEncoder(conn)
+			d := data.StreamDecoder(conn)
+			e := data.StreamEncoder(conn)
+			defer func() {
+				conn.Close()
+				d.Release()
+				e.Release()
+			}()
 			for {
 				op, err := d.Byte()
 				if err != nil || handle(op, e, d) != nil {

@@ -93,11 +93,20 @@ type PoolTransport struct {
 
 // stream is one pooled connection with its codec state. The Encoder and
 // Decoder must live as long as the conn: both buffer, so rebuilding them
-// per operation could strand bytes of an earlier response.
+// per operation could strand bytes of an earlier response. Their buffers
+// come from data's stream pool and go back to it in close.
 type stream struct {
 	c *simnet.Conn
 	e *data.Encoder
 	d *data.Decoder
+}
+
+// close closes the conn and releases the codec buffers. Every path that
+// drops a stream calls it once no operation is running on the stream.
+func (s *stream) close() {
+	s.c.Close()
+	s.e.Release()
+	s.d.Release()
 }
 
 // maxIdlePerDest bounds the idle list per destination. Concurrent fan-out
@@ -132,7 +141,7 @@ func (p *PoolTransport) checkout(to string) (*stream, bool, error) {
 		s := list[len(list)-1]
 		p.idle[to] = list[:len(list)-1]
 		if !s.c.Alive() {
-			s.c.Close()
+			s.close()
 			continue
 		}
 		p.mu.Unlock()
@@ -151,21 +160,21 @@ func (p *PoolTransport) dial(to string) (*stream, error) {
 		return nil, err
 	}
 	p.dials.Add(1)
-	return &stream{c: conn, e: data.NewEncoder(conn), d: data.NewDecoder(conn)}, nil
+	return &stream{c: conn, e: data.StreamEncoder(conn), d: data.StreamDecoder(conn)}, nil
 }
 
 // checkin returns a healthy stream to the idle list; dead streams and
 // overflow beyond maxIdlePerDest are closed instead.
 func (p *PoolTransport) checkin(s *stream) {
 	if !s.c.Alive() {
-		s.c.Close()
+		s.close()
 		return
 	}
 	to := s.c.RemoteID()
 	p.mu.Lock()
 	if p.closed || len(p.idle[to]) >= maxIdlePerDest {
 		p.mu.Unlock()
-		s.c.Close()
+		s.close()
 		return
 	}
 	p.idle[to] = append(p.idle[to], s)
@@ -183,7 +192,7 @@ func (p *PoolTransport) Close() {
 	p.mu.Unlock()
 	for _, list := range idle {
 		for _, s := range list {
-			s.c.Close()
+			s.close()
 		}
 	}
 }
@@ -207,7 +216,7 @@ func (p *PoolTransport) Do(_, to string, fn func(e *data.Encoder, d *data.Decode
 			p.checkin(s)
 			return err
 		}
-		s.c.Close()
+		s.close()
 		if !reused {
 			return err
 		}
