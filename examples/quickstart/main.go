@@ -36,8 +36,8 @@ func main() {
 	// A source with one partition per document; each record is a line.
 	src := &dataflow.FuncSource{
 		Partitions: len(docs),
-		Gen: func(p int) []pado.Record {
-			return []pado.Record{{Value: docs[p]}}
+		Gen: func(p int) (int, func() pado.Record) {
+			return 1, func() pado.Record { return pado.Record{Value: docs[p]} }
 		},
 	}
 	lineCoder := data.KVCoder{K: data.NilCoder, V: data.StringCoder}

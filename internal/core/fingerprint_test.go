@@ -16,8 +16,8 @@ func fpPipeline(name string, parts int, saltPart int, salt string) *dataflow.Pip
 	kv := workloads.CountCoder
 	src := &dataflow.FuncSource{
 		Partitions: parts,
-		Gen: func(pt int) []data.Record {
-			return []data.Record{data.KV(fmt.Sprintf("k%d", pt), int64(pt))}
+		Gen: func(pt int) (int, func() data.Record) {
+			return 1, func() data.Record { return data.KV(fmt.Sprintf("k%d", pt), int64(pt)) }
 		},
 		Fingerprint: func(pt int) string {
 			if pt == saltPart {
@@ -105,8 +105,8 @@ func TestCacheKeysAbsentWithoutFingerprints(t *testing.T) {
 	kv := workloads.CountCoder
 	src := &dataflow.FuncSource{
 		Partitions: 4,
-		Gen: func(pt int) []data.Record {
-			return []data.Record{data.KV(fmt.Sprintf("k%d", pt), int64(pt))}
+		Gen: func(pt int) (int, func() data.Record) {
+			return 1, func() data.Record { return data.KV(fmt.Sprintf("k%d", pt), int64(pt)) }
 		},
 	}
 	p.Read("read", src, kv).CombinePerKey("sum", dataflow.SumInt64Fn{}, kv)

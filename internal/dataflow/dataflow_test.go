@@ -20,7 +20,7 @@ func edgeBetween(g *dag.Graph, from, to dag.VertexID) (dag.Edge, bool) {
 
 func TestTransformEdgeTypes(t *testing.T) {
 	p := NewPipeline()
-	src := &FuncSource{Partitions: 2, Gen: func(int) []data.Record { return nil }}
+	src := &FuncSource{Partitions: 2, Gen: func(int) (int, func() data.Record) { return 0, nil }}
 	read := p.Read("read", src, kv)
 	created := p.Create("model", []data.Record{{Value: int64(1)}}, kv)
 	mapped := read.ParDo("map", MapFunc(func(r data.Record) data.Record { return r }), kv,
@@ -62,7 +62,7 @@ func TestTransformEdgeTypes(t *testing.T) {
 
 func TestOptionsSetOpFields(t *testing.T) {
 	p := NewPipeline()
-	src := &FuncSource{Partitions: 1, Gen: func(int) []data.Record { return nil }}
+	src := &FuncSource{Partitions: 1, Gen: func(int) (int, func() data.Record) { return 0, nil }}
 	read := p.Read("read", src, kv).Cached().ReadCost(12)
 	rd := p.Graph().Vertex(read.VertexID()).Op.(*ReadOp)
 	if !rd.Cached || rd.Cost != 12 {
@@ -163,8 +163,8 @@ func TestSliceAndFuncSources(t *testing.T) {
 		t.Errorf("iterated %d records", n)
 	}
 
-	fs := &FuncSource{Partitions: 3, Gen: func(p int) []data.Record {
-		return []data.Record{data.KV(int64(p), int64(p))}
+	fs := &FuncSource{Partitions: 3, Gen: func(p int) (int, func() data.Record) {
+		return 1, func() data.Record { return data.KV(int64(p), int64(p)) }
 	}}
 	it2, _ := fs.Open(2)
 	r, ok, _ := it2.Next()

@@ -12,7 +12,9 @@ type Source interface {
 	// NumPartitions returns the number of input partitions; it fixes
 	// the parallelism of the reading operator.
 	NumPartitions() int
-	// Open returns an iterator over one partition.
+	// Open returns an iterator over one partition. Readers consume it
+	// record by record and hold the records only when they cache them,
+	// so a source should produce each record as Next asks for it.
 	Open(partition int) (Iterator, error)
 }
 
@@ -107,11 +109,29 @@ func (it *sliceIter) Next() (data.Record, bool, error) {
 
 func (it *sliceIter) Close() error { return nil }
 
+// Held returns the records it has not yet yielded when it iterates a slice
+// already in memory (a SliceSource partition, or a cached read), so a
+// reader that keeps them all can alias that slice instead of copying it
+// record by record. ok is false for an iterator that produces its records.
+func Held(it Iterator) (recs []data.Record, ok bool) {
+	if s, ok := it.(*sliceIter); ok {
+		return s.recs[s.i:], true
+	}
+	return nil, false
+}
+
 // ReadAll returns the records of one partition of src. A FuncSource's
-// generated slice is returned as it is; any other source is iterated.
+// partition is generated into a slice of exactly its size; any other
+// source is iterated. Only reads that are held (the input cache) take
+// this path: an uncached read streams from Open.
 func ReadAll(src Source, part int) ([]data.Record, error) {
 	if fs, ok := src.(*FuncSource); ok {
-		return fs.Gen(part), nil
+		n, next := fs.Gen(part)
+		recs := make([]data.Record, n)
+		for i := range recs {
+			recs[i] = next()
+		}
+		return recs, nil
 	}
 	it, err := src.Open(part)
 	if err != nil {
@@ -146,13 +166,18 @@ type FingerprintedSource interface {
 }
 
 // FuncSource generates partition contents on demand from a deterministic
-// generator function, standing in for large external datasets without
-// materializing them.
+// generator, standing in for large external datasets without holding
+// them: Open streams a partition record by record as its reader asks for
+// them, so an uncached read never builds the partition as a slice.
 type FuncSource struct {
 	Partitions int
-	// Gen returns the records of one partition. It must be
+	// Gen starts one partition's generator. It returns the partition's
+	// record count n and a function that yields its records in order, one
+	// per call; readers call it exactly n times. The sequence must be
 	// deterministic: re-reads after evictions must see identical data.
-	Gen func(partition int) []data.Record
+	// Each call of Gen starts an independent generator, so concurrent
+	// reads of one partition do not share state.
+	Gen func(partition int) (n int, next func() data.Record)
 	// Fingerprint, if set, identifies one partition's content without
 	// generating it (see FingerprintedSource). It must change whenever
 	// Gen's output for that partition changes.
@@ -162,10 +187,27 @@ type FuncSource struct {
 // NumPartitions implements Source.
 func (s *FuncSource) NumPartitions() int { return s.Partitions }
 
-// Open implements Source.
+// Open implements Source. The iterator generates each record when Next
+// asks for it.
 func (s *FuncSource) Open(p int) (Iterator, error) {
-	return &sliceIter{recs: s.Gen(p)}, nil
+	n, next := s.Gen(p)
+	return &funcIter{left: n, next: next}, nil
 }
+
+type funcIter struct {
+	left int
+	next func() data.Record
+}
+
+func (it *funcIter) Next() (data.Record, bool, error) {
+	if it.left <= 0 {
+		return data.Record{}, false, nil
+	}
+	it.left--
+	return it.next(), true, nil
+}
+
+func (it *funcIter) Close() error { return nil }
 
 // PartitionFingerprint implements FingerprintedSource. Sources without a
 // Fingerprint function report "" (unknown).

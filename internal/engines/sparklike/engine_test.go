@@ -21,18 +21,17 @@ import (
 func buildWordCount(parts, recsPerPart int) (*dataflow.Pipeline, map[string]int64) {
 	src := &dataflow.FuncSource{
 		Partitions: parts,
-		Gen: func(p int) []data.Record {
+		Gen: func(p int) (int, func() data.Record) {
 			rng := rand.New(rand.NewSource(int64(p) + 1))
-			recs := make([]data.Record, recsPerPart)
-			for i := range recs {
-				recs[i] = data.KV(fmt.Sprintf("w%03d", rng.Intn(100)), int64(rng.Intn(10)))
+			return recsPerPart, func() data.Record {
+				return data.KV(fmt.Sprintf("w%03d", rng.Intn(100)), int64(rng.Intn(10)))
 			}
-			return recs
 		},
 	}
 	expect := make(map[string]int64)
 	for p := 0; p < parts; p++ {
-		for _, r := range src.Gen(p) {
+		recs, _ := dataflow.ReadAll(src, p)
+		for _, r := range recs {
 			expect[r.Key.(string)] += r.Value.(int64)
 		}
 	}

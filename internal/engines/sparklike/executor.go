@@ -177,10 +177,13 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 		Read:  make(map[dag.VertexID]func() (dataflow.Iterator, error)),
 		Accs:  make(map[dag.VertexID][]data.Record),
 	}
+	if env.cpu != nil {
+		in.Throttle = func(records int) error { return env.cpu.Acquire(records, env.stop) }
+	}
 	for _, opID := range st.Ops {
-		if rd, ok := g.Vertex(opID).Op.(*dataflow.ReadOp); ok {
-			opID, rd := opID, rd
-			in.Read[opID] = func() (dataflow.Iterator, error) { return env.openRead(st.ID, opID, rd, spec.Index) }
+		v := g.Vertex(opID)
+		if _, ok := v.Op.(*dataflow.ReadOp); ok {
+			in.Read[opID] = func() (dataflow.Iterator, error) { return env.openRead(st.ID, v, spec.Index, in.Throttle) }
 		}
 		for _, si := range st.InputsTo(opID) {
 			if err := env.fetchInput(st, si, spec, in); err != nil {
@@ -189,9 +192,6 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 		}
 	}
 
-	if env.cpu != nil {
-		in.Throttle = func(records int) error { return env.cpu.Acquire(records, env.stop) }
-	}
 	want, folds := stageOutputs(g, st)
 	outs, err := exec.Run(g, st.Ops, in, want)
 	if err != nil {
@@ -315,37 +315,17 @@ func bucketPayloads(g *dag.Graph, bs BucketSpec, coder data.Coder, root []data.R
 	return payloads, nil
 }
 
-func (env taskEnv) openRead(stage int, opID dag.VertexID, rd *dataflow.ReadOp, part int) (dataflow.Iterator, error) {
+func (env taskEnv) openRead(stage int, v *dag.Vertex, part int, charge func(tokens int) error) (dataflow.Iterator, error) {
 	cache := env.cache
-	if !rd.Cached {
+	if !v.Op.(*dataflow.ReadOp).Cached {
 		cache = nil
 	}
-	key := recache.Key{Vertex: opID, Partition: part}
 	note := recache.Observer(env.met, env.tr, obs.Event{Stage: stage, Task: part, Exec: env.execID, Note: "read"})
-	recs, err := cache.Load(key, note, func() ([]data.Record, error) {
-		recs, err := dataflow.ReadAll(rd.Source, part)
-		if err != nil {
-			return nil, err
-		}
-		// External reads cost real capacity, paid on actual reads only.
-		if env.cpu != nil {
-			cost := 1
-			if rd.Cost > 0 {
-				cost = rd.Cost
-			}
-			if err := env.cpu.Acquire(len(recs)*cost, env.stop); err != nil {
-				return nil, err
-			}
-		}
-		if cache != nil {
-			env.send(evCached{Exec: env.execID, Key: key})
-		}
-		return recs, nil
-	})
-	if err != nil {
-		return nil, err
+	it, filled, err := cache.Read(v, part, note, charge)
+	if filled {
+		env.send(evCached{Exec: env.execID, Key: recache.Key{Vertex: v.ID, Partition: part}})
 	}
-	return (&dataflow.SliceSource{Parts: [][]data.Record{recs}}).Open(0)
+	return it, err
 }
 
 // fetchInput resolves one cross-stage input of a task.

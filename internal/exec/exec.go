@@ -70,9 +70,10 @@ func RunFragment(g *dag.Graph, ops []dag.VertexID, in Inputs) (map[dag.VertexID]
 // producer has no other consumer, no sink and is not kept: it then runs
 // inside the producer's emit. Every other operator heads a chain. A head
 // reads its inputs as whole slices (held outputs of earlier operators,
-// in.Ext, in.Accs), except a ReadOp, which streams from its iterator. A
-// tag with one input slice aliases it, so user functions must not modify
-// their inputs (dataflow.DoFn).
+// in.Ext, in.Accs), except a ReadOp, which streams from its iterator; a
+// read whose records are already in memory (dataflow.Held: a cached read)
+// is held as that slice. A tag with one input slice aliases it, so user
+// functions must not modify their inputs (dataflow.DoFn).
 //
 // Throttle is charged each operator's input count times its OpCost, in ops
 // order: a head before it runs, a fused operator when its head finishes.
@@ -303,6 +304,12 @@ func (r *run) head(nd *node, tagged map[string][]data.Record) error {
 			return err
 		}
 		defer it.Close()
+		if recs, ok := dataflow.Held(it); ok {
+			if len(recs) > 0 { // an empty read holds nil, as a streamed one does
+				nd.emitAll(recs)
+			}
+			return nil
+		}
 		for r.err == nil {
 			rec, ok, err := it.Next()
 			if err != nil || !ok {

@@ -197,7 +197,8 @@ func TestRunFusedSideInputs(t *testing.T) {
 
 // TestRunHoldsForUnfusedConsumers: a producer with two consumers, or one
 // whose consumer takes bundles, is held, and its consumers read the held
-// slice.
+// slice. A read whose records are already in memory (as a cached read's
+// are) is held as that slice, not copied.
 func TestRunHoldsForUnfusedConsumers(t *testing.T) {
 	p := dataflow.NewPipeline()
 	src := &dataflow.SliceSource{Parts: [][]data.Record{{data.KV("a", int64(1)), data.KV("b", int64(2))}}}
@@ -216,6 +217,9 @@ func TestRunHoldsForUnfusedConsumers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(outs[read.VertexID()], src.Parts[0]) {
 		t.Errorf("read held %v, want %v", outs[read.VertexID()], src.Parts[0])
+	}
+	if got := outs[read.VertexID()]; len(got) == 0 || &got[0] != &src.Parts[0][0] {
+		t.Error("the read copied its in-memory partition instead of aliasing it")
 	}
 	if want := []data.Record{data.KV("a", int64(2)), data.KV("b", int64(4))}; !reflect.DeepEqual(outs[double.VertexID()], want) {
 		t.Errorf("double = %v, want %v", outs[double.VertexID()], want)

@@ -16,12 +16,12 @@ func TestFlattenAllEngines(t *testing.T) {
 	mkSrc := func(base int) *dataflow.FuncSource {
 		return &dataflow.FuncSource{
 			Partitions: 4,
-			Gen: func(p int) []data.Record {
-				recs := make([]data.Record, 100)
-				for i := range recs {
-					recs[i] = data.KV(fmt.Sprintf("k%02d", (base+i)%20), int64(base+i))
+			Gen: func(p int) (int, func() data.Record) {
+				i := base - 1
+				return 100, func() data.Record {
+					i++
+					return data.KV(fmt.Sprintf("k%02d", i%20), int64(i))
 				}
-				return recs
 			},
 		}
 	}
@@ -38,7 +38,8 @@ func TestFlattenAllEngines(t *testing.T) {
 	for _, base := range []int{0, 7} {
 		src := mkSrc(base)
 		for p := 0; p < 4; p++ {
-			for _, r := range src.Gen(p) {
+			recs, _ := dataflow.ReadAll(src, p)
+			for _, r := range recs {
 				want[r.Key.(string)] += r.Value.(int64)
 			}
 		}

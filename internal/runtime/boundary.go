@@ -284,10 +284,16 @@ func fetchStage(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, tr *
 		return nil, err
 	}
 	var recs []data.Record
-	for i, part := range decoded {
-		if i == 0 {
-			recs = part // a single partition is returned as decoded
-		} else {
+	switch {
+	case len(decoded) == 1:
+		recs = decoded[0] // a single partition is returned as decoded
+	case len(decoded) > 1:
+		n := 0
+		for _, part := range decoded {
+			n += len(part)
+		}
+		recs = make([]data.Record, 0, n)
+		for _, part := range decoded {
 			recs = append(recs, part...)
 		}
 	}

@@ -485,27 +485,14 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 	for _, opID := range frag.Ops {
 		v := g.Vertex(opID)
 		if rd, ok := v.Op.(*dataflow.ReadOp); ok {
-			opID, rd, vtx := opID, rd, v
+			cache := ex.cacheFor(rd.Cached)
 			in.Read[opID] = func() (dataflow.Iterator, error) {
-				key := recache.Key{Vertex: opID, Partition: spec.Index}
-				cache := ex.cacheFor(rd.Cached)
-				recs, err := cache.Load(key, recache.Observer(ex.met, ex.tr, obs.Event{Stage: spec.Stage, Frag: spec.Frag,
-					Task: spec.Index, Exec: ex.id, Note: "read"}), func() ([]data.Record, error) {
-					recs, err := dataflow.ReadAll(rd.Source, spec.Index)
-					if err != nil {
-						return nil, err
-					}
-					// Reading external input has a real cost, paid only on
-					// actual reads — cache hits skip it.
-					return recs, ex.throttle(len(recs) * dataflow.OpCost(vtx))
-				})
-				if err != nil {
-					return nil, err
+				it, _, err := cache.Read(v, spec.Index, recache.Observer(ex.met, ex.tr, obs.Event{Stage: spec.Stage, Frag: spec.Frag,
+					Task: spec.Index, Exec: ex.id, Note: "read"}), ex.throttle)
+				if err == nil && cache != nil {
+					cached = append(cached, recache.Key{Vertex: opID, Partition: spec.Index})
 				}
-				if cache != nil {
-					cached = append(cached, key)
-				}
-				return (&dataflow.SliceSource{Parts: [][]data.Record{recs}}).Open(0)
+				return it, err
 			}
 		}
 

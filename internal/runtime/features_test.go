@@ -72,12 +72,12 @@ func TestTerminalTransientStage(t *testing.T) {
 	// pushed to the master collector with the push-as-commit protocol.
 	src := &dataflow.FuncSource{
 		Partitions: 6,
-		Gen: func(p int) []data.Record {
-			recs := make([]data.Record, 50)
-			for i := range recs {
-				recs[i] = data.KV(fmt.Sprintf("p%d-%d", p, i), int64(i))
+		Gen: func(p int) (int, func() data.Record) {
+			i := -1
+			return 50, func() data.Record {
+				i++
+				return data.KV(fmt.Sprintf("p%d-%d", p, i), int64(i))
 			}
-			return recs
 		},
 	}
 	kv := data.KVCoder{K: data.StringCoder, V: data.Int64Coder}

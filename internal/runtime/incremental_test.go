@@ -34,19 +34,18 @@ func fpWordSource(parts, recsPerPart, dirtyParts int, salt int64) (*dataflow.Fun
 	}
 	src := &dataflow.FuncSource{
 		Partitions: parts,
-		Gen: func(p int) []data.Record {
+		Gen: func(p int) (int, func() data.Record) {
 			rng := rand.New(rand.NewSource(seed(p)))
-			recs := make([]data.Record, recsPerPart)
-			for i := range recs {
-				recs[i] = data.KV(fmt.Sprintf("w%03d", rng.Intn(100)), int64(rng.Intn(10)))
+			return recsPerPart, func() data.Record {
+				return data.KV(fmt.Sprintf("w%03d", rng.Intn(100)), int64(rng.Intn(10)))
 			}
-			return recs
 		},
 		Fingerprint: func(p int) string { return fmt.Sprintf("fpwc/%d/%d", p, seed(p)) },
 	}
 	expect := make(map[string]int64)
 	for p := 0; p < parts; p++ {
-		for _, r := range src.Gen(p) {
+		recs, _ := dataflow.ReadAll(src, p)
+		for _, r := range recs {
 			expect[r.Key.(string)] += r.Value.(int64)
 		}
 	}
@@ -332,7 +331,8 @@ func TestIncrementalMixedRawAndCombinedTaskCommits(t *testing.T) {
 	ps := res1.Plan.Stages[0]
 	for ti := 0; ti < parts; ti += 2 {
 		groups := make([][]data.Record, ps.RootParallelism)
-		for _, r := range src.Gen(ti) {
+		recs, _ := dataflow.ReadAll(src, ti)
+		for _, r := range recs {
 			p := data.Partition(r.Key, len(groups))
 			groups[p] = append(groups[p], r)
 		}

@@ -88,7 +88,7 @@ func (l *benchLauncher) Commit(int, int, int, msgCommit) {}
 // scheduler sees n independent waiting tasks and no receivers.
 func benchPlan(tb testing.TB, n int) *core.Plan {
 	tb.Helper()
-	src := &dataflow.FuncSource{Partitions: n, Gen: func(p int) []data.Record { return nil }}
+	src := &dataflow.FuncSource{Partitions: n, Gen: func(int) (int, func() data.Record) { return 0, nil }}
 	p := dataflow.NewPipeline()
 	p.Read("bench-src", src, data.KVCoder{K: data.StringCoder, V: data.Int64Coder})
 	plan, err := core.Compile(p.Graph(), core.PlanConfig{})

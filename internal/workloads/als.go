@@ -50,17 +50,15 @@ func DefaultALSConfig() ALSConfig {
 func ALSSource(cfg ALSConfig) dataflow.Source {
 	return &dataflow.FuncSource{
 		Partitions: cfg.Partitions,
-		Gen: func(p int) []data.Record {
+		Gen: func(p int) (int, func() data.Record) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(p)*15485863))
-			recs := make([]data.Record, cfg.RatingsPerPart)
-			for i := range recs {
+			return cfg.RatingsPerPart, func() data.Record {
 				u := int64(rng.Intn(cfg.Users))
 				it := int64(rng.Intn(cfg.Items))
 				// Hidden preference structure plus noise.
 				score := 3 + 1.5*hiddenAffinity(u, it, cfg.Rank) + 0.3*rng.NormFloat64()
-				recs[i] = data.Record{Value: Rating{User: u, Item: it, Score: score}}
+				return data.Record{Value: Rating{User: u, Item: it, Score: score}}
 			}
-			return recs
 		},
 	}
 }
@@ -291,8 +289,9 @@ func ALSReference(cfg ALSConfig) map[int64][]float64 {
 	user := make(map[int64][]Entry)
 	item := make(map[int64][]Entry)
 	for p := 0; p < cfg.Partitions; p++ {
-		for _, r := range src.Gen(p) {
-			v := r.Value.(Rating)
+		n, next := src.Gen(p)
+		for i := 0; i < n; i++ {
+			v := next().Value.(Rating)
 			user[v.User] = append(user[v.User], Entry{ID: v.Item, Score: v.Score})
 			item[v.Item] = append(item[v.Item], Entry{ID: v.User, Score: v.Score})
 		}

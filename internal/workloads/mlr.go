@@ -49,10 +49,9 @@ func DefaultMLRConfig() MLRConfig {
 func MLRSource(cfg MLRConfig) dataflow.Source {
 	return &dataflow.FuncSource{
 		Partitions: cfg.Partitions,
-		Gen: func(p int) []data.Record {
+		Gen: func(p int) (int, func() data.Record) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(p)*104729))
-			recs := make([]data.Record, cfg.SamplesPerPart)
-			for i := range recs {
+			return cfg.SamplesPerPart, func() data.Record {
 				s := Sample{
 					Idx: make([]int64, cfg.NonZeros),
 					Val: make([]float64, cfg.NonZeros),
@@ -81,9 +80,8 @@ func MLRSource(cfg MLRConfig) dataflow.Source {
 					}
 				}
 				s.Label = int64(best)
-				recs[i] = data.Record{Value: s}
+				return data.Record{Value: s}
 			}
-			return recs
 		},
 	}
 }
@@ -233,7 +231,10 @@ func MLRReference(cfg MLRConfig) []float64 {
 	src := MLRSource(cfg).(*dataflow.FuncSource)
 	var all []data.Record
 	for p := 0; p < cfg.Partitions; p++ {
-		all = append(all, src.Gen(p)...)
+		n, next := src.Gen(p)
+		for i := 0; i < n; i++ {
+			all = append(all, next())
+		}
 	}
 	model := InitialMLRModel(cfg)
 	fn := mlrGradientFn{cfg: cfg, side: "m"}

@@ -53,20 +53,21 @@ func DefaultMRConfig() MRConfig {
 }
 
 // MRSource generates the synthetic page-view log: each line is
-// "doc<id> <count>", Zipf-skewed over documents like real page views.
+// "doc<id> <count>", Zipf-skewed over documents like real page views. A
+// partition's lines are generated one at a time as its reader asks.
 func MRSource(cfg MRConfig) dataflow.Source {
 	return &dataflow.FuncSource{
 		Partitions: cfg.Partitions,
-		Gen: func(p int) []data.Record {
+		Gen: func(p int) (int, func() data.Record) {
 			rng := rand.New(rand.NewSource(cfg.partSeed(p)))
 			zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Docs-1))
-			recs := make([]data.Record, cfg.LinesPerPart)
-			for i := range recs {
+			var line []byte
+			return cfg.LinesPerPart, func() data.Record {
 				doc := zipf.Uint64()
 				count := rng.Intn(1000)
-				recs[i] = data.Record{Value: fmt.Sprintf("doc%07d %d", doc, count)}
+				line = appendMRLine(line[:0], doc, count)
+				return data.Record{Value: string(line)}
 			}
-			return recs
 		},
 		// The fingerprint names everything the generator folds into one
 		// partition, so identical content across runs fingerprints
@@ -75,6 +76,18 @@ func MRSource(cfg MRConfig) dataflow.Source {
 			return fmt.Sprintf("mr/%d/%d/%d/%d", cfg.LinesPerPart, cfg.Docs, p, cfg.partSeed(p))
 		},
 	}
+}
+
+// appendMRLine appends the log line fmt.Sprintf("doc%07d %d", doc, count)
+// to b without going through fmt.
+func appendMRLine(b []byte, doc uint64, count int) []byte {
+	b = append(b, "doc"...)
+	for w := uint64(1000000); w > doc && w > 1; w /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendUint(b, doc, 10)
+	b = append(b, ' ')
+	return strconv.AppendInt(b, int64(count), 10)
 }
 
 // mrParseFn parses one log line and emits (doc, count).
@@ -110,8 +123,9 @@ func MRReference(cfg MRConfig) map[string]int64 {
 	src := MRSource(cfg).(*dataflow.FuncSource)
 	out := make(map[string]int64)
 	for p := 0; p < cfg.Partitions; p++ {
-		for _, r := range src.Gen(p) {
-			line := r.Value.(string)
+		lines, next := src.Gen(p)
+		for i := 0; i < lines; i++ {
+			line := next().Value.(string)
 			sp := strings.IndexByte(line, ' ')
 			n, _ := strconv.ParseInt(line[sp+1:], 10, 64)
 			out[line[:sp]] += n

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -76,25 +77,65 @@ func TestSampleCoderRejectsMismatchedLengths(t *testing.T) {
 
 func TestSourcesDeterministic(t *testing.T) {
 	mr := MRConfig{Partitions: 3, LinesPerPart: 50, Docs: 100, Seed: 2}
-	s1 := MRSource(mr).(*dataflow.FuncSource)
-	s2 := MRSource(mr).(*dataflow.FuncSource)
-	if !reflect.DeepEqual(s1.Gen(1), s2.Gen(1)) {
+	if !reflect.DeepEqual(readPart(t, MRSource(mr), 1), readPart(t, MRSource(mr), 1)) {
 		t.Error("MR source not deterministic")
 	}
 
 	als := ALSConfig{Partitions: 3, RatingsPerPart: 20, Users: 10, Items: 5, Rank: 2, Seed: 2}
-	a1 := ALSSource(als).(*dataflow.FuncSource)
-	a2 := ALSSource(als).(*dataflow.FuncSource)
-	if !reflect.DeepEqual(a1.Gen(2), a2.Gen(2)) {
+	if !reflect.DeepEqual(readPart(t, ALSSource(als), 2), readPart(t, ALSSource(als), 2)) {
 		t.Error("ALS source not deterministic")
 	}
 
 	mlr := MLRConfig{Partitions: 3, SamplesPerPart: 10, Features: 16, Classes: 2, NonZeros: 4, Seed: 2}
-	m1 := MLRSource(mlr).(*dataflow.FuncSource)
-	m2 := MLRSource(mlr).(*dataflow.FuncSource)
-	if !reflect.DeepEqual(m1.Gen(0), m2.Gen(0)) {
+	if !reflect.DeepEqual(readPart(t, MLRSource(mlr), 0), readPart(t, MLRSource(mlr), 0)) {
 		t.Error("MLR source not deterministic")
 	}
+}
+
+// TestMRLineMatchesSprintf pins the MR generator's line format to the
+// fmt.Sprintf it replaced, at the padding edges of the document id.
+func TestMRLineMatchesSprintf(t *testing.T) {
+	docs := []uint64{0, 1, 9, 10, 99, 999999, 1000000, 9999999, 10000000, 12345678, 1 << 40, math.MaxUint64}
+	var line []byte
+	for _, doc := range docs {
+		for _, count := range []int{0, 1, 10, 999} {
+			line = appendMRLine(line[:0], doc, count)
+			if want := fmt.Sprintf("doc%07d %d", doc, count); string(line) != want {
+				t.Errorf("appendMRLine(%d, %d) = %q, want %q", doc, count, line, want)
+			}
+		}
+	}
+}
+
+// TestMRSourceMatchesSprintf regenerates partitions of the default MR
+// input from the same random draws with fmt.Sprintf and compares them line
+// for line with what the source streams.
+func TestMRSourceMatchesSprintf(t *testing.T) {
+	cfg := DefaultMRConfig()
+	for _, p := range []int{0, cfg.Partitions - 1} {
+		rng := rand.New(rand.NewSource(cfg.partSeed(p)))
+		zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Docs-1))
+		got := readPart(t, MRSource(cfg), p)
+		if len(got) != cfg.LinesPerPart {
+			t.Fatalf("partition %d has %d lines, want %d", p, len(got), cfg.LinesPerPart)
+		}
+		for i, r := range got {
+			doc := zipf.Uint64()
+			if want := fmt.Sprintf("doc%07d %d", doc, rng.Intn(1000)); r.Value != want {
+				t.Fatalf("partition %d line %d = %q, want %q", p, i, r.Value, want)
+			}
+		}
+	}
+}
+
+// readPart materializes one partition of src.
+func readPart(t *testing.T, src dataflow.Source, p int) []data.Record {
+	t.Helper()
+	recs, err := dataflow.ReadAll(src, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 func TestMRReferenceMatchesManualSum(t *testing.T) {
@@ -105,10 +146,10 @@ func TestMRReferenceMatchesManualSum(t *testing.T) {
 		total += v
 	}
 	// Recompute the grand total directly from the source.
-	src := MRSource(cfg).(*dataflow.FuncSource)
+	src := MRSource(cfg)
 	var want int64
 	for p := 0; p < cfg.Partitions; p++ {
-		for _, r := range src.Gen(p) {
+		for _, r := range readPart(t, src, p) {
 			line := r.Value.(string)
 			var doc string
 			var n int64
@@ -132,10 +173,10 @@ func TestMLRReferenceLearns(t *testing.T) {
 	}
 	// The trained model must classify the training set far better than
 	// chance (25% for 4 classes).
-	src := MLRSource(cfg).(*dataflow.FuncSource)
+	src := MLRSource(cfg)
 	correct, total := 0, 0
 	for p := 0; p < cfg.Partitions; p++ {
-		for _, r := range src.Gen(p) {
+		for _, r := range readPart(t, src, p) {
 			s := r.Value.(Sample)
 			best, score := int64(0), math.Inf(-1)
 			for c := 0; c < cfg.Classes; c++ {
@@ -168,10 +209,10 @@ func TestALSReferenceReducesError(t *testing.T) {
 	}
 	// Reconstruct user factors and check the training RMSE is decent.
 	user := map[int64][]Entry{}
-	src := ALSSource(cfg).(*dataflow.FuncSource)
+	src := ALSSource(cfg)
 	var ratings []Rating
 	for p := 0; p < cfg.Partitions; p++ {
-		for _, r := range src.Gen(p) {
+		for _, r := range readPart(t, src, p) {
 			v := r.Value.(Rating)
 			ratings = append(ratings, v)
 			user[v.User] = append(user[v.User], Entry{ID: v.Item, Score: v.Score})

@@ -17,10 +17,15 @@ import (
 func TestFacadeQuickstart(t *testing.T) {
 	src := &dataflow.FuncSource{
 		Partitions: 4,
-		Gen: func(p int) []pado.Record {
-			return []pado.Record{
+		Gen: func(p int) (int, func() pado.Record) {
+			recs := []pado.Record{
 				pado.KV("k", int64(p)),
 				pado.KV("only", int64(1)),
+			}
+			return len(recs), func() pado.Record {
+				r := recs[0]
+				recs = recs[1:]
+				return r
 			}
 		},
 	}
@@ -59,7 +64,7 @@ func TestFacadeQuickstart(t *testing.T) {
 
 // TestFacadeCompile checks the plan-inspection entry point.
 func TestFacadeCompile(t *testing.T) {
-	src := &dataflow.FuncSource{Partitions: 2, Gen: func(int) []pado.Record { return nil }}
+	src := &dataflow.FuncSource{Partitions: 2, Gen: func(int) (int, func() pado.Record) { return 0, nil }}
 	kv := data.KVCoder{K: data.StringCoder, V: data.Int64Coder}
 	p := pado.NewPipeline()
 	p.Read("read", src, kv).CombinePerKey("sum", pado.SumInt64Fn{}, kv)
