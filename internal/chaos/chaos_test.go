@@ -103,7 +103,7 @@ func TestTriggerMatching(t *testing.T) {
 	e.Attach(tracer)
 	defer e.Stop()
 
-	buf := tracer.Buf()
+	buf := tracer.Buf(nil, 0)
 	// Wrong stage, then two matches: nothing fires yet.
 	buf.Emit(obs.Event{Kind: obs.PushStarted, Stage: 1, Frag: 0, Task: 0})
 	buf.Emit(obs.Event{Kind: obs.PushStarted, Stage: 2, Frag: 0, Task: 0})
@@ -152,7 +152,7 @@ func TestFractionTrigger(t *testing.T) {
 	e.Attach(tracer)
 	defer e.Stop()
 
-	buf := tracer.Buf()
+	buf := tracer.Buf(nil, 0)
 	for task := 0; task < 4; task++ {
 		buf.Emit(obs.Event{Kind: obs.TaskLaunched, Stage: 1, Frag: 0, Task: task})
 	}

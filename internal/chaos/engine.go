@@ -111,7 +111,7 @@ func NewEngine(plan *Plan, cl *cluster.Cluster) *Engine {
 // injector. Rules without an After dependency arm immediately; those
 // with an empty On fire at once.
 func (e *Engine) Attach(tr *obs.Tracer) {
-	e.tr = tr.Buf()
+	e.tr = tr.Buf(nil, 0)
 	go e.runInjector()
 	e.mu.Lock()
 	var fire []action

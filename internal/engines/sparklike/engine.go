@@ -131,7 +131,7 @@ type master struct {
 	cl   *cluster.Cluster
 	net  *simnet.Network
 	met  *metrics.Job
-	tr   *obs.Buf // trace buffer (nil = tracing off); Emit is mutex-guarded
+	tr   *obs.Buf // folds into met; Emit is mutex-guarded
 
 	events chan event
 
@@ -165,10 +165,9 @@ func Run(ctx context.Context, cl *cluster.Cluster, g *dag.Graph, cfg Config) (*R
 		return nil, err
 	}
 	met := &metrics.Job{}
-	cfg.Tracer.FeedCounters(met)
 	m := &master{
 		cfg: cfg, plan: plan, cl: cl, net: cl.Net(), met: met,
-		tr:          cfg.Tracer.Buf(),
+		tr:          cfg.Tracer.Buf(met, 0),
 		events:      make(chan event, eventQueue),
 		execs:       make(map[string]*executor),
 		slotsFree:   make(map[string]int),
@@ -307,7 +306,7 @@ func (m *master) onGone(c *cluster.Container) {
 	if _, ok := m.execs[c.ID]; !ok {
 		return
 	}
-	m.met.Evictions.Add(1)
+	m.met.Counter(metrics.NameEvictions).Add(1)
 	m.tr.Emit(obs.Event{Kind: obs.ContainerEvicted, Exec: c.ID})
 	if ex := m.execs[c.ID]; ex != nil {
 		ex.shutdown()
@@ -353,7 +352,7 @@ func (m *master) requeue(stage, index int, t *sTask) {
 	t.exec = ""
 	t.ck = false
 	t.attempt++
-	m.met.RelaunchedTasks.Add(1)
+	m.met.Counter(metrics.NameRelaunchedTasks).Add(1)
 	m.tr.Emit(obs.Event{Kind: obs.TaskRelaunched, Stage: stage, Task: index, Attempt: t.attempt})
 }
 
@@ -631,7 +630,7 @@ func (m *master) schedule() {
 			}
 			if !s.started {
 				s.started = true
-				m.met.OriginalTasks.Add(int64(len(s.tasks)))
+				m.met.Counter(metrics.NameOriginalTasks).Add(int64(len(s.tasks)))
 				m.tr.Emit(obs.Event{Kind: obs.StageScheduled, Stage: s.ps.ID})
 			}
 			spec := sTaskSpec{Stage: s.ps.ID, Index: i, Attempt: t.attempt, InputLocs: locs}
@@ -764,7 +763,7 @@ func (m *master) checkDone() {
 					err = nil
 					continue
 				}
-				met.BytesFetched.Add(int64(len(payload)))
+				met.Counter(metrics.NameBytesFetched).Add(int64(len(payload)))
 				part, derr := data.DecodeAll(coder, payload)
 				if derr != nil {
 					m.events <- evCollected{err: derr}

@@ -88,7 +88,7 @@ func newExecutor(id string, node *simnet.Node, net *simnet.Network, plan *SPlan,
 	ex := &executor{events: events, stopCh: make(chan struct{})}
 	ex.taskEnv = taskEnv{
 		execID: id, plan: plan, cfg: cfg, met: met,
-		tr:    cfg.Tracer.Buf(),
+		tr:    cfg.Tracer.Buf(met, 0),
 		store: storage.NewLocalStore(),
 		cache: recache.New(cacheCapacity),
 		cpu:   cpu,
@@ -243,7 +243,7 @@ func runTask(env taskEnv, spec sTaskSpec) error {
 				if err := env.ck.Put(id, payload); err != nil {
 					return
 				}
-				env.met.BytesCheckpointed.Add(int64(len(payload)))
+				env.met.Counter(metrics.NameBytesCheckpointed).Add(int64(len(payload)))
 			}
 			env.send(evCheckpointed{ref: spec.ref()})
 		}()
@@ -320,8 +320,7 @@ func (env taskEnv) openRead(stage int, v *dag.Vertex, part int, charge func(toke
 	if !v.Op.(*dataflow.ReadOp).Cached {
 		cache = nil
 	}
-	note := recache.Observer(env.met, env.tr, obs.Event{Stage: stage, Task: part, Exec: env.execID, Note: "read"})
-	it, filled, err := cache.Read(v, part, note, charge)
+	it, filled, err := cache.Read(v, part, env.tr, obs.Event{Stage: stage, Task: part, Exec: env.execID, Note: "read"}, charge)
 	if filled {
 		env.send(evCached{Exec: env.execID, Key: recache.Key{Vertex: v.ID, Partition: part}})
 	}
@@ -370,7 +369,7 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 				return nil, &fetchFailure{FromStage: si.FromStage, Part: part, Owner: locs[part], Err: err}
 			}
 		}
-		env.met.BytesFetched.Add(int64(len(payload)))
+		env.met.Counter(metrics.NameBytesFetched).Add(int64(len(payload)))
 		env.tr.Emit(obs.Event{Kind: obs.FetchDone, Stage: si.FromStage, Frag: part,
 			Task: part, Exec: env.execID, Bytes: int64(len(payload))})
 		return data.DecodeAll(coder, payload)
@@ -390,8 +389,8 @@ func (env taskEnv) fetchInput(st *SStage, si SInput, spec sTaskSpec, in exec.Inp
 		// Broadcasts are cached per executor, like Spark's broadcast
 		// variables: concurrent slots share one fetch.
 		recs, err = env.cache.Load(recache.Key{Vertex: si.FromVertex, Partition: recache.Broadcast},
-			recache.Observer(env.met, env.tr, obs.Event{Stage: si.FromStage, Frag: -1, Task: -1,
-				Exec: env.execID, Note: "broadcast"}), fetchAllWhole)
+			env.tr, obs.Event{Stage: si.FromStage, Frag: -1, Task: -1, Exec: env.execID, Note: "broadcast"},
+			fetchAllWhole)
 	case dag.ManyToOne:
 		recs, err = fetchAllWhole()
 	case dag.ManyToMany:

@@ -404,7 +404,6 @@ func (p Params) start() (*cell, error) {
 		return c, nil
 	}
 	c.met = &metrics.Job{}
-	c.tracer.FeedCounters(c.met)
 	mcfg := runtime.ManagerConfig{
 		Tracer: c.tracer, Metrics: c.met, Failure: p.Failure, Commits: p.CommitStore,
 	}

@@ -255,7 +255,7 @@ func TestInspectErrorBecomes503(t *testing.T) {
 func TestEventsStream(t *testing.T) {
 	tr := obs.New()
 	s, _ := startTestServer(t, tr)
-	b := tr.Buf()
+	b := tr.Buf(nil, 0)
 
 	resp, err := http.Get("http://" + s.Addr() + "/events?kinds=task_launched")
 	if err != nil {

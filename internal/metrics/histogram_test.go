@@ -163,8 +163,8 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestSnapshotStringIncludesCacheAndNamed(t *testing.T) {
 	var j Job
-	j.CacheHits.Store(7)
-	j.CacheMisses.Store(3)
+	j.Counter(NameCacheHits).Store(7)
+	j.Counter(NameCacheMisses).Store(3)
 	j.Counter("event_queue_overflow").Add(2)
 	j.Counter("agg_flushes").Add(5)
 	out := j.Snapshot(time.Second, false).String()

@@ -2,11 +2,12 @@
 // harness: task launches and relaunches (the paper's "ratio of relaunched
 // tasks to original tasks"), data movement volumes, and eviction counts.
 //
-// Job is a named-counter registry. The paper-facing counters remain
-// addressable as plain struct fields (Job.Evictions.Add(1)) — they are
-// thin accessors over the same storage the registry exposes by name —
-// while any subsystem (the obs tracing layer, engine extensions, tests)
-// can mint additional counters at runtime with Job.Counter("name").
+// Job is a registry of named counters: each counter has one name, is
+// minted on first use by Job.Counter(name), and is written in one place.
+// Counters that repeat an event kind are not written by hand at all: the
+// obs layer folds every emitted event into its buffer's registry through
+// one table from kind to counter name (DESIGN §12). Snapshot promotes the
+// paper's counters to plain fields for the figures and the ledger.
 package metrics
 
 import (
@@ -31,17 +32,32 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // Store overwrites the value (tests and harness aggregation).
 func (c *Counter) Store(v int64) { c.v.Store(v) }
 
-// Builtin counter names, usable with Job.Counter. They identify the
-// struct fields of Job, in declaration order.
+// The paper's counter names, which Snapshot promotes to its fields.
 const (
-	NameOriginalTasks     = "original_tasks"
-	NameRelaunchedTasks   = "relaunched_tasks"
-	NameEvictions         = "evictions"
-	NameBytesPushed       = "bytes_pushed"
-	NameBytesFetched      = "bytes_fetched"
+	// NameOriginalTasks counts distinct tasks of the physical plan that
+	// were launched at least once.
+	NameOriginalTasks = "original_tasks"
+	// NameRelaunchedTasks counts task launches beyond each task's first
+	// attempt (recomputations and eviction relaunches).
+	NameRelaunchedTasks = "relaunched_tasks"
+	// NameEvictions counts transient containers the job lost while it
+	// ran, announced or declared dead by the failure detector.
+	NameEvictions = "evictions"
+	// NameBytesPushed counts payload bytes pushed from transient to
+	// reserved executors (Pado's escape path), after each send succeeds.
+	NameBytesPushed = "bytes_pushed"
+	// NameBytesFetched counts payload bytes pulled from stage outputs,
+	// shuffle pulls, and broadcast fetches.
+	NameBytesFetched = "bytes_fetched"
+	// NameBytesCheckpointed counts payload bytes written to stable
+	// storage (Spark-checkpoint only).
 	NameBytesCheckpointed = "bytes_checkpointed"
-	NameCacheHits         = "cache_hits"
-	NameCacheMisses       = "cache_misses"
+	// NameCacheHits and NameCacheMisses count task-input-cache lookups,
+	// folded from the cache_hit/cache_miss events: a lookup that ran no
+	// fill (resident, or shared with another slot's in-flight fill) is a
+	// hit, the one that ran the fill a miss.
+	NameCacheHits   = "cache_hits"
+	NameCacheMisses = "cache_misses"
 )
 
 // Data-plane connection-pool counter names. These are dynamically minted
@@ -53,13 +69,18 @@ const (
 	NameConnReuses = "conn_reuses"
 )
 
-// Failure-handling-plane counter names (dynamically minted). The
-// heartbeat/suspicion counters come from the master's failure detector;
-// the breaker and retry counters from the per-destination RPC policy
-// layered over the connection pool. Retries are further broken down by
-// cause under "rpc_retries_<cause>" (e.g. rpc_retries_push).
+// Failure-handling-plane counter names. The heartbeat/suspicion counters
+// come from the master's failure detector; the breaker and retry counters
+// from the per-destination RPC policy layered over the connection pool.
+// Retries are further broken down by cause under "rpc_retries_<cause>"
+// (e.g. rpc_retries_push).
 const (
-	NameHeartbeatsSent    = "heartbeats_sent"
+	// NameHeartbeatsSent counts heartbeats the node hosts sent.
+	NameHeartbeatsSent = "heartbeats_sent"
+	// NameHeartbeatsMissed counts silences, not lost beats: a node whose
+	// last heartbeat is overdue by two heartbeat periods at a detector
+	// tick is counted once, and not again until it beats. A fault-free
+	// run counts none.
 	NameHeartbeatsMissed  = "heartbeats_missed"
 	NameSuspicionsRaised  = "suspicions_raised"
 	NameSuspicionsCleared = "suspicions_cleared"
@@ -111,67 +132,28 @@ const (
 	NameSlotIndexHits     = "slot_index_hits"
 )
 
-// Job aggregates counters for one job run. All fields are safe for
-// concurrent update, and the zero value is ready to use.
-type Job struct {
-	// OriginalTasks counts distinct tasks of the physical plan that
-	// were launched at least once.
-	OriginalTasks Counter
-	// RelaunchedTasks counts task launches beyond each task's first
-	// attempt (recomputations and eviction relaunches).
-	RelaunchedTasks Counter
-	// Evictions counts transient container evictions observed while
-	// the job ran.
-	Evictions Counter
-	// BytesPushed counts payload bytes pushed from transient to
-	// reserved executors (Pado's escape path).
-	BytesPushed Counter
-	// BytesFetched counts payload bytes pulled from stage outputs,
-	// shuffle pulls, and broadcast fetches.
-	BytesFetched Counter
-	// BytesCheckpointed counts payload bytes written to stable storage
-	// (Spark-checkpoint only).
-	BytesCheckpointed Counter
-	// CacheHits and CacheMisses count task-input-cache lookups.
-	CacheHits   Counter
-	CacheMisses Counter
+// paperCounters are the counters Snapshot promotes to its fields, in
+// field order. Each reports them first, zero until counted, so every
+// registry exports the paper's quantities under the same names.
+var paperCounters = [...]string{
+	NameOriginalTasks, NameRelaunchedTasks, NameEvictions,
+	NameBytesPushed, NameBytesFetched, NameBytesCheckpointed,
+	NameCacheHits, NameCacheMisses,
+}
 
+// Job is one registry of named counters, gauges and histograms, for a job
+// or for the fleet. It is safe for concurrent use, and the zero value is
+// ready to use.
+type Job struct {
 	mu     sync.Mutex
 	named  map[string]*Counter
 	hists  map[string]*Histogram
 	gauges map[string]*Gauge
 }
 
-// builtin maps registry names onto the struct fields.
-func (j *Job) builtin(name string) *Counter {
-	switch name {
-	case NameOriginalTasks:
-		return &j.OriginalTasks
-	case NameRelaunchedTasks:
-		return &j.RelaunchedTasks
-	case NameEvictions:
-		return &j.Evictions
-	case NameBytesPushed:
-		return &j.BytesPushed
-	case NameBytesFetched:
-		return &j.BytesFetched
-	case NameBytesCheckpointed:
-		return &j.BytesCheckpointed
-	case NameCacheHits:
-		return &j.CacheHits
-	case NameCacheMisses:
-		return &j.CacheMisses
-	}
-	return nil
-}
-
 // Counter returns the counter registered under name, minting it on first
-// use. Builtin names resolve to the corresponding struct field, so
-// Counter(NameEvictions) and the Evictions field are the same counter.
+// use.
 func (j *Job) Counter(name string) *Counter {
-	if c := j.builtin(name); c != nil {
-		return c
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	c, ok := j.named[name]
@@ -185,43 +167,33 @@ func (j *Job) Counter(name string) *Counter {
 	return c
 }
 
-// builtinNames lists the builtin counters in declaration order.
-var builtinNames = []string{
-	NameOriginalTasks, NameRelaunchedTasks, NameEvictions,
-	NameBytesPushed, NameBytesFetched, NameBytesCheckpointed,
-	NameCacheHits, NameCacheMisses,
+// values copies every minted counter's current value.
+func (j *Job) values() map[string]int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	v := make(map[string]int64, len(j.named))
+	for name, c := range j.named {
+		v[name] = c.Load()
+	}
+	return v
 }
 
-// Each calls fn for every registered counter: builtins first in
-// declaration order, then dynamically minted counters sorted by name.
+// Each calls fn for every counter: the paper counters first, in
+// declaration order, then every other minted counter sorted by name.
 func (j *Job) Each(fn func(name string, value int64)) {
-	for _, name := range builtinNames {
-		fn(name, j.builtin(name).Load())
+	v := j.values()
+	for _, name := range paperCounters {
+		fn(name, v[name])
+		delete(v, name)
 	}
-	j.mu.Lock()
-	names := make([]string, 0, len(j.named))
-	for name := range j.named {
+	names := make([]string, 0, len(v))
+	for name := range v {
 		names = append(names, name)
 	}
-	counters := make([]*Counter, len(names))
 	sort.Strings(names)
-	for i, name := range names {
-		counters[i] = j.named[name]
+	for _, name := range names {
+		fn(name, v[name])
 	}
-	j.mu.Unlock()
-	for i, name := range names {
-		fn(name, counters[i].Load())
-	}
-}
-
-// RelaunchRatio returns relaunched/original, the paper's Figures 5-7
-// lower panels.
-func (j *Job) RelaunchRatio() float64 {
-	o := j.OriginalTasks.Load()
-	if o == 0 {
-		return 0
-	}
-	return float64(j.RelaunchedTasks.Load()) / float64(o)
 }
 
 // Snapshot is an immutable copy of the counters plus the measured job
@@ -237,33 +209,31 @@ type Snapshot struct {
 	BytesCheckpointed int64
 	CacheHits         int64
 	CacheMisses       int64
-	// Named holds dynamically minted counters (nil when none were
-	// registered).
+	// Named holds every other minted counter (nil when there is none).
 	Named map[string]int64
 }
 
 // Snapshot captures the current counter values.
 func (j *Job) Snapshot(jct time.Duration, timedOut bool) Snapshot {
+	v := j.values()
 	s := Snapshot{
 		JCT:               jct,
 		TimedOut:          timedOut,
-		OriginalTasks:     j.OriginalTasks.Load(),
-		RelaunchedTasks:   j.RelaunchedTasks.Load(),
-		Evictions:         j.Evictions.Load(),
-		BytesPushed:       j.BytesPushed.Load(),
-		BytesFetched:      j.BytesFetched.Load(),
-		BytesCheckpointed: j.BytesCheckpointed.Load(),
-		CacheHits:         j.CacheHits.Load(),
-		CacheMisses:       j.CacheMisses.Load(),
+		OriginalTasks:     v[NameOriginalTasks],
+		RelaunchedTasks:   v[NameRelaunchedTasks],
+		Evictions:         v[NameEvictions],
+		BytesPushed:       v[NameBytesPushed],
+		BytesFetched:      v[NameBytesFetched],
+		BytesCheckpointed: v[NameBytesCheckpointed],
+		CacheHits:         v[NameCacheHits],
+		CacheMisses:       v[NameCacheMisses],
 	}
-	j.mu.Lock()
-	if len(j.named) > 0 {
-		s.Named = make(map[string]int64, len(j.named))
-		for name, c := range j.named {
-			s.Named[name] = c.Load()
-		}
+	for _, name := range paperCounters {
+		delete(v, name)
 	}
-	j.mu.Unlock()
+	if len(v) > 0 {
+		s.Named = v
+	}
 	return s
 }
 

@@ -9,24 +9,24 @@ import (
 
 func TestRelaunchRatio(t *testing.T) {
 	var j Job
-	if j.RelaunchRatio() != 0 {
+	if j.Snapshot(0, false).RelaunchRatio() != 0 {
 		t.Error("empty job ratio should be 0")
 	}
-	j.OriginalTasks.Store(100)
-	j.RelaunchedTasks.Store(31)
-	if got := j.RelaunchRatio(); got != 0.31 {
+	j.Counter(NameOriginalTasks).Store(100)
+	j.Counter(NameRelaunchedTasks).Store(31)
+	if got := j.Snapshot(0, false).RelaunchRatio(); got != 0.31 {
 		t.Errorf("ratio = %v", got)
 	}
 }
 
 func TestSnapshot(t *testing.T) {
 	var j Job
-	j.OriginalTasks.Store(10)
-	j.RelaunchedTasks.Store(5)
-	j.Evictions.Store(3)
-	j.BytesPushed.Store(100)
-	j.BytesFetched.Store(200)
-	j.BytesCheckpointed.Store(300)
+	j.Counter(NameOriginalTasks).Store(10)
+	j.Counter(NameRelaunchedTasks).Store(5)
+	j.Counter(NameEvictions).Store(3)
+	j.Counter(NameBytesPushed).Store(100)
+	j.Counter(NameBytesFetched).Store(200)
+	j.Counter(NameBytesCheckpointed).Store(300)
 	s := j.Snapshot(2*time.Second, true)
 	if s.JCT != 2*time.Second || !s.TimedOut {
 		t.Errorf("snapshot timing wrong: %+v", s)
@@ -42,15 +42,21 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestRegistryBuiltinAliases(t *testing.T) {
+// The paper's counters are plain named counters that Snapshot promotes to
+// its fields (and keeps out of Named), and Each lists first, zero until
+// counted.
+func TestSnapshotPromotesPaperCounters(t *testing.T) {
 	var j Job
 	j.Counter(NameEvictions).Add(2)
-	j.Evictions.Add(1)
-	if got := j.Counter(NameEvictions).Load(); got != 3 {
-		t.Errorf("builtin alias diverged from field: %d", got)
+	j.Counter(NameEvictions).Add(1)
+	s := j.Snapshot(0, false)
+	if s.Evictions != 3 || s.Named != nil {
+		t.Errorf("evictions field %d, named %v; want 3 and no named counters", s.Evictions, s.Named)
 	}
-	if j.Counter(NameEvictions) != &j.Evictions {
-		t.Error("Counter(NameEvictions) is not the Evictions field")
+	var names []string
+	j.Each(func(name string, v int64) { names = append(names, name) })
+	if len(names) != len(paperCounters) || names[0] != NameOriginalTasks || names[2] != NameEvictions {
+		t.Errorf("Each visited %v, want the paper counters in order", names)
 	}
 }
 
@@ -69,7 +75,7 @@ func TestRegistryNamedCounters(t *testing.T) {
 
 	var names []string
 	j.Each(func(name string, v int64) { names = append(names, name) })
-	if len(names) != len(builtinNames)+1 {
+	if len(names) != len(paperCounters)+1 {
 		t.Fatalf("Each visited %d counters: %v", len(names), names)
 	}
 	if names[len(names)-1] != "obs.push_started" {
@@ -103,13 +109,13 @@ func TestConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 1000; k++ {
-				j.OriginalTasks.Add(1)
-				j.BytesPushed.Add(2)
+				j.Counter(NameOriginalTasks).Add(1)
+				j.Counter(NameBytesPushed).Add(2)
 			}
 		}()
 	}
 	wg.Wait()
-	if j.OriginalTasks.Load() != 8000 || j.BytesPushed.Load() != 16000 {
-		t.Errorf("lost updates: %d %d", j.OriginalTasks.Load(), j.BytesPushed.Load())
+	if s := j.Snapshot(0, false); s.OriginalTasks != 8000 || s.BytesPushed != 16000 {
+		t.Errorf("lost updates: %d %d", s.OriginalTasks, s.BytesPushed)
 	}
 }

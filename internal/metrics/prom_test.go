@@ -23,12 +23,12 @@ func TestGaugeRegistry(t *testing.T) {
 
 func TestPromWriteValid(t *testing.T) {
 	fleet := &Job{}
-	fleet.Evictions.Add(3)
+	fleet.Counter(NameEvictions).Add(3)
 	fleet.Counter("conn_dials").Add(7)
 	fleet.Gauge(GaugeJobsRunning).Set(2)
 
 	j1 := &Job{}
-	j1.OriginalTasks.Add(10)
+	j1.Counter(NameOriginalTasks).Add(10)
 	j1.Gauge(GaugeTasksRunning).Set(4)
 	h := j1.Histogram("task_compute_ns")
 	h.Observe(100)

@@ -15,7 +15,7 @@ import (
 func TestFakeClockTimestamps(t *testing.T) {
 	synctest.Run(func() {
 		tr := New()
-		b := tr.Buf()
+		b := tr.Buf(nil, 0)
 		b.Emit(Event{Kind: StageScheduled, Stage: 0})
 		time.Sleep(3 * time.Second)
 		b.Emit(Event{Kind: StageComplete, Stage: 0})

@@ -23,7 +23,7 @@ func drain(s *Subscriber) []Event {
 
 func TestSubscribeDeliversAndFilters(t *testing.T) {
 	tr := New()
-	b := tr.Buf()
+	b := tr.Buf(nil, 0)
 
 	all := tr.Subscribe(16)
 	pushes := tr.Subscribe(16, PushStarted, PushCommitted)
@@ -58,7 +58,7 @@ func TestSubscribeDeliversAndFilters(t *testing.T) {
 // synchronous tap, healthy subscribers) still see the full stream.
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	tr := New()
-	b := tr.Buf()
+	b := tr.Buf(nil, 0)
 
 	const buf, total = 4, 1000
 	slow := tr.Subscribe(buf) // never read
@@ -148,7 +148,7 @@ func TestFanoutConcurrentEmitSubscribe(t *testing.T) {
 		emitWG.Add(1)
 		go func(e int) {
 			defer emitWG.Done()
-			b := tr.Buf()
+			b := tr.Buf(nil, 0)
 			for i := 0; i < perEmitter; i++ {
 				b.Emit(Event{Kind: TaskLaunched, Exec: "e", Task: i, Attempt: e})
 			}
@@ -172,7 +172,7 @@ func TestFanoutConcurrentEmitSubscribe(t *testing.T) {
 // subscription order, until its own Close, which leaves the others alone.
 func TestSyncSubscribers(t *testing.T) {
 	tr := New()
-	b := tr.Buf()
+	b := tr.Buf(nil, 0)
 
 	var got []string // no lock: synchronous means same goroutine
 	first := tr.SubscribeSync(func(ev Event) { got = append(got, fmt.Sprint("first:", ev.Task)) })

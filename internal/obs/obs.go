@@ -12,10 +12,12 @@
 //
 // Design constraints:
 //
-//   - Near-zero cost when disabled: a nil *Tracer (and the nil *Buf it
-//     hands out) is the off switch; every method is nil-safe and returns
-//     after one pointer check, so instrumented code never branches on a
-//     config flag and benchmarks with tracing off are unaffected.
+//   - Near-zero cost when disabled: a nil *Tracer is the off switch; every
+//     method is nil-safe, so instrumented code never branches on a config
+//     flag. Its buffers still fold each event into their metrics registry
+//     (one atomic add), so counters read the same with tracing on or off.
+//   - One count per fact: the kind-to-counter table (counterNames) is the
+//     only writer of every counter that repeats an event kind.
 //   - Allocation-conscious when enabled: events are flat value structs
 //     appended to per-component buffers (one Buf per master, executor,
 //     or test goroutine), each guarded by its own uncontended mutex, and
@@ -164,6 +166,47 @@ var kindNames = [kindCount]string{
 	TaskSkipped:      "task_skipped",
 }
 
+// counterNames is the one table from event kind to the registry counter
+// each emission of it adds one to (DESIGN §12). A kind that repeats a
+// counter the figures, the ledger or /metrics read carries that counter's
+// name; every other kind counts as "obs.<kind>". Counters whose fact is
+// not one event (bytes moved, task counts, evictions, RPC and scheduler
+// work) are written by hand where the fact happens, never here.
+var counterNames = func() (names [kindCount]string) {
+	for k := KindNone + 1; k < kindCount; k++ {
+		names[k] = "obs." + kindNames[k]
+	}
+	for k, name := range map[Kind]string{
+		CacheHit:         metrics.NameCacheHits,
+		CacheMiss:        metrics.NameCacheMisses,
+		HeartbeatMissed:  metrics.NameHeartbeatsMissed,
+		SuspicionRaised:  metrics.NameSuspicionsRaised,
+		SuspicionCleared: metrics.NameSuspicionsCleared,
+		NodeDeclaredDead: metrics.NameNodesDeclaredDead,
+		BreakerOpened:    metrics.NameBreakerOpens,
+		StageSkipped:     metrics.NameStagesSkipped,
+		TaskSkipped:      metrics.NameTasksSkipped,
+		JobSubmitted:     "jobs_submitted",
+		JobQueued:        "jobs_queued",
+		JobAdmitted:      "jobs_admitted",
+		JobRejected:      "jobs_rejected",
+		JobCompleted:     "jobs_completed",
+		JobTimedOut:      "jobs_completed",
+	} {
+		names[k] = name
+	}
+	return names
+}()
+
+// Counter names the registry counter that events of kind k are folded
+// into ("" for KindNone and unknown kinds).
+func (k Kind) Counter() string {
+	if k < kindCount {
+		return counterNames[k]
+	}
+	return ""
+}
+
 // kindByName inverts kindNames, built once on first ParseKind call.
 var (
 	kindByNameOnce sync.Once
@@ -211,7 +254,7 @@ type Event struct {
 	// Job scopes the event to one job on a multi-job master. 0 means
 	// fleet-wide / unscoped (container lifecycle, chaos injections, and
 	// every event of a single-job run); JobManager job ids start at 1.
-	// Buffers handed out by Tracer.JobBuf stamp it automatically.
+	// Buffers handed out with a job id stamp it automatically.
 	Job int
 	// Stage is the physical stage id (or the parent stage being fetched
 	// from, for Fetch* events). -1 when not stage-scoped.
@@ -238,11 +281,6 @@ type Event struct {
 type Tracer struct {
 	start time.Time
 
-	// sink mirrors per-kind event counts into a metrics registry; wired
-	// by FeedCounters. Atomic because an already-attached consumer (the
-	// chaos engine's injector) may Emit concurrently with the wiring.
-	sink [kindCount]atomic.Pointer[metrics.Counter]
-
 	// fan, when set, is the immutable live-consumer set: synchronous
 	// subscribers (the chaos engine triggers faults off one inline) and
 	// asynchronous ones with bounded buffers (the introspection plane's
@@ -260,46 +298,23 @@ type Tracer struct {
 // makes event times exact).
 func New() *Tracer { return &Tracer{start: time.Now()} }
 
-// FeedCounters mirrors every subsequently emitted event into reg as a
-// named counter ("obs.task_launched", "obs.container_evicted", ...), so
-// the metrics registry carries event totals even when the full event
-// stream is discarded. Call before any Buf emits; nil-safe.
-func (t *Tracer) FeedCounters(reg *metrics.Job) {
-	if t == nil || reg == nil {
-		return
-	}
-	for k := KindNone + 1; k < kindCount; k++ {
-		t.sink[k].Store(reg.Counter("obs." + k.String()))
-	}
-}
-
-// Buf registers and returns a new event buffer. Components (the master,
-// each executor, each test goroutine) hold their own Buf so emissions
-// never contend with each other; the tracer merges all buffers in
-// Events. A nil tracer returns a nil Buf, which swallows emissions.
-func (t *Tracer) Buf() *Buf {
-	if t == nil {
+// Buf returns a new event buffer that folds every emission into reg
+// through the kind-to-counter table and, when the tracer is on, records
+// it stamped with job (unless the emitter set a job id). Components (the
+// master, each executor, each test goroutine) hold their own Buf so
+// emissions never contend with each other; the tracer merges all buffers
+// in Events. A nil tracer hands out a buffer that only counts; with reg
+// nil too the Buf is nil, which swallows emissions.
+func (t *Tracer) Buf(reg *metrics.Job, job int) *Buf {
+	if t == nil && reg == nil {
 		return nil
 	}
-	b := &Buf{t: t}
-	t.mu.Lock()
-	t.bufs = append(t.bufs, b)
-	t.mu.Unlock()
-	return b
-}
-
-// JobBuf registers and returns a new event buffer whose emissions are
-// stamped with the given job id (unless the emitter already set one), so
-// per-job components on a multi-job master tag their whole stream without
-// touching each emit site. A nil tracer returns a nil Buf.
-func (t *Tracer) JobBuf(job int) *Buf {
-	if t == nil {
-		return nil
+	b := &Buf{t: t, reg: reg, job: job}
+	if t != nil {
+		t.mu.Lock()
+		t.bufs = append(t.bufs, b)
+		t.mu.Unlock()
 	}
-	b := &Buf{t: t, job: job}
-	t.mu.Lock()
-	t.bufs = append(t.bufs, b)
-	t.mu.Unlock()
 	return b
 }
 
@@ -353,30 +368,44 @@ func (t *Tracer) Len() int {
 	return n
 }
 
-// Buf is one component's event buffer. A Buf's mutex is uncontended in
-// steady state (only the owning component appends; the tracer locks it
-// briefly to merge), so Emit costs an uncontended lock plus an append. A
-// nil *Buf discards events after a single pointer check.
+// Buf is one component's event buffer and counter fold. A Buf's mutex is
+// uncontended in steady state (only the owning component appends; the
+// tracer locks it briefly to merge), so Emit costs an atomic add, an
+// uncontended lock and an append. A nil *Buf discards events after a
+// single pointer check.
 type Buf struct {
-	t   *Tracer
-	job int // stamped onto events that carry no job id (JobBuf)
+	t   *Tracer      // nil: events are counted, not recorded
+	reg *metrics.Job // nil: events are recorded, not counted
+	job int          // stamped onto events that carry no job id
+	// ctr caches reg's counter per kind, minted on the kind's first
+	// emission so a registry lists only kinds that happened.
+	ctr [kindCount]atomic.Pointer[metrics.Counter]
 	mu  sync.Mutex
 	evs []Event
 }
 
-// Emit records ev, stamping it with the time since the tracer started
-// and — for job-scoped buffers — the buffer's job id when the caller left
-// ev.Job zero. The caller leaves ev.T zero. Nil-safe.
+// Emit folds ev into the buffer's registry and, when a tracer records,
+// appends it stamped with the time since the tracer started and — for
+// job-scoped buffers — the buffer's job id when the caller left ev.Job
+// zero. The caller leaves ev.T zero. Nil-safe.
 func (b *Buf) Emit(ev Event) {
 	if b == nil {
+		return
+	}
+	if b.reg != nil && ev.Kind > KindNone && ev.Kind < kindCount {
+		c := b.ctr[ev.Kind].Load()
+		if c == nil {
+			c = b.reg.Counter(counterNames[ev.Kind])
+			b.ctr[ev.Kind].Store(c)
+		}
+		c.Add(1)
+	}
+	if b.t == nil {
 		return
 	}
 	ev.T = time.Since(b.t.start)
 	if ev.Job == 0 {
 		ev.Job = b.job
-	}
-	if c := b.t.sink[ev.Kind].Load(); c != nil {
-		c.Add(1)
 	}
 	b.mu.Lock()
 	b.evs = append(b.evs, ev)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,12 +19,11 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
-	b := tr.Buf()
+	b := tr.Buf(nil, 0)
 	if b != nil {
 		t.Fatalf("nil tracer handed out non-nil buf %v", b)
 	}
 	b.Emit(Event{Kind: TaskLaunched}) // must not panic
-	tr.FeedCounters(&metrics.Job{})
 	if evs := tr.Events(); evs != nil {
 		t.Fatalf("nil tracer returned events: %v", evs)
 	}
@@ -43,7 +43,7 @@ func TestConcurrentEmitMergesMonotonic(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		b := tr.Buf() // one buffer per goroutine
+		b := tr.Buf(nil, 0) // one buffer per goroutine
 		wg.Add(1)
 		go func(g int, b *Buf) {
 			defer wg.Done()
@@ -113,7 +113,7 @@ func TestEventsWhileEmitting(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < goroutines; g++ {
-		b := tr.Buf()
+		b := tr.Buf(nil, 0)
 		wg.Add(1)
 		go func(g int, b *Buf) {
 			defer wg.Done()
@@ -155,23 +155,48 @@ func TestEventsWhileEmitting(t *testing.T) {
 	}
 }
 
-func TestFeedCounters(t *testing.T) {
+// TestBufFoldsCounters pins the one kind-to-counter table: each emission
+// adds one to its kind's counter in the buffer's registry, under the
+// counter's own name for kinds that repeat one and as obs.<kind>
+// otherwise, whether or not a tracer records the stream.
+func TestBufFoldsCounters(t *testing.T) {
+	for _, tr := range []*Tracer{nil, New()} {
+		reg := &metrics.Job{}
+		b := tr.Buf(reg, 3)
+		b.Emit(Event{Kind: ContainerEvicted, Exec: "t1"})
+		b.Emit(Event{Kind: ContainerEvicted, Exec: "t2"})
+		b.Emit(Event{Kind: CacheHit})
+		b.Emit(Event{Kind: JobCompleted})
+		b.Emit(Event{Kind: JobTimedOut})
+		snap := reg.Snapshot(0, false)
+		want := map[string]int64{"obs.container_evicted": 2, "jobs_completed": 2}
+		if snap.CacheHits != 1 || !reflect.DeepEqual(snap.Named, want) {
+			t.Errorf("tracer %v: cache hits %d, named %v; want 1 and %v", tr != nil, snap.CacheHits, snap.Named, want)
+		}
+		if n := len(tr.Events()); tr != nil && (n != 5 || tr.Events()[0].Job != 3) {
+			t.Errorf("recorded %d events %v, want 5 stamped job 3", n, tr.Events())
+		}
+	}
+	// Executor slots share their executor's buffer, so its counter cache
+	// is filled and read from several goroutines at once.
 	reg := &metrics.Job{}
-	tr := New()
-	tr.FeedCounters(reg)
-	b := tr.Buf()
-	b.Emit(Event{Kind: ContainerEvicted, Exec: "t1"})
-	b.Emit(Event{Kind: ContainerEvicted, Exec: "t2"})
-	b.Emit(Event{Kind: TaskRelaunched, Stage: 1, Task: 0})
-	if got := reg.Counter("obs.container_evicted").Load(); got != 2 {
-		t.Fatalf("obs.container_evicted = %d, want 2", got)
+	b := New().Buf(reg, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				b.Emit(Event{Kind: CacheMiss})
+			}
+		}()
 	}
-	if got := reg.Counter("obs.task_relaunched").Load(); got != 1 {
-		t.Fatalf("obs.task_relaunched = %d, want 1", got)
+	wg.Wait()
+	if n := reg.Snapshot(0, false).CacheMisses; n != 800 {
+		t.Errorf("concurrent emits counted %d cache misses, want 800", n)
 	}
-	snap := reg.Snapshot(0, false)
-	if snap.Named["obs.container_evicted"] != 2 {
-		t.Fatalf("snapshot named = %v", snap.Named)
+	if CacheMiss.Counter() != metrics.NameCacheMisses || TaskLaunched.Counter() != "obs.task_launched" || KindNone.Counter() != "" {
+		t.Errorf("table: %q %q %q", CacheMiss.Counter(), TaskLaunched.Counter(), KindNone.Counter())
 	}
 }
 
@@ -325,7 +350,7 @@ func BenchmarkEmitDisabled(b *testing.B) {
 // BenchmarkEmitEnabled measures the enabled path for contrast.
 func BenchmarkEmitEnabled(b *testing.B) {
 	tr := New()
-	buf := tr.Buf()
+	buf := tr.Buf(nil, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Emit(Event{Kind: TaskFinished, Stage: 1, Task: i})

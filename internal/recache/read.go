@@ -4,6 +4,7 @@ import (
 	"pado/internal/dag"
 	"pado/internal/data"
 	"pado/internal/dataflow"
+	"pado/internal/obs"
 )
 
 // Read opens partition part of the ReadOp vertex v for a task. It is the
@@ -19,8 +20,8 @@ import (
 //     charge and caches the slice, once among concurrent callers of the
 //     same key (Load). filled reports whether this call did that read.
 //
-// note hears whether a cached lookup hit, as in Load.
-func (c *Cache) Read(v *dag.Vertex, part int, note func(hit bool), charge func(tokens int) error) (it dataflow.Iterator, filled bool, err error) {
+// A cached lookup is reported on tr as ev, as in Load.
+func (c *Cache) Read(v *dag.Vertex, part int, tr *obs.Buf, ev obs.Event, charge func(tokens int) error) (it dataflow.Iterator, filled bool, err error) {
 	src := v.Op.(*dataflow.ReadOp).Source
 	cost := dataflow.OpCost(v)
 	if c == nil {
@@ -30,7 +31,7 @@ func (c *Cache) Read(v *dag.Vertex, part int, note func(hit bool), charge func(t
 		}
 		return &chargedIter{Iterator: stream, cost: cost, charge: charge}, false, nil
 	}
-	recs, err := c.Load(Key{Vertex: v.ID, Partition: part}, note, func() ([]data.Record, error) {
+	recs, err := c.Load(Key{Vertex: v.ID, Partition: part}, tr, ev, func() ([]data.Record, error) {
 		recs, err := dataflow.ReadAll(src, part)
 		if err != nil {
 			return nil, err

@@ -9,6 +9,7 @@ import (
 	"pado/internal/data"
 	"pado/internal/dataflow"
 	"pado/internal/exec"
+	"pado/internal/obs"
 )
 
 // readChain is read (cost 3) → consume (cost 2) → count, the shape of an
@@ -62,7 +63,7 @@ func (c *readChain) run(t *testing.T, cache *Cache) (counts map[any]any, filled 
 	}
 	in := exec.Inputs{
 		Read: map[dag.VertexID]func() (dataflow.Iterator, error){c.read: func() (dataflow.Iterator, error) {
-			it, f, err := cache.Read(c.g.Vertex(c.read), 0, func(bool) {}, charge)
+			it, f, err := cache.Read(c.g.Vertex(c.read), 0, nil, obs.Event{}, charge)
 			filled = f
 			return it, err
 		}},

@@ -10,7 +10,6 @@ import (
 
 	"pado/internal/dag"
 	"pado/internal/data"
-	"pado/internal/metrics"
 	"pado/internal/obs"
 )
 
@@ -37,8 +36,6 @@ type Cache struct {
 	used     int64
 	ll       *list.List // front = most recent
 	entries  map[Key]*list.Element
-	hits     int64
-	misses   int64
 	flight   *Flight
 }
 
@@ -60,43 +57,37 @@ func New(capacity int64) *Cache {
 // Load is the read-through path every cached task input takes: a hit
 // returns the resident records; a miss runs fill — once among concurrent
 // callers of the same key, latecomers share the first caller's result —
-// and caches what it returned. note hears whether the lookup hit before
-// any fill starts, so each caller counts and traces hits and misses in its
-// own vocabulary. A nil cache (caching off for this input) just fills.
-func (c *Cache) Load(key Key, note func(hit bool), fill func() ([]data.Record, error)) ([]data.Record, error) {
+// and caches what it returned. Each lookup is reported once on tr, as ev
+// under the caller's identity with the Note extended by how it ended: a
+// call that ran no fill is a cache_hit ("resident", or "shared" when it
+// waited on another caller's fill), the call that runs the fill a
+// cache_miss, emitted as the fill starts, so the misses are the fills. A
+// nil cache (caching off for this input) just fills.
+func (c *Cache) Load(key Key, tr *obs.Buf, ev obs.Event, fill func() ([]data.Record, error)) ([]data.Record, error) {
 	if c == nil {
 		return fill()
 	}
+	note := ev.Note
 	recs, hit := c.Get(key)
-	note(hit)
 	if hit {
+		ev.Kind, ev.Note = obs.CacheHit, note+" resident"
+		tr.Emit(ev)
 		return recs, nil
 	}
-	recs, _, err := c.flight.Do(key, func() ([]data.Record, error) {
+	recs, shared, err := c.flight.Do(key, func() ([]data.Record, error) {
+		ev.Kind = obs.CacheMiss
+		tr.Emit(ev)
 		recs, err := fill()
 		if err == nil {
 			c.Put(key, recs)
 		}
 		return recs, err
 	})
-	return recs, err
-}
-
-// Observer builds the Load observer both engines use: it counts the lookup
-// in met's cache hit/miss counters and traces it as ev under the matching
-// kind.
-func Observer(met *metrics.Job, tr *obs.Buf, ev obs.Event) func(hit bool) {
-	return func(hit bool) {
-		ev := ev
-		if hit {
-			ev.Kind = obs.CacheHit
-			met.CacheHits.Add(1)
-		} else {
-			ev.Kind = obs.CacheMiss
-			met.CacheMisses.Add(1)
-		}
+	if shared {
+		ev.Kind, ev.Note = obs.CacheHit, note+" shared"
 		tr.Emit(ev)
 	}
+	return recs, err
 }
 
 // Get returns the cached records for key, if present.
@@ -105,10 +96,8 @@ func (c *Cache) Get(key Key) ([]data.Record, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).recs, true
 }
@@ -154,13 +143,6 @@ func (c *Cache) Keys() []Key {
 		out = append(out, k)
 	}
 	return out
-}
-
-// Stats returns hit/miss counters.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // estimateSize approximates the in-memory footprint of decoded records.

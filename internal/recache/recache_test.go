@@ -37,10 +37,6 @@ func TestCachePutGet(t *testing.T) {
 	if !ok || len(got) != 10 {
 		t.Fatalf("get = %v, %v", got, ok)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d/%d", hits, misses)
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -212,40 +208,46 @@ func TestKeyString(t *testing.T) {
 
 // TestLoad walks the read-through path both engines use: a miss fills and
 // caches, a hit skips the fill, a failed fill caches nothing, concurrent
-// misses share one fill, and a nil cache reads through unobserved. The
-// observer counts and traces every lookup under the caller's identity.
+// misses share one fill, and a nil cache reads through unobserved. Every
+// lookup is traced and counted once under the caller's identity: the call
+// that runs a fill as a miss, every other call as a hit.
 func TestLoad(t *testing.T) {
 	met := &metrics.Job{}
 	tr := obs.New()
-	note := Observer(met, tr.Buf(), obs.Event{Stage: 4, Task: 2, Exec: "t1", Note: "read"})
+	buf, ev := tr.Buf(met, 0), obs.Event{Stage: 4, Task: 2, Exec: "t1", Note: "read"}
+	counted := func(wantHits, wantMisses int64) {
+		t.Helper()
+		if s := met.Snapshot(0, false); s.CacheHits != wantHits || s.CacheMisses != wantMisses {
+			t.Errorf("counted %d hits, %d misses, want %d and %d", s.CacheHits, s.CacheMisses, wantHits, wantMisses)
+		}
+	}
 	c := New(1 << 20)
 	key := Key{Vertex: 3, Partition: 2}
 	fills := 0
 	fill := func() ([]data.Record, error) { fills++; return recsOfSize(5), nil }
 
 	for i, wantFills := range []int{1, 1} { // miss, then hit
-		recs, err := c.Load(key, note, fill)
+		recs, err := c.Load(key, buf, ev, fill)
 		if err != nil || len(recs) != 5 || fills != wantFills {
 			t.Fatalf("load %d: %d recs, err %v, %d fills (want %d)", i, len(recs), err, fills, wantFills)
 		}
 	}
-	if h, m := met.CacheHits.Load(), met.CacheMisses.Load(); h != 1 || m != 1 {
-		t.Errorf("counted %d hits, %d misses, want 1 and 1", h, m)
-	}
+	counted(1, 1)
 	evs := tr.Events()
-	if len(evs) != 2 || evs[0].Kind != obs.CacheMiss || evs[1].Kind != obs.CacheHit ||
-		evs[1].Stage != 4 || evs[1].Task != 2 || evs[1].Exec != "t1" || evs[1].Note != "read" {
-		t.Errorf("traced %+v, want a miss then a hit under the caller's identity", evs)
+	if len(evs) != 2 || evs[0].Kind != obs.CacheMiss || evs[0].Note != "read" || evs[1].Kind != obs.CacheHit ||
+		evs[1].Stage != 4 || evs[1].Task != 2 || evs[1].Exec != "t1" || evs[1].Note != "read resident" {
+		t.Errorf("traced %+v, want a miss then a resident hit under the caller's identity", evs)
 	}
 
 	boom := errors.New("boom")
 	bad := Key{Vertex: 9}
-	if _, err := c.Load(bad, note, func() ([]data.Record, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.Load(bad, buf, ev, func() ([]data.Record, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Errorf("failed fill returned %v", err)
 	}
 	if _, ok := c.Get(bad); ok {
 		t.Error("a failed fill was cached")
 	}
+	counted(1, 2)
 
 	var calls atomic.Int32
 	gate := make(chan struct{})
@@ -255,7 +257,7 @@ func TestLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recs, err := c.Load(shared, note, func() ([]data.Record, error) {
+			recs, err := c.Load(shared, buf, ev, func() ([]data.Record, error) {
 				calls.Add(1)
 				<-gate
 				return recsOfSize(2), nil
@@ -271,10 +273,24 @@ func TestLoad(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Errorf("%d concurrent fills of one key, want them shared", n)
 	}
+	counted(1+7, 3)
+	sharedHits := 0
+	for _, e := range tr.Events() {
+		if e.Kind == obs.CacheHit && e.Note == "read shared" {
+			sharedHits++
+		}
+	}
+	if sharedHits != 7 {
+		t.Errorf("traced %d shared hits, want the 7 callers that waited on the fill", sharedHits)
+	}
 
 	var off *Cache
-	recs, err := off.Load(key, func(bool) { t.Error("a nil cache has no lookup to observe") }, fill)
+	n := tr.Len()
+	recs, err := off.Load(key, buf, ev, fill)
 	if err != nil || len(recs) != 5 || fills != 2 {
 		t.Errorf("nil cache: %d recs, err %v, %d fills (want a read-through)", len(recs), err, fills)
+	}
+	if tr.Len() != n {
+		t.Error("a nil cache has no lookup to report, yet one was traced")
 	}
 }

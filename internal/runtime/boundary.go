@@ -167,6 +167,7 @@ func (ex *Executor) pushFrames(spec taskSpec, cover []senderRef, sections [][]pu
 	// Attribute the frames' bytes evenly across the covered tasks so
 	// per-task trace spans still sum to the frame size.
 	shares := attributeBytes(total, len(cover))
+	pushed := ex.met.Counter(metrics.NameBytesPushed)
 	for ci, c := range cover {
 		ex.tr.Emit(obs.Event{Kind: obs.PushStarted, Stage: spec.Stage, Frag: spec.Frag,
 			Task: c.Index, Attempt: c.Attempt, Exec: ex.id, Bytes: shares[ci], Note: note})
@@ -177,7 +178,7 @@ func (ex *Executor) pushFrames(spec taskSpec, cover []senderRef, sections [][]pu
 		if err := sendPush(ex.dp, spec.Receivers[i], f); err != nil {
 			return err
 		}
-		ex.met.BytesPushed.Add(sizes[i])
+		pushed.Add(sizes[i])
 		return nil
 	})
 	if err != nil {
@@ -263,6 +264,7 @@ func fetchStage(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, tr *
 	ev.Kind = obs.FetchStarted
 	tr.Emit(ev)
 	decoded := make([][]data.Record, len(parts))
+	fetched := met.Counter(metrics.NameBytesFetched)
 	var total atomic.Int64
 	err := storage.Fanout(len(parts), storage.MaxFetchWorkers, func(i int) error {
 		var owner, id, chunk string
@@ -275,7 +277,7 @@ func fetchStage(dp *dataPlane, cas *storage.CommitClient, met *metrics.Job, tr *
 		if err != nil {
 			return err
 		}
-		met.BytesFetched.Add(int64(len(payload)))
+		fetched.Add(int64(len(payload)))
 		total.Add(int64(len(payload)))
 		decoded[i], err = data.DecodeAll(coder, payload)
 		return err

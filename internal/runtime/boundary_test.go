@@ -284,7 +284,7 @@ func TestFetchStage(t *testing.T) {
 			tr := obs.New()
 			dp := newDataPlane(net, "client", met, nil)
 			defer dp.pool.Close()
-			recs, err := fetchStage(dp, nil, met, tr.JobBuf(job), job, tc.ev, loc, tc.parts, coder)
+			recs, err := fetchStage(dp, nil, met, tr.Buf(met, job), job, tc.ev, loc, tc.parts, coder)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestFetchStage(t *testing.T) {
 			if !reflect.DeepEqual(gotKeys, wantKeys) {
 				t.Errorf("records %v, want part order %v", gotKeys, wantKeys)
 			}
-			if got := met.BytesFetched.Load(); got != wantBytes {
+			if got := met.Counter(metrics.NameBytesFetched).Load(); got != wantBytes {
 				t.Errorf("bytes_fetched = %d, want %d", got, wantBytes)
 			}
 			started, done := tc.ev, tc.ev
@@ -325,11 +325,11 @@ func TestFetchStage(t *testing.T) {
 		tr := obs.New()
 		dp := newDataPlane(net, "client", met, nil)
 		defer dp.pool.Close()
-		if _, err := fetchStage(dp, nil, met, tr.JobBuf(job), job, obs.Event{Stage: stage}, loc, []int{nParts}, coder); err == nil {
+		if _, err := fetchStage(dp, nil, met, tr.Buf(met, job), job, obs.Event{Stage: stage}, loc, []int{nParts}, coder); err == nil {
 			t.Fatal("fetched a partition past the end of the location")
 		}
-		if n := len(tr.Events()); n != 0 || met.BytesFetched.Load() != 0 {
-			t.Errorf("a rejected part list emitted %d events and counted %d bytes", n, met.BytesFetched.Load())
+		if n := len(tr.Events()); n != 0 || met.Counter(metrics.NameBytesFetched).Load() != 0 {
+			t.Errorf("a rejected part list emitted %d events and counted %d bytes", n, met.Counter(metrics.NameBytesFetched).Load())
 		}
 	})
 }
@@ -409,7 +409,7 @@ func TestReceiverPull(t *testing.T) {
 	if want := []string{"8.0:skipped"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("staged %v, want %v", got, want)
 	}
-	if f, s := met.BytesFetched.Load(), met.Counter(metrics.NameCASBytesServed).Load(); f != 0 || s != int64(len(skipped)) {
+	if f, s := met.Counter(metrics.NameBytesFetched).Load(), met.Counter(metrics.NameCASBytesServed).Load(); f != 0 || s != int64(len(skipped)) {
 		t.Errorf("bytes_fetched = %d, cas_bytes_served = %d; want 0 and the chunk's %d", f, s, len(skipped))
 	}
 }

@@ -255,7 +255,6 @@ func (jm *JobManager) applyStageSkip(j *jobRun, s *stageRun, m *storage.Manifest
 	for _, f := range ps.Fragments {
 		avoided += f.Parallelism
 	}
-	j.met.Counter(metrics.NameStagesSkipped).Add(1)
 	j.met.Counter(metrics.NameComputeAvoidedTasks).Add(int64(avoided))
 	j.tr.Emit(obs.Event{Kind: obs.StageSkipped, Stage: ps.ID,
 		Note: fmt.Sprintf("%d parts from commit store", len(m.Parts))})
@@ -289,7 +288,6 @@ func (jm *JobManager) applyTaskSkips(j *jobRun, s *stageRun) {
 			j.runnable.clear(s.denseIdx(fi, ti))
 			t.state = tCommitted
 			fr.nCommitted++
-			j.met.Counter(metrics.NameTasksSkipped).Add(1)
 			j.met.Counter(metrics.NameComputeAvoidedTasks).Add(1)
 			j.tr.Emit(obs.Event{Kind: obs.TaskSkipped, Stage: s.ps.ID, Frag: fi, Task: ti})
 			for idx, exID := range s.recvExecs {

@@ -219,7 +219,7 @@ type Executor struct {
 	plan *core.Plan
 	cfg  Config
 	met  *metrics.Job
-	tr   *obs.Buf // per-executor, job-tagged trace buffer (nil = off)
+	tr   *obs.Buf // per-executor, job-tagged buffer folding into met
 
 	events   chan<- event
 	masterID string
@@ -248,7 +248,7 @@ type aggKey struct{ Stage, Gen, Frag int }
 func newExecutor(job int, h *nodeHost, net *simnet.Network, plan *core.Plan, cfg Config,
 	met *metrics.Job, events chan<- event, masterID string, casNodes []string) *Executor {
 
-	dp := newDataPlane(net, h.id, met, cfg.Tracer.JobBuf(job))
+	dp := newDataPlane(net, h.id, met, cfg.Tracer.Buf(met, job))
 	var cas *storage.CommitClient
 	if len(casNodes) > 0 {
 		cas = storage.NewCommitClient(dp, casNodes)
@@ -261,7 +261,7 @@ func newExecutor(job int, h *nodeHost, net *simnet.Network, plan *core.Plan, cfg
 		plan:      plan,
 		cfg:       cfg,
 		met:       met,
-		tr:        cfg.Tracer.JobBuf(job),
+		tr:        cfg.Tracer.Buf(met, job),
 		events:    events,
 		masterID:  masterID,
 		store:     h.store,
@@ -487,8 +487,8 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 		if rd, ok := v.Op.(*dataflow.ReadOp); ok {
 			cache := ex.cacheFor(rd.Cached)
 			in.Read[opID] = func() (dataflow.Iterator, error) {
-				it, _, err := cache.Read(v, spec.Index, recache.Observer(ex.met, ex.tr, obs.Event{Stage: spec.Stage, Frag: spec.Frag,
-					Task: spec.Index, Exec: ex.id, Note: "read"}), ex.throttle)
+				it, _, err := cache.Read(v, spec.Index, ex.tr, obs.Event{Stage: spec.Stage, Frag: spec.Frag,
+					Task: spec.Index, Exec: ex.id, Note: "read"}, ex.throttle)
 				if err == nil && cache != nil {
 					cached = append(cached, recache.Key{Vertex: opID, Partition: spec.Index})
 				}
@@ -590,7 +590,7 @@ func (ex *Executor) fetchInput(si core.StageInput, loc stageLoc, part int, coder
 		parts = allParts(loc)
 	}
 	cache := ex.cacheFor(si.Cached)
-	recs, err := cache.Load(recache.Key{Vertex: si.FromVertex, Partition: part}, recache.Observer(ex.met, ex.tr, cacheEv),
+	recs, err := cache.Load(recache.Key{Vertex: si.FromVertex, Partition: part}, ex.tr, cacheEv,
 		func() ([]data.Record, error) { return ex.fetchParts(fetchEv, loc, parts, coder) })
 	return recs, cache != nil && err == nil, err
 }
@@ -623,7 +623,7 @@ func (ex *Executor) sendTerminal(ps *core.PhysStage, frag *core.Fragment, spec t
 		}
 		return
 	}
-	ex.met.BytesPushed.Add(int64(len(payload)))
+	ex.met.Counter(metrics.NameBytesPushed).Add(int64(len(payload)))
 }
 
 // isFatal: fetch and network errors are retryable (caused by evictions,

@@ -227,7 +227,7 @@ func TestBreakerLifecycleConcurrent(t *testing.T) {
 	store.Put("b", []byte("payload"))
 	go storage.ServeBlocks(l, store, nil, nil, nil)
 	met := &metrics.Job{}
-	dp := newDataPlane(net, "client", met, nil)
+	dp := newDataPlane(net, "client", met, obs.New().Buf(met, 0)) // breaker_opens is folded from its event
 	defer dp.pool.Close()
 	breaker := func() BreakerState {
 		for _, b := range dp.inspect() {

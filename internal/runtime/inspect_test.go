@@ -126,7 +126,6 @@ func TestInspectConsistentUnderChaos(t *testing.T) {
 	cl := newTestCluster(t, 8, 2, trace.RateHigh)
 	tracer := obs.New()
 	fleet := &metrics.Job{}
-	tracer.FeedCounters(fleet)
 	jm, err := NewJobManager(cl, ManagerConfig{
 		Tracer:  tracer,
 		Metrics: fleet,

@@ -48,7 +48,6 @@ func Run(ctx context.Context, cl *cluster.Cluster, g *dag.Graph, cfg Config) (*R
 // behavior.
 func RunPlan(ctx context.Context, cl *cluster.Cluster, plan *core.Plan, cfg Config) (*Result, error) {
 	met := &metrics.Job{}
-	cfg.Tracer.FeedCounters(met)
 	jm, err := NewJobManager(cl, ManagerConfig{
 		Tracer:  cfg.Tracer,
 		Metrics: met,

@@ -38,9 +38,10 @@ type ManagerConfig struct {
 	// is the default tracer for jobs submitted without their own.
 	Tracer *obs.Tracer
 
-	// Metrics is the fleet-wide registry: container events, admission
-	// counters (jobs_submitted/admitted/queued/rejected/completed), and
-	// the event-queue overflow counter land here. Nil allocates one.
+	// Metrics is the fleet-wide registry: the fleet buffer folds container,
+	// detector and job-lifecycle events into it (jobs_submitted/admitted/
+	// queued/rejected/completed), and the event-queue overflow counter
+	// lands here. Nil allocates one.
 	Metrics *metrics.Job
 
 	// Failure sets the heartbeat detector's timing. The detector and the
@@ -124,7 +125,7 @@ type jobRun struct {
 	plan *core.Plan
 	cfg  Config
 	met  *metrics.Job
-	tr   *obs.Buf // job-tagged trace buffer (nil = tracing off)
+	tr   *obs.Buf // job-tagged buffer folding into met
 	// Task-latency histograms, cached off met so the hot handlers skip
 	// the registry lookup: launch→computed and launch→commit, in ns.
 	histCompute *metrics.Histogram
@@ -172,7 +173,9 @@ type JobManager struct {
 	cl  *cluster.Cluster
 	net *simnet.Network
 	met *metrics.Job // fleet registry
-	tr  *obs.Buf     // fleet trace buffer (events carry Job 0)
+	// tr is the fleet buffer, folding into met. Its events carry Job 0
+	// but for job lifecycle events, which name their job.
+	tr *obs.Buf
 	// dp carries manager-originated data-plane operations (progress
 	// replication, output collection, commit-store probes).
 	dp *dataPlane
@@ -248,7 +251,7 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 		cl:          cl,
 		net:         cl.Net(),
 		met:         met,
-		tr:          mcfg.Tracer.Buf(),
+		tr:          mcfg.Tracer.Buf(met, 0),
 		events:      make(chan event, eventQueueCap),
 		overflow:    make(chan error, 1),
 		hosts:       make(map[string]*nodeHost),
@@ -376,7 +379,7 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 		plan:       plan,
 		cfg:        cfg,
 		met:        met,
-		tr:         cfg.Tracer.JobBuf(id),
+		tr:         cfg.Tracer.Buf(met, id),
 		stages:     make([]*stageRun, len(plan.Stages)),
 		cacheIndex: make(map[recache.Key]map[string]bool),
 		execs:      make(map[string]taskLauncher),
@@ -390,7 +393,7 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 	}
 	j.initSched()
 	j.tr.Emit(obs.Event{Kind: obs.PlanCompiled})
-	j.tr.Emit(obs.Event{Kind: obs.JobSubmitted, Note: name})
+	jm.tr.Emit(obs.Event{Kind: obs.JobSubmitted, Job: id, Note: name})
 	// Probe the commit store before the job is published to the event
 	// loop: the jobRun is still private to this goroutine, so the probe's
 	// network round trips never block the manager, and any stage or task
@@ -399,7 +402,6 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 	if demand > 0 {
 		met.Counter("reserved_slots_budget").Store(int64(demand))
 	}
-	jm.met.Counter("jobs_submitted").Add(1)
 
 	select {
 	case jm.events <- evSubmit{j: j}:
@@ -510,9 +512,8 @@ func (jm *JobManager) admitOrQueue(j *jobRun) {
 		jm.admit(j)
 		return
 	}
-	j.tr.Emit(obs.Event{Kind: obs.JobQueued, Note: fmt.Sprintf("pos %d", len(jm.queue))})
+	jm.tr.Emit(obs.Event{Kind: obs.JobQueued, Job: j.id, Note: fmt.Sprintf("pos %d", len(jm.queue))})
 	jm.queue = append(jm.queue, j)
-	jm.met.Counter("jobs_queued").Add(1)
 }
 
 func (jm *JobManager) admit(j *jobRun) {
@@ -522,8 +523,7 @@ func (jm *JobManager) admit(j *jobRun) {
 	j.t0 = time.Now()
 	jm.jobs[j.id] = j
 	jm.order = append(jm.order, j.id)
-	j.tr.Emit(obs.Event{Kind: obs.JobAdmitted, Note: fmt.Sprintf("demand %d", j.demand)})
-	jm.met.Counter("jobs_admitted").Add(1)
+	jm.tr.Emit(obs.Event{Kind: obs.JobAdmitted, Job: j.id, Note: fmt.Sprintf("demand %d", j.demand)})
 	for _, h := range jm.hostsInOrder() {
 		jm.attachExecutor(j, h)
 	}
@@ -544,8 +544,7 @@ func (jm *JobManager) admitQueued() {
 }
 
 func (jm *JobManager) rejectJob(j *jobRun, cause error) {
-	j.tr.Emit(obs.Event{Kind: obs.JobRejected, Note: cause.Error()})
-	jm.met.Counter("jobs_rejected").Add(1)
+	jm.tr.Emit(obs.Event{Kind: obs.JobRejected, Job: j.id, Note: cause.Error()})
 	j.err = fmt.Errorf("runtime: job %q rejected: %w", j.name, cause)
 	close(j.done)
 }
@@ -564,8 +563,7 @@ func (jm *JobManager) cancelJob(id int) {
 		if q.id == id {
 			jm.queue = slices.Delete(jm.queue, i, i+1)
 			q.result = &Result{Plan: q.plan, Metrics: q.met.Snapshot(0, true), Progress: q.snapshotProgress()}
-			q.tr.Emit(obs.Event{Kind: obs.JobTimedOut, Note: "canceled while queued"})
-			jm.met.Counter("jobs_completed").Add(1)
+			jm.tr.Emit(obs.Event{Kind: obs.JobTimedOut, Job: q.id, Note: "canceled while queued"})
 			close(q.done)
 			// The removed job may have been the head that blocked the
 			// jobs behind it.
@@ -624,21 +622,19 @@ func (jm *JobManager) finishJob(j *jobRun) {
 	if jm.budgetTotal > 0 {
 		jm.budgetFree += j.demand
 	}
-	jm.met.Counter("jobs_completed").Add(1)
-
 	switch {
 	case j.failErr != nil:
-		j.tr.Emit(obs.Event{Kind: obs.JobCompleted, Note: "aborted"})
+		jm.tr.Emit(obs.Event{Kind: obs.JobCompleted, Job: j.id, Note: "aborted"})
 		j.err = j.failErr
 		jm.releaseCommits(j)
 		close(j.done)
 	case j.timedOut:
-		j.tr.Emit(obs.Event{Kind: obs.JobTimedOut, Note: "deadline expired"})
+		jm.tr.Emit(obs.Event{Kind: obs.JobTimedOut, Job: j.id, Note: "deadline expired"})
 		j.result = &Result{Plan: j.plan, Metrics: j.met.Snapshot(jct, true), Progress: j.snapshotProgress()}
 		jm.releaseCommits(j)
 		close(j.done)
 	default:
-		j.tr.Emit(obs.Event{Kind: obs.JobCompleted, Note: "ok"})
+		jm.tr.Emit(obs.Event{Kind: obs.JobCompleted, Job: j.id, Note: "ok"})
 		res := &Result{Plan: j.plan, Metrics: j.met.Snapshot(jct, false), Progress: j.snapshotProgress()}
 		go func() {
 			outputs, err := jm.collectOutputs(j)

@@ -220,7 +220,7 @@ func (jm *JobManager) onEvicted(c *cluster.Container) {
 func (jm *JobManager) recoverEvicted(id string) {
 	for _, jid := range jm.order {
 		j := jm.jobs[jid]
-		j.met.Evictions.Add(1)
+		j.met.Counter(metrics.NameEvictions).Add(1)
 		for _, s := range j.stages {
 			if s.status != sRunning && s.status != sStartingReceivers {
 				continue
@@ -242,7 +242,7 @@ func (jm *JobManager) requeue(j *jobRun, s *stageRun, fi, ti int, t *taskRun) {
 	t.state = tWaiting
 	t.exec = ""
 	t.attempt++
-	j.met.RelaunchedTasks.Add(1)
+	j.met.Counter(metrics.NameRelaunchedTasks).Add(1)
 	// The runnable bit tracks tWaiting ∧ sRunning; a task requeued in a
 	// completed or resetting stage stays invisible to the scheduler,
 	// exactly like the legacy scanner's status check.
@@ -299,20 +299,17 @@ func (jm *JobManager) recoverFailed(id string) {
 }
 
 // onDetectorTick runs one detector sweep and applies its transitions:
-// counters and trace events for suspicion churn, full recovery for dead
-// declarations.
+// events (which the fleet registry folds into its detector counters) for
+// suspicion churn, full recovery for dead declarations.
 func (jm *JobManager) onDetectorTick() {
 	alive := func(id string) bool { return jm.hosts[id] != nil }
 	for _, tr := range jm.fd.tick(time.Now(), alive) {
 		switch tr.Kind {
 		case fdMissed:
-			jm.met.Counter(metrics.NameHeartbeatsMissed).Add(1)
 			jm.tr.Emit(obs.Event{Kind: obs.HeartbeatMissed, Exec: tr.ID})
 		case fdSuspect:
-			jm.met.Counter(metrics.NameSuspicionsRaised).Add(1)
 			jm.tr.Emit(obs.Event{Kind: obs.SuspicionRaised, Exec: tr.ID})
 		case fdCleared:
-			jm.met.Counter(metrics.NameSuspicionsCleared).Add(1)
 			jm.tr.Emit(obs.Event{Kind: obs.SuspicionCleared, Exec: tr.ID})
 		case fdDead:
 			jm.onDeclaredDead(tr.ID, tr.Cause)
@@ -332,7 +329,6 @@ func (jm *JobManager) onDeclaredDead(id, cause string) {
 		return
 	}
 	kind := jm.kinds[id]
-	jm.met.Counter(metrics.NameNodesDeclaredDead).Add(1)
 	jm.tr.Emit(obs.Event{Kind: obs.NodeDeclaredDead, Exec: id,
 		Note: fmt.Sprintf("%s %s", kind, cause)})
 	jm.cl.Quarantine(id, true)
@@ -743,9 +739,9 @@ func (jm *JobManager) startStage(j *jobRun, s *stageRun) bool {
 	}
 
 	if s.gen == 1 {
-		j.met.OriginalTasks.Add(int64(total))
+		j.met.Counter(metrics.NameOriginalTasks).Add(int64(total))
 	} else {
-		j.met.RelaunchedTasks.Add(int64(total))
+		j.met.Counter(metrics.NameRelaunchedTasks).Add(int64(total))
 	}
 	return true
 }

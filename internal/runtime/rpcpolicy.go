@@ -51,7 +51,7 @@ type destState struct {
 type dataPlane struct {
 	pool *storage.PoolTransport
 	met  *metrics.Job
-	emit *obs.Buf // breaker transition events (nil = off)
+	emit *obs.Buf // breaker transition events, folded into breaker_opens
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -126,7 +126,6 @@ func (dp *dataPlane) failure(to string) {
 	}
 	dp.mu.Unlock()
 	if opened {
-		dp.met.Counter(metrics.NameBreakerOpens).Add(1)
 		dp.emit.Emit(obs.Event{Kind: obs.BreakerOpened, Exec: to})
 	}
 }

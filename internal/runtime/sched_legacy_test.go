@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pado/internal/core"
+	"pado/internal/metrics"
 	"pado/internal/obs"
 )
 
@@ -105,9 +106,9 @@ func (jm *JobManager) legacyStartStage(j *jobRun, s *stageRun) {
 	}
 
 	if s.gen == 1 {
-		j.met.OriginalTasks.Add(int64(total))
+		j.met.Counter(metrics.NameOriginalTasks).Add(int64(total))
 	} else {
-		j.met.RelaunchedTasks.Add(int64(total))
+		j.met.Counter(metrics.NameRelaunchedTasks).Add(int64(total))
 	}
 }
 
