@@ -373,6 +373,77 @@ func TestChaosMatrixMLR(t *testing.T) {
 	}
 }
 
+// TestChaosHomeScenarios runs the fault schedules of the home reserved
+// containers (DESIGN.md §15), loaded from examples/chaos/, on MLR over 6
+// transient and 3 reserved containers, where every gradient fan-in is
+// sharded and every model replicated. Reserved containers r1-r3 start
+// first, so transient ordinal i is container t(4+i), homed at r(1+i%3),
+// and stage 1's root receiver runs on r2.
+//   - home-shard-evict: t4's cover reaches its home shard on r1 and the
+//     master commits it, but the commit relays are slowed, and t4 is
+//     evicted before the commit reaches the shard. The shard must still
+//     merge the cover exactly once, whatever t4's relaunched tasks push
+//     to their own homes.
+//   - home-fail: r3, the home of t6 and t9 and a shard of stage 1 but not
+//     its root, fails while stage 1 pushes. The stage restarts (§3.2.6);
+//     stage 0, whose model r3 only held a copy of, is not relaunched.
+//
+// chaos.Check must hold and the model must match the reference.
+func TestChaosHomeScenarios(t *testing.T) {
+	cfg := mlrConfig()
+	want := workloads.MLRReference(cfg)
+	for _, c := range []struct {
+		file, target string
+	}{
+		{"home-shard-evict.json", "t4"},
+		{"home-fail.json", "r3"},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			plan, err := chaos.Load("../../examples/chaos/" + c.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := runPado(t, workloads.MLR(cfg), plan, nil, 6, 3)
+			if last := len(pr.injections) - 1; last < 0 || pr.injections[last].Target != c.target {
+				t.Fatalf("injections %+v, want the last on %s", pr.injections, c.target)
+			}
+			if !pr.report.OK() {
+				t.Errorf("invariants: %s", pr.report)
+			}
+			var up []string
+			root, scheduled := "", map[int]int{}
+			for _, ev := range pr.events {
+				switch {
+				case ev.Kind == obs.ContainerUp && len(up) < 4:
+					up = append(up, ev.Exec)
+				case ev.Kind == obs.TaskLaunched && ev.Stage == 1 && ev.Frag == obs.ReservedFrag && root == "":
+					root = ev.Exec
+				case ev.Kind == obs.StageScheduled:
+					scheduled[ev.Stage]++
+				}
+			}
+			if got := fmt.Sprint(up); got != "[r1 r2 r3 t4]" {
+				t.Errorf("containers came up as %s, want r1-r3 first and then t4", got)
+			}
+			if root != "r2" {
+				t.Errorf("stage 1's root receiver ran on %q, want r2", root)
+			}
+			if c.target == "r3" && (scheduled[1] != 2 || scheduled[0] != 1) {
+				t.Errorf("stage 0 scheduled %d times and stage 1 %d, want 1 and 2", scheduled[0], scheduled[1])
+			}
+			var model []float64
+			for _, recs := range pr.outputs {
+				model = recs[0].Value.([]float64)
+			}
+			for i := range model {
+				if math.Abs(model[i]-want[i]) > 1e-9 {
+					t.Fatalf("model[%d] = %g, want %g", i, model[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // TestChaosMatrixSparklike runs storm schedules against both baseline
 // engines: the protocol checker is Pado-specific, but triggers fire off
 // the same obs kinds and the output must match a fault-free golden run.

@@ -140,3 +140,100 @@ func TestCombinerRule(t *testing.T) {
 		}
 	}
 }
+
+// TestExactSumFoldsAnyCoverAnyOrder extends the equivalence above to the
+// float gradient sum, where it must hold bit for bit: cut the input into
+// covers any way (not only contiguous runs), fold each through
+// FoldPartitions and the section codec, merge the covers in any order —
+// directly, or first into shards whose tables are encoded and merged
+// again, as a two-level fan-in does — and the encoded output must equal
+// the flat fold's bytes every time.
+func TestExactSumFoldsAnyCoverAnyOrder(t *testing.T) {
+	vec := data.KVCoder{K: data.NilCoder, V: data.Float64sCoder}
+	p := dataflow.NewPipeline()
+	src := &dataflow.SliceSource{Parts: [][]data.Record{{}}}
+	comb := p.Read("read", src, vec).CombineGlobally("sum", dataflow.SumFloat64sFn{}, vec,
+		dataflow.WithAccumulatorCoder(vec))
+	op := Combiner(p.Graph(), comb.VertexID())
+	if op == nil {
+		t.Fatal("a global combine with an accumulator coder must take folded input")
+	}
+	encode := func(tb *AccTable) []byte {
+		b, err := data.EncodeAll(vec, tb.Extract())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// section is one table through the codec, as a pushed section travels.
+	section := func(tb *AccTable) []data.Record {
+		payloads, err := EncodeAccs(op.AccCoder, []*AccTable{tb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs, err := data.DecodeAll(op.AccCoder, payloads[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return accs
+	}
+	merge := func(dst *AccTable, accs []data.Record) {
+		for _, a := range accs {
+			dst.MergeAcc(a.Key, a.Value)
+		}
+	}
+
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const dim = 6
+		recs := make([]data.Record, 1+rng.Intn(60))
+		for i := range recs {
+			v := make([]float64, dim-rng.Intn(2)) // now and then a shorter vector
+			scale := []float64{1e-9, 1e-3, 1, 1e3}[rng.Intn(4)]
+			for j := range v {
+				v[j] = rng.NormFloat64() * scale
+			}
+			recs[i] = data.Record{Value: v}
+		}
+		flat := NewAccTable(op.Fn, op.Global)
+		for _, r := range recs {
+			flat.AddRecord(r)
+		}
+		want := encode(flat)
+
+		var covers [][]data.Record
+		order := rng.Perm(len(recs))
+		for lo := 0; lo < len(order); {
+			hi := lo + 1 + rng.Intn(len(order)-lo)
+			var cover []data.Record
+			for _, i := range order[lo:hi] {
+				cover = append(cover, recs[i])
+			}
+			covers = append(covers, section(FoldPartitions(op, 1, cover)[0]))
+			lo = hi
+		}
+		rng.Shuffle(len(covers), func(i, j int) { covers[i], covers[j] = covers[j], covers[i] })
+		shards := make([]*AccTable, 1+rng.Intn(4))
+		for i := range shards {
+			shards[i] = NewAccTable(op.Fn, op.Global)
+		}
+		for _, c := range covers {
+			merge(shards[rng.Intn(len(shards))], c)
+		}
+		root := shards[0]
+		for _, sh := range shards[1:] {
+			if sh.Len() > 0 {
+				merge(root, section(sh))
+			}
+		}
+		if got := encode(root); !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: %d records in %d covers over %d shards: fold differs from the flat fold",
+				seed, len(recs), len(covers), len(shards))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

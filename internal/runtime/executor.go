@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -330,7 +331,11 @@ func (ex *Executor) StartReceiver(spec recvSpec) {
 	ex.receivers[recvKey{Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index}] = r
 	ex.mu.Unlock()
 	go r.run()
-	ex.send(evReceiverReady{Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index})
+	if spec.Forward == "" {
+		// A combine shard is no reserved task of its own: the master
+		// waits for the root receiver alone.
+		ex.send(evReceiverReady{Job: ex.job, Stage: spec.Stage, Gen: spec.Gen, Index: spec.Index})
+	}
 }
 
 // CancelReceiver tears down a receiver during stage restarts (§3.2.6).
@@ -370,6 +375,10 @@ type stageLoc struct {
 	Gen    int
 	Execs  []string // executor id per partition
 	Chunks []string // commit-store chunk per partition (skipped stages)
+	// Replicas are the reserved containers that hold a copy of every
+	// partition (owners included), for an output transient executors
+	// read whole from their home (homes.go); nil when it is not copied.
+	Replicas []string
 }
 
 // nParts is the partition count regardless of which location form is set.
@@ -391,7 +400,9 @@ type taskSpec struct {
 	// reads from.
 	InputLocs map[int]stageLoc
 	// Receivers maps reserved task index to executor id (nil for
-	// terminal transient stages).
+	// terminal transient stages). When the stage's fan-in is sharded it
+	// is the task's home alone, which runs the root receiver or a shard
+	// of it (homes.go).
 	Receivers []string
 	// Terminal marks tasks of terminal transient stages, whose root
 	// output is pushed to the master collector.
@@ -403,6 +414,10 @@ type taskSpec struct {
 	// so a later run can skip this task (commitplane.go). Empty when the
 	// commit plane is off or the task is not content-addressable.
 	TaskKey string
+	// Home is the executor's home reserved container for this
+	// generation, where it reads replicated inputs (empty when the stage
+	// has no homes).
+	Home string
 }
 
 func (ex *Executor) runTask(spec taskSpec) {
@@ -519,7 +534,7 @@ func (ex *Executor) computeFragment(ps *core.PhysStage, frag *core.Fragment, spe
 		if err != nil {
 			return err
 		}
-		f.recs, f.cached, err = ex.fetchInput(f.si, spec.InputLocs[f.si.FromStage], f.part, coder)
+		f.recs, f.cached, err = ex.fetchInput(f.si, spec.InputLocs[f.si.FromStage], f.part, spec.Home, coder)
 		return err
 	})
 	if err != nil {
@@ -580,8 +595,9 @@ func (ex *Executor) cacheFor(cacheable bool) *recache.Cache {
 // sent once to the executors"). The second result reports whether the
 // records are now resident in this executor's cache — hit, fresh fill and
 // shared fill alike — so the master's cache index can steer future tasks
-// to this executor.
-func (ex *Executor) fetchInput(si core.StageInput, loc stageLoc, part int, coder data.Coder) ([]data.Record, bool, error) {
+// to this executor. An input its home holds a copy of is read from home,
+// and from the owners when that read fails.
+func (ex *Executor) fetchInput(si core.StageInput, loc stageLoc, part int, home string, coder data.Coder) ([]data.Record, bool, error) {
 	fetchEv := obs.Event{Stage: si.FromStage, Frag: part, Task: part, Exec: ex.id}
 	cacheEv, parts := fetchEv, []int{part}
 	cacheEv.Note = "partition"
@@ -589,9 +605,21 @@ func (ex *Executor) fetchInput(si core.StageInput, loc stageLoc, part int, coder
 		fetchEv.Note, cacheEv.Note = "broadcast", "broadcast"
 		parts = allParts(loc)
 	}
+	fetch := func() ([]data.Record, error) {
+		if home != "" && slices.Contains(loc.Replicas, home) {
+			relay := loc
+			relay.Execs = make([]string, len(loc.Execs))
+			for i := range relay.Execs {
+				relay.Execs[i] = home
+			}
+			if recs, err := ex.fetchParts(fetchEv, relay, parts, coder); err == nil || ex.stopped() {
+				return recs, err
+			}
+		}
+		return ex.fetchParts(fetchEv, loc, parts, coder)
+	}
 	cache := ex.cacheFor(si.Cached)
-	recs, err := cache.Load(recache.Key{Vertex: si.FromVertex, Partition: part}, ex.tr, cacheEv,
-		func() ([]data.Record, error) { return ex.fetchParts(fetchEv, loc, parts, coder) })
+	recs, err := cache.Load(recache.Key{Vertex: si.FromVertex, Partition: part}, ex.tr, cacheEv, fetch)
 	return recs, cache != nil && err == nil, err
 }
 

@@ -203,6 +203,11 @@ type JobManager struct {
 	rrRecv         int
 	rrJob          int
 	assignments    map[taskRef]string // outstanding slot holders
+	// ordinals numbers transient containers in the order they joined;
+	// an executor's home reserved container is its ordinal modulo the
+	// live reserved count (homes.go).
+	ordinals    map[string]int
+	nextOrdinal int
 	// freeSlots indexes total free slots per container kind
 	// (cluster.Reserved / cluster.Transient), kept in lockstep with
 	// slotsFree so pickExecutor detects a saturated pool in O(1).
@@ -257,6 +262,7 @@ func newManager(cl *cluster.Cluster, mcfg ManagerConfig) *JobManager {
 		hosts:       make(map[string]*nodeHost),
 		kinds:       make(map[string]cluster.Kind),
 		slotsFree:   make(map[string]int),
+		ordinals:    make(map[string]int),
 		assignments: make(map[taskRef]string),
 		jobs:        make(map[int]*jobRun),
 		budgetTotal: mcfg.Env.ReservedSlotBudget,

@@ -460,9 +460,9 @@ func (c *Conn) Write(b []byte) (int, error) {
 		if err := c.remote.ingress.Acquire(n, c.remote.down); err != nil {
 			return written, c.writeErr(err)
 		}
-		data := make([]byte, n)
+		data, buf := newChunk(n)
 		copy(data, b[:n])
-		if err := c.wr.push(data, time.Now().Add(latency+extra)); err != nil {
+		if err := c.wr.push(data, buf, time.Now().Add(latency+extra)); err != nil {
 			return written, err
 		}
 		c.local.bytesSent.Add(int64(n))

@@ -85,6 +85,57 @@ func TestLargeTransferIntegrity(t *testing.T) {
 	}
 }
 
+// TestPooledChunksStayIntact sends random payloads over concurrent conns
+// in writes of random sizes and reads them back through small, random
+// buffers, so chunks are drained piecemeal while other flows recycle
+// pooled buffers. Every size class is hit, and with a 64 KiB ChunkSize so
+// is the unpooled path.
+func TestPooledChunksStayIntact(t *testing.T) {
+	for _, chunk := range []int{0, 64 << 10} {
+		net := twoNodes(t, Config{ChunkSize: chunk})
+		var wg sync.WaitGroup
+		for f := 0; f < 4; f++ {
+			c, s := pair(t, net, "a", "b")
+			rng := rand.New(rand.NewSource(int64(f)))
+			payload := make([]byte, 300<<10)
+			rng.Read(payload)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for rest := payload; len(rest) > 0; {
+					n := min(len(rest), 1+rng.Intn(70<<10))
+					if _, err := c.Write(rest[:n]); err != nil {
+						t.Error(err)
+						return
+					}
+					rest = rest[n:]
+				}
+				c.CloseWrite()
+			}()
+			go func() {
+				defer wg.Done()
+				var got []byte
+				buf := make([]byte, 700)
+				for {
+					n, err := s.Read(buf[:1+len(got)%len(buf)])
+					got = append(got, buf[:n]...)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if !bytes.Equal(got, payload) {
+					t.Errorf("chunk size %d: payload corrupted in transit", chunk)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 func TestBandwidthThrottling(t *testing.T) {
 	// 1MB through a 2MB/s egress should take roughly 500ms minus the
 	// initial burst allowance.
