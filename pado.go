@@ -58,7 +58,12 @@ type (
 	SideInput = dataflow.SideInput
 	// SumInt64Fn sums int64 values per key.
 	SumInt64Fn = dataflow.SumInt64Fn
-	// SumFloat64sFn sums float64 vectors elementwise.
+	// SumFloat64sFn sums float64 vectors elementwise. It rounds every
+	// input element to the nearest multiple of 2⁻³⁰ (so an element below
+	// 2⁻³¹ in magnitude counts as 0), which makes the sum exact, and so
+	// equal bit for bit however it is split and merged, while every
+	// partial sum stays below 2²³ in magnitude; past that bound it may
+	// round like any float sum.
 	SumFloat64sFn = dataflow.SumFloat64sFn
 )
 
