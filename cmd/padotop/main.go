@@ -138,14 +138,14 @@ func render(w io.Writer, addr string, st *runtime.ManagerState) {
 			q.ID, clip(q.Name, 14), q.Position, q.Demand)
 	}
 
-	// Scheduler efficiency: tasks scanned per scheduling round is the
-	// per-event control-plane cost; with the incremental scheduler it
-	// tracks actual launches, not job size.
+	// Scheduler cost: task states scanned per scheduling round is the
+	// per-event control-plane cost; it grows with the tasks a job has
+	// already launched ahead of its first waiting one.
 	perRound := 0.0
 	if st.Sched.Rounds > 0 {
 		perRound = float64(st.Sched.TasksScanned) / float64(st.Sched.Rounds)
 	}
-	fmt.Fprintf(w, "\nSCHED  rounds=%d scanned=%d (%.2f/round)  slot-index hits=%d  runnable backlog=%d\n",
+	fmt.Fprintf(w, "\nSCHED  rounds=%d scanned=%d (%.2f/round)  saturated rounds=%d  runnable backlog=%d\n",
 		st.Sched.Rounds, st.Sched.TasksScanned, perRound,
 		st.Sched.SlotIndexHits, st.Sched.RunnableTasks)
 

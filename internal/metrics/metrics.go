@@ -121,11 +121,10 @@ const (
 
 // Control-plane scheduler counter names (dynamically minted on the
 // fleet registry). sched_rounds counts scheduling passes (one per
-// handled master event); sched_tasks_scanned counts tasks the assign
-// pass actually examined, so scanned/rounds exposes the per-event
-// scheduling cost the incremental scheduler keeps proportional to
-// changes; slot_index_hits counts saturated rounds answered by the
-// per-kind free-slot index without scanning the executor pool.
+// handled master event); sched_tasks_scanned counts the task states the
+// assign pass's scan visits, so scanned/rounds is the per-event
+// scheduling cost; slot_index_hits counts rounds that found the
+// executor pool saturated.
 const (
 	NameSchedRounds       = "sched_rounds"
 	NameSchedTasksScanned = "sched_tasks_scanned"

@@ -137,13 +137,13 @@ func singleChunkParts(m *storage.Manifest) bool {
 
 // probeCommits probes the commit store for every cacheable stage of a
 // newly built job and applies the resulting skips. It runs on the
-// submitter's goroutine after initSched and BEFORE the job is published
-// to the event loop, so it may freely mutate scheduling state; the
-// network round trips therefore never block the manager loop. The resolves
-// of a level travel in batched rounds (CommitClient.ResolveAll), so the
-// submission delay is one round trip for the stages and one for the tasks
-// whatever the plan's size; the state mutation passes stay on this
-// goroutine.
+// submitter's goroutine after the job's stages are built and BEFORE the
+// job is published to the event loop, so it may freely mutate scheduling
+// state; the network round trips therefore never block the manager loop.
+// The resolves of a level travel in batched rounds
+// (CommitClient.ResolveAll), so the submission delay is one round trip
+// for the stages and one for the tasks whatever the plan's size; the
+// state mutation passes stay on this goroutine.
 func (jm *JobManager) probeCommits(j *jobRun) {
 	cp := jm.commits
 	if cp == nil {
@@ -248,9 +248,6 @@ func (jm *JobManager) applyStageSkip(j *jobRun, s *stageRun, m *storage.Manifest
 	for i, p := range m.Parts {
 		s.skipChunks[i] = p[0]
 	}
-	// The stage may sit in readyStages (no parents); it must never start.
-	j.readyStages.clear(ps.ID)
-	jm.markStageDone(j, s)
 	avoided := ps.RootParallelism
 	for _, f := range ps.Fragments {
 		avoided += f.Parallelism
@@ -285,7 +282,6 @@ func (jm *JobManager) applyTaskSkips(j *jobRun, s *stageRun) {
 			if t.state != tWaiting || t.attempt != 0 {
 				continue
 			}
-			j.runnable.clear(s.denseIdx(fi, ti))
 			t.state = tCommitted
 			fr.nCommitted++
 			j.met.Counter(metrics.NameComputeAvoidedTasks).Add(1)

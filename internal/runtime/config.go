@@ -17,6 +17,12 @@
 //   - task input caching with cache-aware scheduling, and task output
 //     partial aggregation with count/delay escape limits (§3.2.7).
 //
+// The master schedules (§3.2.3) by scanning the task and stage state
+// machines it keeps: after every event it starts the pending stages whose
+// parents are done and launches the waiting tasks of running stages,
+// cache-first and then round-robin over free slots, one task per job per
+// turn. It keeps no second copy of that state to bring up to date.
+//
 // Control-plane messages (task launches, commits, completion events) are
 // exchanged in-process between master and executors, standing in for the
 // REEF driver/evaluator messaging the paper's implementation uses. All

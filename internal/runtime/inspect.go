@@ -62,21 +62,20 @@ type StoreState struct {
 	GCCollected int64 `json:"gc_collected"`
 }
 
-// SchedState is the incremental scheduler's efficiency summary: the
-// counter trio from the fleet registry plus the current runnable
-// backlog, so scanned/rounds can be read against how much work was
-// actually outstanding.
+// SchedState is the scheduler's cost summary: the counter trio from the
+// fleet registry plus the current runnable backlog, so scanned/rounds
+// can be read against how much work was actually outstanding.
 type SchedState struct {
 	// Rounds is the number of scheduling passes (one per handled event).
 	Rounds int64 `json:"rounds"`
-	// TasksScanned is how many tasks the assignment pass examined across
-	// all rounds; TasksScanned/Rounds is the per-event scheduling cost.
+	// TasksScanned is how many task states the assignment pass visited
+	// across all rounds; TasksScanned/Rounds is the per-event scheduling
+	// cost.
 	TasksScanned int64 `json:"tasks_scanned"`
-	// SlotIndexHits counts saturated passes answered by the free-slot
-	// index without scanning the executor pool.
+	// SlotIndexHits counts rounds that found the executor pool saturated.
 	SlotIndexHits int64 `json:"slot_index_hits"`
-	// RunnableTasks is the current fleet-wide count of launchable tasks
-	// (waiting tasks of running stages).
+	// RunnableTasks is the fleet-wide count of launchable tasks (waiting
+	// tasks of running stages), counted when the snapshot is built.
 	RunnableTasks int `json:"runnable_tasks"`
 }
 
@@ -258,8 +257,12 @@ func (jm *JobManager) buildState() *ManagerState {
 		TasksScanned:  jm.cTasksScanned.Load(),
 		SlotIndexHits: jm.cSlotIndexHits.Load(),
 	}
-	for _, id := range jm.order {
-		st.Sched.RunnableTasks += jm.jobs[id].runnable.n
+	for _, js := range st.Jobs {
+		for _, ss := range js.Stages {
+			if ss.Status == stageStatusNames[sRunning] {
+				st.Sched.RunnableTasks += ss.TasksWaiting
+			}
+		}
 	}
 
 	if jm.commits != nil {

@@ -115,7 +115,7 @@ type taskLauncher interface {
 
 // jobRun is the manager's per-job state: the compiled plan, the stage
 // state machines, per-job executors on each shared host, and the
-// incremental scheduling state.
+// scheduler's scan cursor.
 type jobRun struct {
 	id   int
 	name string
@@ -137,14 +137,8 @@ type jobRun struct {
 	recvActive int
 	recvPeak   int
 
-	// Incremental scheduling state (sched.go): runnable tracks tWaiting
-	// tasks of sRunning stages over the dense task index, readyStages
-	// the pending stages whose waitParents counter hit zero. qNext is
-	// the job's dense-index cursor within one assignTasks round.
-	runnable    taskBitset
-	readyStages taskBitset
-	waitParents []int
-	qNext       int
+	// cur is the job's scan position within one assignTasks round.
+	cur taskCursor
 
 	// pinned lists commit-store keys the submission probe pinned; they
 	// are unpinned when the job resolves. casWG tracks in-flight commit
@@ -208,10 +202,6 @@ type JobManager struct {
 	// live reserved count (homes.go).
 	ordinals    map[string]int
 	nextOrdinal int
-	// freeSlots indexes total free slots per container kind
-	// (cluster.Reserved / cluster.Transient), kept in lockstep with
-	// slotsFree so pickExecutor detects a saturated pool in O(1).
-	freeSlots [2]int
 	// qScratch is assignTasks' per-round queue of runnable jobs, reused
 	// across rounds so steady-state scheduling allocates nothing.
 	qScratch []*jobRun
@@ -397,7 +387,6 @@ func (jm *JobManager) SubmitPlan(plan *core.Plan, cfg Config, opts JobOptions) (
 	for i, ps := range plan.Stages {
 		j.stages[i] = &stageRun{ps: ps}
 	}
-	j.initSched()
 	j.tr.Emit(obs.Event{Kind: obs.PlanCompiled})
 	jm.tr.Emit(obs.Event{Kind: obs.JobSubmitted, Job: id, Note: name})
 	// Probe the commit store before the job is published to the event

@@ -72,13 +72,6 @@ type stageRun struct {
 
 	frags []*fragRun
 
-	// Dense task-index layout (sched.go): denseBase is the stage's
-	// offset in the job-wide index, fragOff the per-fragment offsets
-	// within the stage, nTasks the stage's fragment-task count. Fixed at
-	// submission.
-	denseBase int
-	fragOff   []int
-	nTasks    int
 	// inputLocs caches inputLocsFor for the current generation. Valid
 	// for the generation's lifetime: a parent's gen/outputExecs can only
 	// change via resetStage, and every path that resets a parent resets
@@ -161,12 +154,10 @@ func (jm *JobManager) onLaunched(c *cluster.Container) {
 // registerNode adds one container to the fleet's scheduling membership:
 // kind and slot tables plus the per-kind round-robin order. Shared by
 // the cluster callback and by scheduler tests/benchmarks that build a
-// fleet without live hosts, so both stay consistent with the free-slot
-// index.
+// fleet without live hosts.
 func (jm *JobManager) registerNode(id string, kind cluster.Kind, slots int) {
 	jm.kinds[id] = kind
 	jm.slotsFree[id] = slots
-	jm.freeSlots[kind] += slots
 	if kind == cluster.Transient {
 		jm.transientOrder = append(jm.transientOrder, id)
 		jm.ordinals[id] = jm.nextOrdinal
@@ -182,9 +173,6 @@ func (jm *JobManager) dropHost(id string) {
 		h.shutdown()
 	}
 	delete(jm.hosts, id)
-	if kind, ok := jm.kinds[id]; ok {
-		jm.freeSlots[kind] -= jm.slotsFree[id]
-	}
 	delete(jm.kinds, id)
 	delete(jm.slotsFree, id)
 	delete(jm.ordinals, id)
@@ -243,7 +231,7 @@ func (jm *JobManager) recoverEvicted(id string) {
 			for fi, fr := range s.frags {
 				for ti, t := range fr.tasks {
 					if t.exec == id && t.state != tWaiting && t.state != tCommitted {
-						jm.requeue(j, s, fi, ti, t)
+						jm.requeue(j, t)
 						j.tr.Emit(obs.Event{Kind: obs.TaskRelaunched, Stage: s.ps.ID,
 							Frag: fi, Task: ti, Attempt: t.attempt, Exec: id})
 					}
@@ -253,17 +241,14 @@ func (jm *JobManager) recoverEvicted(id string) {
 	}
 }
 
-func (jm *JobManager) requeue(j *jobRun, s *stageRun, fi, ti int, t *taskRun) {
+// requeue returns a task to tWaiting under a fresh attempt. The scheduler
+// launches it only while its stage is sRunning; one requeued in a
+// completed or resetting stage stays where it is.
+func (jm *JobManager) requeue(j *jobRun, t *taskRun) {
 	t.state = tWaiting
 	t.exec = ""
 	t.attempt++
 	j.met.Counter(metrics.NameRelaunchedTasks).Add(1)
-	// The runnable bit tracks tWaiting ∧ sRunning; a task requeued in a
-	// completed or resetting stage stays invisible to the scheduler,
-	// exactly like the legacy scanner's status check.
-	if s.status == sRunning {
-		j.runnable.set(s.denseIdx(fi, ti))
-	}
 }
 
 // onFailed implements §3.2.6 for every admitted job: identify stages
@@ -372,14 +357,6 @@ func (jm *JobManager) resetStage(j *jobRun, s *stageRun) {
 			ex.CancelReceiver(s.ps.ID, s.gen, 0)
 		}
 	}
-	if s.status == sRunning {
-		j.unmarkRunnable(s)
-	}
-	if s.status == sDone {
-		// Children counted this stage as a finished parent; undo that
-		// before it re-enters sPending.
-		jm.markStageUndone(j, s)
-	}
 	s.status = sPending
 	s.restarts++
 	s.recvExecs = nil
@@ -394,7 +371,6 @@ func (jm *JobManager) resetStage(j *jobRun, s *stageRun) {
 	s.nResults = 0
 	s.outChunks = nil
 	s.homes, s.pushTo, s.shards, s.replicas = nil, nil, nil, nil
-	jm.recomputeReadiness(j, s)
 	if s.restarts > maxStageRestarts {
 		jm.abort(j, fmt.Errorf("runtime: stage %d restarted more than %d times", s.ps.ID, maxStageRestarts))
 	}
@@ -435,6 +411,13 @@ func (jm *JobManager) freeSlot(ref taskRef) {
 	}
 }
 
+// creditSlot returns one slot to a still-live executor.
+func (jm *JobManager) creditSlot(exec string) {
+	if _, alive := jm.slotsFree[exec]; alive {
+		jm.slotsFree[exec]++
+	}
+}
+
 func (jm *JobManager) onReceiverReady(j *jobRun, e evReceiverReady) {
 	s := jm.stageAt(j, e.Stage, e.Gen)
 	if s == nil || s.status != sStartingReceivers || s.recvReady[e.Index] {
@@ -446,9 +429,6 @@ func (jm *JobManager) onReceiverReady(j *jobRun, e evReceiverReady) {
 		Task: e.Index, Exec: s.recvExecs[e.Index]})
 	if s.nReady == len(s.recvExecs) {
 		s.status = sRunning
-		// Every fragment task is still tWaiting here (only sRunning
-		// stages launch tasks), so the whole stage becomes runnable.
-		j.markRunnable(s)
 		// Tasks whose output is already in the commit store commit
 		// without launching (commitplane.go).
 		jm.applyTaskSkips(j, s)
@@ -520,7 +500,7 @@ func (jm *JobManager) onOutputCommitted(j *jobRun, e evOutputCommitted) {
 		case !stale:
 			jm.commitTask(j, s, e.Frag, c, t)
 		case t != nil:
-			jm.requeue(j, s, e.Frag, c.Index, t)
+			jm.requeue(j, t)
 			j.tr.Emit(obs.Event{Kind: obs.TaskRelaunched, Stage: e.Stage, Frag: e.Frag,
 				Task: c.Index, Attempt: t.attempt, Note: "cover_stale"})
 		}
@@ -541,53 +521,39 @@ func (jm *JobManager) commitTask(j *jobRun, s *stageRun, frag int, c senderRef, 
 	j.tr.Emit(obs.Event{Kind: obs.PushCommitted, Stage: s.ps.ID, Frag: frag,
 		Task: c.Index, Attempt: c.Attempt, Exec: t.exec})
 	for idx, exID := range s.recvExecs {
-		ex := j.execs[exID]
-		if ex == nil {
-			continue
-		}
-		msg := msgCommit{Frag: frag, Index: c.Index, Attempt: c.Attempt}
-		stage, gen := s.ps.ID, s.gen
-		var delay time.Duration
-		dups := 0
-		if j.cfg.Chaos != nil {
-			delay, dups = j.cfg.Chaos.CommitRelay(j.id, stage, frag, c.Index, c.Attempt, idx)
-		}
-		send := func() {
-			for i := 0; i <= dups; i++ {
-				ex.Commit(stage, gen, idx, msg)
-			}
-		}
-		if delay > 0 {
-			time.AfterFunc(delay, send)
-		} else {
-			send()
-		}
+		jm.relayCommit(j, s, exID, idx, frag, c)
 	}
 	// A combine shard counts every commit, not only its own senders', to
 	// know when nothing more can arrive for it (receiver.forward). Its
 	// relays take the chaos hook's faults as the root's do.
 	for _, exID := range s.shards {
-		ex := j.execs[exID]
-		if ex == nil {
-			continue
+		jm.relayCommit(j, s, exID, 0, frag, c)
+	}
+}
+
+// relayCommit sends one task's commit to receiver recvIdx of the stage on
+// executor exID. The chaos hook may delay or duplicate the relay.
+func (jm *JobManager) relayCommit(j *jobRun, s *stageRun, exID string, recvIdx, frag int, c senderRef) {
+	ex := j.execs[exID]
+	if ex == nil {
+		return
+	}
+	msg := msgCommit{Frag: frag, Index: c.Index, Attempt: c.Attempt}
+	stage, gen := s.ps.ID, s.gen
+	var delay time.Duration
+	dups := 0
+	if j.cfg.Chaos != nil {
+		delay, dups = j.cfg.Chaos.CommitRelay(j.id, stage, frag, c.Index, c.Attempt, recvIdx)
+	}
+	send := func() {
+		for i := 0; i <= dups; i++ {
+			ex.Commit(stage, gen, recvIdx, msg)
 		}
-		msg := msgCommit{Frag: frag, Index: c.Index, Attempt: c.Attempt}
-		stage, gen := s.ps.ID, s.gen
-		var delay time.Duration
-		dups := 0
-		if j.cfg.Chaos != nil {
-			delay, dups = j.cfg.Chaos.CommitRelay(j.id, stage, frag, c.Index, c.Attempt, 0)
-		}
-		send := func() {
-			for i := 0; i <= dups; i++ {
-				ex.Commit(stage, gen, 0, msg)
-			}
-		}
-		if delay > 0 {
-			time.AfterFunc(delay, send)
-		} else {
-			send()
-		}
+	}
+	if delay > 0 {
+		time.AfterFunc(delay, send)
+	} else {
+		send()
 	}
 }
 
@@ -608,7 +574,7 @@ func (jm *JobManager) onTaskFailed(j *jobRun, e evTaskFailed) {
 	}
 	j.tr.Emit(obs.Event{Kind: obs.TaskFailed, Stage: s.ps.ID, Frag: e.ref.Frag,
 		Task: e.ref.Index, Attempt: e.ref.Attempt, Exec: t.exec, Note: e.Err.Error()})
-	jm.requeue(j, s, e.ref.Frag, e.ref.Index, t)
+	jm.requeue(j, t)
 	j.tr.Emit(obs.Event{Kind: obs.TaskRelaunched, Stage: s.ps.ID, Frag: e.ref.Frag,
 		Task: e.ref.Index, Attempt: t.attempt})
 }
@@ -624,7 +590,7 @@ func (jm *JobManager) onPullFailed(j *jobRun, e evPullFailed) {
 	// A failed CAS pull on a skipped task revokes the hit: relaunch it
 	// for real rather than re-skipping into the same failure.
 	revokeTaskSkip(s, e.ref.Frag, e.ref.Index)
-	jm.requeue(j, s, e.ref.Frag, e.ref.Index, t)
+	jm.requeue(j, t)
 	j.tr.Emit(obs.Event{Kind: obs.TaskRelaunched, Stage: s.ps.ID, Frag: e.ref.Frag,
 		Task: e.ref.Index, Attempt: t.attempt, Note: "pull_failed"})
 }
@@ -649,8 +615,6 @@ func (jm *JobManager) onReservedTaskDone(j *jobRun, e evReservedTaskDone) {
 		Task: e.Index, Exec: s.recvExecs[e.Index], Bytes: e.Bytes})
 	if s.nDone == len(s.recvExecs) {
 		s.status = sDone
-		j.unmarkRunnable(s)
-		jm.markStageDone(j, s)
 		s.outputExecs = append([]string(nil), s.recvExecs...)
 		jm.commitStage(j, s)
 		j.tr.Emit(obs.Event{Kind: obs.StageComplete, Stage: s.ps.ID})
@@ -677,8 +641,6 @@ func (jm *JobManager) onResult(j *jobRun, e evResult) {
 		Note: "result"})
 	if s.nResults == len(fr.tasks) {
 		s.status = sDone
-		j.unmarkRunnable(s)
-		jm.markStageDone(j, s)
 		j.tr.Emit(obs.Event{Kind: obs.StageComplete, Stage: s.ps.ID})
 		jm.replicateProgress(j)
 		jm.checkAllDone(j)
@@ -694,12 +656,10 @@ func (jm *JobManager) checkAllDone(j *jobRun) {
 	j.finished = true
 }
 
-// scheduleAll starts ready pending stages (per job, in admission order)
-// and then assigns waiting tasks across jobs round-robin. Unlike the
-// pre-refactor full rescan, both passes walk incrementally maintained
-// sets (sched.go) — readyStages instead of a status scan with per-stage
-// parent checks, runnable bitsets instead of per-round queue rebuilds —
-// so an event that changed nothing costs O(jobs), not O(total tasks).
+// scheduleAll starts, for each job in admission order, every pending
+// stage whose parents are all done, in stage order, and then assigns
+// waiting tasks across jobs round-robin. Both passes read the stage and
+// task state machines directly (DESIGN.md §13).
 func (jm *JobManager) scheduleAll() {
 	jm.cSchedRounds.Add(1)
 	for _, id := range jm.order {
@@ -707,23 +667,32 @@ func (jm *JobManager) scheduleAll() {
 		if j.finished {
 			continue
 		}
-		for sid := j.readyStages.next(0); sid >= 0; sid = j.readyStages.next(sid + 1) {
-			if jm.startStage(j, j.stages[sid]) {
-				j.readyStages.clear(sid)
+		for _, s := range j.stages {
+			if s.status == sPending && parentsDone(j, s) {
+				jm.startStage(j, s)
 			}
 		}
 	}
 	jm.assignTasks()
 }
 
-// startStage launches one ready stage's generation. It reports false
-// when the stage must keep waiting (a reserved-root stage with no
-// reserved container yet), in which case it stays in readyStages and is
-// retried on later passes.
-func (jm *JobManager) startStage(j *jobRun, s *stageRun) bool {
+// parentsDone reports whether every parent stage of s is done.
+func parentsDone(j *jobRun, s *stageRun) bool {
+	for _, pid := range s.ps.Parents {
+		if j.stages[pid].status != sDone {
+			return false
+		}
+	}
+	return true
+}
+
+// startStage launches one ready stage's generation. A reserved-root
+// stage with no reserved container yet stays pending and is retried on
+// later passes.
+func (jm *JobManager) startStage(j *jobRun, s *stageRun) {
 	ps := s.ps
 	if ps.RootReserved && len(jm.reservedOrder) == 0 {
-		return false // wait for a reserved container
+		return // wait for a reserved container
 	}
 	s.gen++
 	note := ""
@@ -798,7 +767,6 @@ func (jm *JobManager) startStage(j *jobRun, s *stageRun) bool {
 		s.inputLocs = jm.inputLocsFor(j, ps)
 		jm.setHomes(j, s)
 		s.status = sRunning
-		j.markRunnable(s)
 	}
 
 	if s.gen == 1 {
@@ -806,7 +774,6 @@ func (jm *JobManager) startStage(j *jobRun, s *stageRun) bool {
 	} else {
 		j.met.Counter(metrics.NameRelaunchedTasks).Add(int64(total))
 	}
-	return true
 }
 
 func (jm *JobManager) inputLocsFor(j *jobRun, ps *core.PhysStage) map[int]stageLoc {
@@ -830,17 +797,19 @@ func (jm *JobManager) inputLocsFor(j *jobRun, ps *core.PhysStage) map[int]stageL
 // assignTasks hands waiting fragment tasks to executors: cache-preferred
 // placement first, then round-robin over free slots (§3.2.3). Across
 // admitted jobs it is plain round-robin: from the persistent cursor
-// rrJob it visits the runnable jobs in admission order and launches one
-// task per visit, until every job is idle or no slot is free. The job
-// that found no free slot keeps the cursor, so it launches first in the
-// next round. With a single runnable job this is the classic greedy
+// rrJob it visits the jobs that have a waiting task, in admission order,
+// and launches one task per visit, until every job is idle or no slot is
+// free. The job that found no free slot keeps the cursor, so it launches
+// first in the next round. With a single job this is the classic greedy
 // pass.
 //
-// The queues are the per-job runnable bitsets: iteration follows dense
-// (stage, fragment, task) order, identical to the legacy per-round
-// rescan, and a job is exhausted when its cursor passes its last set
-// bit. qScratch reuses one backing array for the round's queue list so
-// the steady state allocates nothing.
+// A job's queue is a scan of its own task states: its cursor starts at
+// the front every round and walks (stage, fragment, task) order to the
+// next tWaiting task of an sRunning stage. A round costs the task states
+// ahead of the first waiting one, so a job's scheduling cost is
+// quadratic in its task count (DESIGN.md §13). qScratch reuses one
+// backing array for the round's queue list, so a round allocates
+// nothing.
 func (jm *JobManager) assignTasks() {
 	pool := jm.transientOrder
 	kind := cluster.Transient
@@ -853,16 +822,22 @@ func (jm *JobManager) assignTasks() {
 	}
 
 	queues := jm.qScratch[:0]
+	scanned := 0
 	for _, id := range jm.order {
 		j := jm.jobs[id]
-		if j.finished || j.runnable.empty() {
+		if j.finished {
 			continue
 		}
-		j.qNext = 0
-		queues = append(queues, j)
+		j.cur = taskCursor{}
+		found, n := j.seek()
+		scanned += n
+		if found {
+			queues = append(queues, j)
+		}
 	}
 	jm.qScratch = queues
 	defer func() {
+		jm.cTasksScanned.Add(int64(scanned))
 		for i := range queues {
 			queues[i] = nil // drop jobRun refs so finished jobs are collectable
 		}
@@ -870,35 +845,61 @@ func (jm *JobManager) assignTasks() {
 
 	for idle := 0; idle < len(queues); jm.rrJob++ {
 		j := queues[jm.rrJob%len(queues)]
-		di := j.runnable.next(j.qNext)
-		if di < 0 {
+		found, n := j.seek()
+		scanned += n
+		if !found {
 			idle++
 			continue
 		}
-		if !jm.launchDense(j, di, pool, kind) {
+		if !jm.launch(j, pool, kind) {
 			return // no free slots anywhere; j keeps its turn
 		}
-		j.qNext = di + 1
+		j.cur.task++
 		idle = 0
 	}
 }
 
-// launchDense launches the waiting task at dense index di if a slot is
-// free; it reports false only when the whole fleet is out of slots.
-func (jm *JobManager) launchDense(j *jobRun, di int, pool []string, kind cluster.Kind) bool {
-	jm.cTasksScanned.Add(1)
-	s, fi, ti := j.locate(di)
+// taskCursor is a position in a job's (stage, fragment, task) order.
+type taskCursor struct{ stage, frag, task int }
+
+// seek moves j's cursor to the first tWaiting task of an sRunning stage
+// at or after its position. It reports whether there is one and how
+// many task states it visited.
+func (j *jobRun) seek() (found bool, visited int) {
+	si, fi, ti := j.cur.stage, j.cur.frag, j.cur.task
+	for ; si < len(j.stages); si, fi, ti = si+1, 0, 0 {
+		s := j.stages[si]
+		if s.status != sRunning {
+			continue
+		}
+		for ; fi < len(s.frags); fi, ti = fi+1, 0 {
+			tasks := s.frags[fi].tasks
+			for ; ti < len(tasks); ti++ {
+				if tasks[ti].state == tWaiting {
+					j.cur = taskCursor{si, fi, ti}
+					return true, visited + 1
+				}
+				visited++
+			}
+		}
+	}
+	j.cur = taskCursor{si, fi, ti}
+	return false, visited
+}
+
+// launch starts the waiting task under j's cursor if a slot is free; it
+// reports false only when the whole pool is out of slots.
+func (jm *JobManager) launch(j *jobRun, pool []string, kind cluster.Kind) bool {
+	s, fi, ti := j.stages[j.cur.stage], j.cur.frag, j.cur.task
 	t := s.frags[fi].tasks[ti]
 	exec := jm.pickExecutor(j, pool, kind, s.ps, s.ps.Fragments[fi], ti)
 	if exec == "" {
 		return false
 	}
-	j.runnable.clear(di)
 	t.state = tRunning
 	t.exec = exec
 	t.started = time.Now()
 	jm.slotsFree[exec]--
-	jm.freeSlots[kind]--
 	j.tr.Emit(obs.Event{Kind: obs.TaskLaunched, Stage: s.ps.ID, Frag: fi,
 		Task: ti, Attempt: t.attempt, Exec: exec})
 	ref := taskRef{Job: j.id, Stage: s.ps.ID, Gen: s.gen, Frag: fi, Index: ti, Attempt: t.attempt}
@@ -929,10 +930,9 @@ func (jm *JobManager) launchDense(j *jobRun, di int, pool []string, kind cluster
 // pickExecutor prefers an executor that has any of the task's cacheable
 // inputs cached (§3.2.7 cache-aware scheduling; ties broken by lowest
 // executor id so placement is deterministic), then falls back to
-// round-robin over executors with free slots. A saturated pool is
-// detected from the per-kind free-slot index without scanning it; the
-// round-robin cursor still advances by the scan length so launch
-// positions match the legacy full scan exactly.
+// round-robin over executors with free slots. The round-robin cursor
+// moves past every executor it looks at, so a saturated pool advances it
+// by the pool's length; such a round counts as a slot-index hit.
 func (jm *JobManager) pickExecutor(j *jobRun, pool []string, kind cluster.Kind, ps *core.PhysStage, frag *core.Fragment, taskIdx int) string {
 	if !j.cfg.DisableCache {
 		for _, key := range taskCacheKeys(j.plan, ps, frag, taskIdx) {
@@ -947,11 +947,6 @@ func (jm *JobManager) pickExecutor(j *jobRun, pool []string, kind cluster.Kind, 
 			}
 		}
 	}
-	if jm.freeSlots[kind] == 0 {
-		jm.cSlotIndexHits.Add(1)
-		jm.rrTask += len(pool)
-		return ""
-	}
 	for i := 0; i < len(pool); i++ {
 		exID := pool[jm.rrTask%len(pool)]
 		jm.rrTask++
@@ -959,6 +954,7 @@ func (jm *JobManager) pickExecutor(j *jobRun, pool []string, kind cluster.Kind, 
 			return exID
 		}
 	}
+	jm.cSlotIndexHits.Add(1)
 	return ""
 }
 

@@ -17,17 +17,21 @@ import (
 // so the numbers isolate scheduleAll/assignTasks/pickExecutor and the
 // per-event bookkeeping around them (reapFinished).
 //
-// The three benchmarks pin the control-plane raw-speed trajectory:
+// The scheduler scans task states in place, so a round costs the tasks
+// ahead of a job's first waiting one (DESIGN.md §13). The benchmarks:
 //
 //   - BenchmarkScheduleAll: a saturated fleet with N waiting tasks and
 //     zero free slots. Every real master event pays this "nothing to
-//     do" pass, so it must not cost O(N).
+//     do" pass; only the launched tasks lie ahead of the first waiting
+//     one, so it does not grow with N.
 //   - BenchmarkAssignTasks: steady-state task churn — one task failure
 //     per event, which frees a slot, requeues the task, and launches a
 //     replacement.
 //   - BenchmarkMasterEventLoop: the same churn through the full
 //     handle() path across four concurrent jobs, exercising the
 //     cross-job round-robin.
+//   - BenchmarkWholeJob: one job from its first launch to its last
+//     result, where the scan's cost is quadratic in the task count.
 
 var errBenchTask = errors.New("bench: injected task failure")
 
@@ -172,9 +176,9 @@ func (fl *benchFleet) failNext() {
 var benchSizes = []int{1_000, 10_000, 100_000}
 
 // The allocation budgets are part of the contract: an idle pass over a
-// saturated fleet touches only the bitset summaries and allocates
-// nothing; a failure-relaunch cycle allocates only the boxed failure
-// event and trace record. A regression here means a hot-path structure
+// saturated fleet reads task states in place and allocates nothing; a
+// failure-relaunch cycle allocates only the boxed failure event and
+// trace record. A regression here means a hot-path structure
 // started escaping again.
 func TestScheduleAllAllocs(t *testing.T) {
 	fl := newBenchManager(t, 1, 10_000, 8, 4)
@@ -224,6 +228,38 @@ func BenchmarkMasterEventLoop(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fl.failNext()
+			}
+		})
+	}
+}
+
+// BenchmarkWholeJob handles every event of one single-stage job on a
+// 40-container × 4-slot fleet, completing tasks in launch order: each
+// completion is a computed and a result event, and each event is one
+// scheduling round. It is the per-job cost of the scan: the tasks ahead
+// of the first waiting one grow as the job runs, so the total is
+// quadratic in the task count. 810 tasks is the largest job the ledger
+// runs (mr_fanout_none); 8 100 is ten times that.
+func BenchmarkWholeJob(b *testing.B) {
+	for _, n := range []int{810, 8_100} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fl := newBenchManager(b, 1, n, 40, 4)
+				j := fl.jm.jobs[fl.jm.order[0]]
+				b.StartTimer()
+				for fl.ring.head < fl.ring.tail {
+					ref := fl.ring.pop().Ref
+					fl.jm.handle(newTaskComputed(ref, "", nil))
+					fl.jm.handle(evResult{Job: ref.Job, Stage: ref.Stage, Gen: ref.Gen,
+						Index: ref.Index, Attempt: ref.Attempt})
+				}
+				b.StopTimer()
+				if !j.finished {
+					b.Fatalf("job did not finish after %d launches", fl.ring.tail)
+				}
+				<-j.done
 			}
 		})
 	}

@@ -13,7 +13,7 @@ import (
 // This file is a verbatim snapshot of the pre-refactor scheduling pass
 // (scheduleAll / parentsDone / assignTasks / launchPending /
 // pickExecutor as of PR 8) kept as a behavioral oracle: the equivalence
-// tests in sched_oracle_test.go drive the incremental scheduler and
+// tests in sched_oracle_test.go drive the production scheduler and
 // this legacy full-rescan one through identical scripted event
 // sequences and require identical launch logs.
 //

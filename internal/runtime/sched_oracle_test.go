@@ -15,8 +15,7 @@ import (
 	"pado/internal/workloads"
 )
 
-// Legacy-oracle equivalence tests: the incremental scheduler (sched.go +
-// master.go) and the verbatim pre-refactor full rescan
+// Legacy-oracle equivalence tests: the scheduler (master.go) and the verbatim pre-refactor full rescan
 // (sched_legacy_test.go) are driven through identical scripted event
 // sequences over real compiled plans (MR / MLR / ALS) and must produce
 // byte-identical action logs — every Launch, StartReceiver,
@@ -31,10 +30,7 @@ import (
 // action with the deterministic follow-up events the production data
 // plane would send (Launch → computed → committed or a terminal result;
 // StartReceiver → ready; enough distinct commits → reserved-task done),
-// so the whole exchange is a pure function of the script. On the
-// incremental side every delivered event is followed by an invariant
-// check of the derived scheduling state against the ground-truth
-// stage/task state machines.
+// so the whole exchange is a pure function of the script.
 
 var errOracleTask = errors.New("oracle: scripted task failure")
 
@@ -76,11 +72,10 @@ type oracleRecv struct {
 }
 
 type oracleDriver struct {
-	t      *testing.T
-	sc     oracleScript
-	jm     *JobManager
-	legacy bool
-	sched  func()
+	t     *testing.T
+	sc    oracleScript
+	jm    *JobManager
+	sched func()
 
 	queue   []event
 	log     strings.Builder
@@ -293,69 +288,11 @@ func (d *oracleDriver) deliver(ev event) {
 	}
 	jm.reapFinished()
 	d.sched()
-	if !d.legacy {
-		d.checkInvariants()
-	}
-}
-
-// bitsetHas reads one bit without moving a cursor.
-func bitsetHas(b *taskBitset, i int) bool {
-	return i>>6 < len(b.words) && b.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// checkInvariants validates the incremental scheduler's derived state
-// against the ground-truth stage/task state machines after every event:
-// the per-kind free-slot index equals the per-executor table's sums, a
-// runnable bit is set iff its task is tWaiting in an sRunning stage, and
-// a ready bit is set iff its stage is sPending with every parent done.
-func (d *oracleDriver) checkInvariants() {
-	d.t.Helper()
-	jm := d.jm
-	var want [2]int
-	for id, n := range jm.slotsFree {
-		want[jm.kinds[id]] += n
-	}
-	if want != jm.freeSlots {
-		d.t.Fatalf("free-slot index %v, slotsFree sums %v", jm.freeSlots, want)
-	}
-	for _, jid := range jm.order {
-		j := jm.jobs[jid]
-		runnable := 0
-		for si, s := range j.stages {
-			ready := s.status == sPending
-			for _, pid := range s.ps.Parents {
-				if j.stages[pid].status != sDone {
-					ready = false
-				}
-			}
-			if bitsetHas(&j.readyStages, si) != ready {
-				d.t.Fatalf("job %d stage %d ready bit %v, want %v (status %d)",
-					jid, si, !ready, ready, s.status)
-			}
-			for fi, fr := range s.frags {
-				for ti, tk := range fr.tasks {
-					wantBit := s.status == sRunning && tk.state == tWaiting
-					if bitsetHas(&j.runnable, s.denseIdx(fi, ti)) != wantBit {
-						d.t.Fatalf("job %d stage %d frag %d task %d runnable bit %v, want %v",
-							jid, si, fi, ti, !wantBit, wantBit)
-					}
-					if wantBit {
-						runnable++
-					}
-				}
-			}
-		}
-		if runnable != j.runnable.n {
-			d.t.Fatalf("job %d runnable popcount %d, want %d", jid, j.runnable.n, runnable)
-		}
-	}
 }
 
 // stateDigest renders the scheduling-relevant final state shared by both
 // schedulers: cursors, slot tables, outstanding assignments, and every
-// job's stage/task state machines. It deliberately excludes the
-// incremental-only derived state (freeSlots, runnable, readyStages,
-// waitParents), which the legacy pass does not maintain.
+// job's stage/task state machines.
 func (d *oracleDriver) stateDigest() string {
 	jm := d.jm
 	var b strings.Builder
@@ -406,7 +343,7 @@ func runOracle(t *testing.T, sc oracleScript, legacy bool) (string, string) {
 	}
 	jm := newManager(cl, ManagerConfig{})
 	d := &oracleDriver{
-		t: t, sc: sc, jm: jm, legacy: legacy,
+		t: t, sc: sc, jm: jm,
 		byID:         make(map[int]*JobHandle),
 		recvs:        make(map[recvID]*oracleRecv),
 		pendingDones: make(map[doneKey][]event),
@@ -457,9 +394,6 @@ func runOracle(t *testing.T, sc oracleScript, legacy bool) (string, string) {
 		d.attach(id)
 	}
 	d.sched()
-	if !legacy {
-		d.checkInvariants()
-	}
 
 	for len(d.queue) > 0 {
 		ev := d.queue[0]
@@ -494,7 +428,7 @@ func requireSame(t *testing.T, label, got, want string) {
 	}
 	for i := 0; i < n; i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s diverges at line %d:\n  incremental: %q\n  legacy:      %q",
+			t.Fatalf("%s diverges at line %d:\n  scan:   %q\n  legacy: %q",
 				label, i+1, gl[i], wl[i])
 		}
 	}
@@ -511,8 +445,8 @@ func testOracle(t *testing.T, sc oracleScript) {
 	t.Helper()
 	log1, state1 := runOracle(t, sc, false)
 	log2, state2 := runOracle(t, sc, false)
-	requireSame(t, "incremental rerun log", log2, log1)
-	requireSame(t, "incremental rerun state", state2, state1)
+	requireSame(t, "scan rerun log", log2, log1)
+	requireSame(t, "scan rerun state", state2, state1)
 	legacyLog, legacyState := runOracle(t, sc, true)
 	requireSame(t, "action log", log1, legacyLog)
 	requireSame(t, "final state", state1, legacyState)
